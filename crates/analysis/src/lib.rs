@@ -16,16 +16,17 @@
 //!    discipline, or registry consistency is caught *at the pass that broke
 //!    it* rather than at the VM;
 //! 3. a **load-time bytecode verifier** ([`verify_program`]) — a JVM-style
-//!    dataflow proof over the final instruction stream.  A clean report
-//!    licenses the VM's unchecked dispatch fast path (install
-//!    [`verifier_hook`] via `MachineConfig::verifier`); a rejection names
-//!    the exact `{fun, pc, rule}` and the machine refuses to start.
+//!    dataflow proof over the final instruction stream.  Installed via
+//!    [`verifier_hook`] as `MachineConfig::verifier` it gates loading: a
+//!    rejection names the exact `{fun, pc, rule}` and the machine refuses
+//!    to start.
 //!
 //! The analyzer is deliberately conservative: unknown values (parameters,
 //! call results, closure slots) are `Top`, and only contradictions that hold
 //! on *every* execution are reported.  A clean program — the full prelude
 //! included — produces no errors.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyzer;

@@ -33,6 +33,8 @@
 //! assert_eq!(unit.items.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod assignconv;
 mod core;
 mod expand;

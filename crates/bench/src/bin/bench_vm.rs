@@ -1,9 +1,8 @@
 //! `bench_vm` — the interpreter's wall-clock measurement harness.
 //!
-//! Runs every suite benchmark under every pipeline configuration on both
-//! interpreter paths (checked, and verified fast path) N times on fresh
-//! machines, prints a median/mean table, and writes the machine-readable
-//! `BENCH_vm.json` (schema `sxr-bench-vm/v2`).
+//! Runs every suite benchmark under every pipeline configuration N times on
+//! fresh machines, prints a median/mean table, and writes the
+//! machine-readable `BENCH_vm.json` (schema `sxr-bench-vm/v3`).
 //!
 //! Regenerate the checked-in numbers with:
 //!
@@ -11,7 +10,7 @@
 //! cargo run --release -p sxr-bench --bin bench_vm -- --iters 15 --out BENCH_vm.json
 //! ```
 //!
-//! Flags: `--iters N` (timed runs per benchmark×config×path, default 15),
+//! Flags: `--iters N` (timed runs per benchmark×config, default 15),
 //! `--out PATH` (default `BENCH_vm.json`; `-` prints JSON to stdout only).
 
 use sxr_bench::{measure_suite, suite_json};
@@ -39,20 +38,19 @@ fn main() {
         }
     }
 
-    eprintln!("bench_vm: {iters} timed iterations per benchmark x config x path");
+    eprintln!("bench_vm: {iters} timed iterations per benchmark x config");
     let measurements = measure_suite(iters);
 
     println!(
-        "{:<8} {:<15} {:<9} {:>12} {:>12} {:>12} {:>12} {:>5} {:>3}",
-        "bench", "config", "path", "median", "mean", "min", "instrs", "GCs", "ok"
+        "{:<8} {:<15} {:>12} {:>12} {:>12} {:>12} {:>5} {:>3}",
+        "bench", "config", "median", "mean", "min", "instrs", "GCs", "ok"
     );
-    println!("{}", "-".repeat(96));
+    println!("{}", "-".repeat(86));
     for m in &measurements {
         println!(
-            "{:<8} {:<15} {:<9} {:>10.3?} {:>10.3?} {:>10.3?} {:>12} {:>5} {:>3}",
+            "{:<8} {:<15} {:>10.3?} {:>10.3?} {:>10.3?} {:>12} {:>5} {:>3}",
             m.name,
             m.config,
-            if m.verified { "verified" } else { "checked" },
             m.median,
             m.mean,
             m.min,

@@ -19,7 +19,7 @@
 //! `--verify` runs the load-time bytecode verifier over the whole corpus
 //! instead: every benchmark under every configuration must verify with
 //! zero rejections (a rejection of compiler-produced code is a codegen
-//! bug, and would force the machine off its unchecked fast path).
+//! bug, and the machine would refuse to load the program).
 //!
 //! ```text
 //! cargo run --release -p sxr-bench --bin chaos_vm

@@ -42,6 +42,8 @@
 //! assert_eq!(m.describe(w), "16");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod gen;
 mod intrinsics;
 

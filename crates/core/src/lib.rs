@@ -31,6 +31,8 @@
 //! assert_eq!(outcome.output, "49");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod error;
 pub mod lint;

@@ -216,9 +216,8 @@ impl Compiled {
     /// plan the pipeline configuration installed (none by default).
     ///
     /// The load-time bytecode verifier (`sxr-analysis::bcverify`) runs
-    /// before the first instruction: compiled programs it proves safe run
-    /// on the VM's unchecked dispatch fast path, and a rejected program
-    /// never starts ([`sxr_vm::VmErrorKind::RejectedByVerifier`]).
+    /// before the first instruction as an admission gate: a rejected
+    /// program never starts ([`sxr_vm::VmErrorKind::RejectedByVerifier`]).
     ///
     /// # Errors
     ///
@@ -244,25 +243,6 @@ impl Compiled {
                 instruction_limit: self.instruction_limit,
                 fault,
                 verifier: Some(sxr_analysis::verifier_hook),
-            },
-        )
-    }
-
-    /// Creates a fresh machine that skips bytecode verification and runs
-    /// on the fully bounds-checked dispatch loop (the benchmark harness
-    /// uses this as the baseline against the verified fast path).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Compiled::machine`].
-    pub fn machine_unverified(&self) -> Result<Machine, VmError> {
-        Machine::new(
-            self.code.clone(),
-            MachineConfig {
-                heap_words: self.heap_words,
-                instruction_limit: self.instruction_limit,
-                fault: self.fault.clone(),
-                verifier: None,
             },
         )
     }

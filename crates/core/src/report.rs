@@ -54,24 +54,7 @@ pub fn compile_prelude_probe(config: PipelineConfig) -> Result<Compiled, crate::
 ///
 /// Propagates any [`VmError`] raised during loading or execution.
 pub fn run_timed(compiled: &Compiled) -> Result<(Duration, Outcome), VmError> {
-    let m = compiled.machine()?;
-    time_run(m)
-}
-
-/// As [`run_timed`], but on a machine with no load-time verifier — every
-/// step runs the interpreter's checked (bounds-tested) path.  This is the
-/// baseline the `BENCH_vm.json` checked-vs-verified comparison measures
-/// the fast path against.
-///
-/// # Errors
-///
-/// Propagates any [`VmError`] raised during loading or execution.
-pub fn run_timed_checked(compiled: &Compiled) -> Result<(Duration, Outcome), VmError> {
-    let m = compiled.machine_unverified()?;
-    time_run(m)
-}
-
-fn time_run(mut m: sxr_vm::Machine) -> Result<(Duration, Outcome), VmError> {
+    let mut m = compiled.machine()?;
     let start = Instant::now();
     let w = m.run()?;
     let elapsed = start.elapsed();

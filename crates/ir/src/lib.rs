@@ -28,6 +28,8 @@
 //! assert!(module.funs.len() >= 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod anf;
 pub mod clconv;
 pub mod lower;

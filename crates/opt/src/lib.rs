@@ -16,6 +16,8 @@
 //! pass can be disabled individually — the ablation experiment (Table 3)
 //! measures exactly how much each one matters.
 
+#![forbid(unsafe_code)]
+
 mod bits;
 mod cleanup;
 mod constfold;

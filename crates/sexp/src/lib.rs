@@ -18,6 +18,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod datum;
 mod error;
 mod lexer;

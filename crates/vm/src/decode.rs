@@ -255,8 +255,8 @@ fn pointer_tag(registry: &RepRegistry, rep: RepId, what: &str) -> Result<u64, Vm
 }
 
 /// Number of operands each generic representation operation consumes from
-/// its argument list (the machine indexes the arena unchecked by this
-/// count, so decode validates it up front).
+/// its argument list (the machine reads the arena by this count, so decode
+/// validates it up front and the reads never go out of bounds).
 pub(crate) fn rep_op_arity(op: RepVmOp) -> usize {
     match op {
         RepVmOp::MakeImm => 4,

@@ -50,6 +50,8 @@
 //! assert_eq!(m.describe(w), "40");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod counters;
 mod decode;
 mod encode;

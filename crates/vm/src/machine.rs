@@ -1,10 +1,16 @@
 //! The interpreter: loads a [`CodeProgram`], runs it, counts everything.
 //!
 //! The execution hot path is allocation-free: instructions are pre-decoded
-//! into the flat [`DInst`] form at load time (see [`crate::decode`]), call
-//! frames recycle their register arrays through a pool, and the instruction
-//! budget is charged before an instruction runs so budgets and counters
-//! always agree.
+//! into the flat [`DInst`] form at load time (see [`crate::decode`]), every
+//! frame's registers are a window of one contiguous register stack, and the
+//! instruction budget is charged before an instruction runs so budgets and
+//! counters always agree.
+//!
+//! There is one step loop and every access in it is bounds-checked.
+//! Decoding already proves each register, pool, global, and function index
+//! of a loadable program in range, so those checks never fail; the
+//! instruction fetch is the one check left with real work (a jump or a
+//! fall-through can leave a function's code).
 
 use crate::counters::Counters;
 use crate::decode::{decode_program, ArgSpan, DInst, DecodedProgram};
@@ -18,8 +24,10 @@ use std::rc::Rc;
 use sxr_ir::rep::{roles, RepId, RepKind, RepRegistry};
 
 /// A load-time bytecode verifier: inspects the whole program and either
-/// blesses it (`Ok`) or rejects it with a structured
-/// [`VmErrorKind::RejectedByVerifier`] error.  A plain function pointer so
+/// admits it (`Ok`) or rejects it with a structured
+/// [`VmErrorKind::RejectedByVerifier`] error.  The verdict only decides
+/// whether the program loads; an admitted program runs on the same checked
+/// step loop as one loaded without a verifier.  A plain function pointer so
 /// [`MachineConfig`] stays `Copy`-friendly and the VM crate needs no
 /// dependency on the analysis crate that implements the standard verifier.
 pub type VerifierHook = fn(&CodeProgram) -> Result<(), VmError>;
@@ -34,12 +42,11 @@ pub struct MachineConfig {
     pub instruction_limit: Option<u64>,
     /// Deterministic fault-injection schedule (defaults to none).
     pub fault: FaultPlan,
-    /// Load-time bytecode verifier.  When set, [`Machine::new`] runs it
-    /// once: on success the machine executes on the unchecked-access fast
-    /// path (the verifier has proved every register index, jump target,
-    /// and pool/global read in bounds); on failure loading is refused.
-    /// When `None` (the default) the machine stays on the fully checked
-    /// loop, which tolerates arbitrary (decodable) input.
+    /// Load-time admission gate.  When set, [`Machine::new`] runs it once
+    /// and refuses to load a program it rejects.  It does not change how
+    /// an admitted program runs: every machine executes on the same
+    /// bounds-checked loop, which tolerates arbitrary (decodable) input.
+    /// `None` (the default) admits every decodable program.
     pub verifier: Option<VerifierHook>,
 }
 
@@ -54,15 +61,13 @@ impl Default for MachineConfig {
     }
 }
 
-/// Upper bound on pooled register arrays; deeper recursion simply
-/// allocates, shallower call chains reuse.
-const REG_POOL_MAX: usize = 64;
-
+/// One activation.  Its registers are the window `base..base + nregs` of
+/// the machine's register stack, `nregs` being the function's frame size.
 #[derive(Debug)]
 struct Frame {
     fnid: u32,
     pc: usize,
-    regs: Vec<Word>,
+    base: usize,
     ret_dst: Reg,
 }
 
@@ -159,8 +164,11 @@ pub struct Machine {
     pool: Vec<Word>,
     interned: HashMap<String, Word>,
     frames: Vec<Frame>,
-    /// Retired register arrays awaiting reuse (the frame pool).
-    reg_pool: Vec<Vec<Word>>,
+    /// The register stack: the frames' register windows, contiguous and in
+    /// call order.  It always ends where the top frame's window ends.
+    regs: Vec<Word>,
+    /// The top frame's `base`, cached for register access.
+    top_base: usize,
     /// Dynamic execution counters.
     pub counters: Counters,
     output: String,
@@ -194,9 +202,6 @@ pub struct Machine {
     /// When set, `%write-char` yields [`SuspendReason::HostCall`] after
     /// appending (resumable sessions only; [`Machine::run`] runs through).
     host_yield_output: bool,
-    /// True when a configured [`VerifierHook`] accepted the program at
-    /// load; gates the unchecked-access fast path.
-    verified: bool,
 }
 
 impl Machine {
@@ -252,15 +257,11 @@ impl Machine {
         };
         let decoded = decode_program(&program, &registry, closure_tag, fixnum)?;
         // The verifier sees the loadable program, of which the decoded
-        // stream is a faithful 1:1 translation; a verified program runs on
-        // the unchecked fast path, a rejected one never starts.
-        let verified = match config.verifier {
-            Some(verify) => {
-                verify(&program)?;
-                true
-            }
-            None => false,
-        };
+        // stream is a faithful 1:1 translation; a rejected program never
+        // starts.
+        if let Some(verify) = config.verifier {
+            verify(&program)?;
+        }
         let ptr_table = registry.pointer_pattern_table();
         let nglobals = program.nglobals;
         let heap_cap = config.fault.effective_cap();
@@ -275,7 +276,8 @@ impl Machine {
             pool: Vec::new(),
             interned: HashMap::new(),
             frames: Vec::new(),
-            reg_pool: Vec::new(),
+            regs: Vec::new(),
+            top_base: 0,
             counters: Counters::default(),
             output: String::new(),
             ptr_table,
@@ -292,16 +294,9 @@ impl Machine {
             phase: Phase::Ready,
             result: role.unspec_word,
             host_yield_output: false,
-            verified,
         };
         m.build_pool()?;
         Ok(m)
-    }
-
-    /// True when the configured load-time verifier accepted this program
-    /// (the machine is running on the unchecked-access fast path).
-    pub fn is_verified(&self) -> bool {
-        self.verified
     }
 
     fn build_pool(&mut self) -> Result<(), VmError> {
@@ -474,10 +469,11 @@ impl Machine {
             *w = self.heap.forward(&mut from, *w, &pt)?;
         }
         let prog = self.program.clone();
-        for f in self.frames.iter_mut() {
-            let map = &prog.funs[f.fnid as usize].ptr_map;
-            for (r, w) in f.regs.iter_mut().enumerate() {
-                if map.get(r).copied().unwrap_or(true) {
+        for f in &self.frames {
+            let fun = &prog.funs[f.fnid as usize];
+            let window = &mut self.regs[f.base..f.base + fun.nregs];
+            for (r, w) in window.iter_mut().enumerate() {
+                if fun.ptr_map.get(r).copied().unwrap_or(true) {
                     *w = self.heap.forward(&mut from, *w, &pt)?;
                 }
             }
@@ -522,73 +518,48 @@ impl Machine {
         &self.fault
     }
 
-    /// Register read, monomorphized over the fast-path gate.  With
-    /// `V = true` the bounds check is elided: the verifier proved every
-    /// register operand smaller than the function's frame size at load.
+    /// Reads register `reg` of the top frame.
     #[inline(always)]
-    fn r_g<const V: bool>(&self, reg: Reg) -> Word {
-        let f = self.frames.last().expect("active frame");
-        if V {
-            debug_assert!((reg as usize) < f.regs.len(), "verifier missed r{reg}");
-            // SAFETY: the load-time verifier (`bcverify` reg-oob rule)
-            // proved `reg < nregs`, and frames always hold `nregs` words.
-            unsafe { *f.regs.get_unchecked(reg as usize) }
-        } else {
-            f.regs[reg as usize]
-        }
-    }
-
-    #[inline(always)]
-    fn set_r_g<const V: bool>(&mut self, reg: Reg, w: Word) {
-        let f = self.frames.last_mut().expect("active frame");
-        if V {
-            debug_assert!((reg as usize) < f.regs.len(), "verifier missed r{reg}");
-            // SAFETY: as for `r_g`.
-            unsafe {
-                *f.regs.get_unchecked_mut(reg as usize) = w;
-            }
-        } else {
-            f.regs[reg as usize] = w;
-        }
-    }
-
-    /// The operand at position `i` of an arena span.  Spans are built by
-    /// `decode_program` to index the arena it builds, so they are in
-    /// bounds by construction; the verified path elides the recheck.
-    #[inline(always)]
-    fn arg_g<const V: bool>(&self, span: ArgSpan, i: usize) -> Reg {
-        if V {
-            debug_assert!(span.off as usize + i < self.decoded.args.len());
-            // SAFETY: decode builds every span over operands it appended.
-            unsafe { *self.decoded.args.get_unchecked(span.off as usize + i) }
-        } else {
-            self.decoded.args[span.off as usize + i]
-        }
-    }
-
     fn r(&self, reg: Reg) -> Word {
-        self.r_g::<false>(reg)
+        self.regs[self.top_base + reg as usize]
+    }
+
+    #[inline(always)]
+    fn set_r(&mut self, reg: Reg, w: Word) {
+        self.regs[self.top_base + reg as usize] = w;
     }
 
     /// The operand at position `i` of an arena span.
+    #[inline(always)]
     fn arg(&self, span: ArgSpan, i: usize) -> Reg {
-        self.arg_g::<false>(span, i)
+        self.decoded.args[span.off as usize + i]
     }
 
-    /// Takes a register array from the pool (or allocates one), fully
-    /// initialized to the library's register-init word so no values bleed
-    /// through from the frame that previously used it.
-    fn take_regs(&mut self, nregs: usize) -> Vec<Word> {
-        let mut regs = self.reg_pool.pop().unwrap_or_default();
-        regs.clear();
-        regs.resize(nregs, self.role.reg_init);
-        regs
+    /// Pushes a window of `nregs` registers onto the register stack and
+    /// returns its base.  Every register starts as the library's
+    /// register-init word, so nothing bleeds through from a frame that
+    /// used the same words before.
+    fn push_window(&mut self, nregs: usize) -> usize {
+        let base = self.regs.len();
+        self.regs.resize(base + nregs, self.role.reg_init);
+        base
     }
 
-    fn recycle_regs(&mut self, regs: Vec<Word>) {
-        if self.reg_pool.len() < REG_POOL_MAX {
-            self.reg_pool.push(regs);
-        }
+    /// Makes `frame` the top frame.  Its window must end the register
+    /// stack.
+    fn push_frame(&mut self, frame: Frame) {
+        self.top_base = frame.base;
+        self.frames.push(frame);
+    }
+
+    /// Pops frames down to `depth` and truncates the register stack to the
+    /// new top frame's window.
+    fn unwind_to(&mut self, depth: usize) {
+        self.frames.truncate(depth);
+        let top = self.frames.last().expect("frame");
+        self.top_base = top.base;
+        self.regs
+            .truncate(top.base + self.decoded.funs[top.fnid as usize].nregs);
     }
 
     /// Builds the entry frame for `main`.
@@ -604,13 +575,12 @@ impl Machine {
                 ),
             ));
         }
-        let nregs = fun.nregs;
-        let mut regs = self.take_regs(nregs);
-        regs[0] = self.role.unspec_word;
+        let base = self.push_window(fun.nregs);
+        self.regs[base] = self.role.unspec_word;
         Ok(Frame {
             fnid,
             pc: 0,
-            regs,
+            base,
             ret_dst: 0,
         })
     }
@@ -630,11 +600,10 @@ impl Machine {
     }
 
     /// Builds a callee frame reading the closure and arguments from the
-    /// *current* frame's registers. For variadic callees the extra
-    /// arguments are collected into a library list; space for the pairs is
-    /// reserved before any register is read, so a collection here cannot
-    /// leave stale copies behind.
-    fn build_frame<const V: bool>(
+    /// *current* frame's registers.  The callee's window is pushed above
+    /// the caller's only once nothing can fail, so an error leaves the
+    /// register stack as it was.
+    fn build_frame(
         &mut self,
         fnid: u32,
         clo_reg: Reg,
@@ -644,26 +613,38 @@ impl Machine {
         let fun = &self.decoded.funs[fnid as usize];
         let (arity, variadic, nregs) = (fun.arity, fun.variadic, fun.nregs);
         let nargs = arg_span.len as usize;
-        if !variadic {
+        let rest = if variadic {
+            if nargs < arity {
+                return Err(self.arity_error(fnid, true, nargs));
+            }
+            Some(self.rest_list(arg_span, arity)?)
+        } else {
             if arity != nargs {
                 return Err(self.arity_error(fnid, false, nargs));
             }
-            let mut regs = self.take_regs(nregs);
-            regs[0] = self.r_g::<V>(clo_reg);
-            for i in 0..nargs {
-                regs[1 + i] = self.r_g::<V>(self.arg_g::<V>(arg_span, i));
-            }
-            return Ok(Frame {
-                fnid,
-                pc: 0,
-                regs,
-                ret_dst,
-            });
+            None
+        };
+        let base = self.push_window(nregs);
+        self.regs[base] = self.r(clo_reg);
+        for i in 0..arity {
+            self.regs[base + 1 + i] = self.r(self.arg(arg_span, i));
         }
-        if nargs < arity {
-            return Err(self.arity_error(fnid, true, nargs));
+        if let Some(rest) = rest {
+            self.regs[base + 1 + arity] = rest;
         }
-        let extras = nargs - arity;
+        Ok(Frame {
+            fnid,
+            pc: 0,
+            base,
+            ret_dst,
+        })
+    }
+
+    /// Collects the arguments after the first `arity` into a library list
+    /// for a variadic callee.  Space for the pairs is reserved before any
+    /// register is read, so a collection here cannot leave stale copies
+    /// behind, and none can run before the caller stores the list.
+    fn rest_list(&mut self, arg_span: ArgSpan, arity: usize) -> Result<Word, VmError> {
         let pair = self
             .registry
             .role(sxr_ir::rep::roles::PAIR)
@@ -688,28 +669,33 @@ impl Machine {
                 "`pair` role must be a pointer",
             ));
         };
-        // Reserve everything up front; reads below see post-GC registers.
-        self.ensure_space(3 * extras + 1)?;
-        let mut regs = self.take_regs(nregs);
-        regs[0] = self.r_g::<V>(clo_reg);
-        for i in 0..arity {
-            regs[1 + i] = self.r_g::<V>(self.arg_g::<V>(arg_span, i));
-        }
+        let nargs = arg_span.len as usize;
+        self.ensure_space(3 * (nargs - arity) + 1)?;
         let mut rest = self.registry.encode_immediate(null, 0);
         for i in (arity..nargs).rev() {
-            let car = self.r_g::<V>(self.arg_g::<V>(arg_span, i));
+            let car = self.r(self.arg(arg_span, i));
             let p = self.alloc_object(2, pair as u16, pair_tag, rest)?;
             let base = (p >> 3) as usize;
             self.heap.set(base + 1, car)?;
             rest = p;
         }
-        regs[1 + arity] = rest;
-        Ok(Frame {
-            fnid,
-            pc: 0,
-            regs,
-            ret_dst,
-        })
+        Ok(rest)
+    }
+
+    /// Replaces the top frame with a call of `fnid`, keeping its return
+    /// destination.  The callee's window is built above the caller's and
+    /// then copied down over it.
+    fn tail_call(&mut self, fnid: u32, clo_reg: Reg, arg_span: ArgSpan) -> Result<(), VmError> {
+        let ret_dst = self.frames.last().expect("frame").ret_dst;
+        let callee = self.build_frame(fnid, clo_reg, arg_span, ret_dst)?;
+        let nregs = self.regs.len() - callee.base;
+        self.regs.copy_within(callee.base.., self.top_base);
+        self.regs.truncate(self.top_base + nregs);
+        *self.frames.last_mut().expect("frame") = Frame {
+            base: self.top_base,
+            ..callee
+        };
+        Ok(())
     }
 
     fn closure_target(&self, fval: Word) -> Result<u32, VmError> {
@@ -844,26 +830,15 @@ impl Machine {
                 return Err(e);
             }
         };
-        self.frames.push(main);
+        self.push_frame(main);
         self.phase = Phase::Running;
         Ok(())
-    }
-
-    /// The fetch/decode/execute loop, dispatched once per session slice to
-    /// the monomorphization matching the verifier token: verified programs
-    /// run with access checks elided, everything else stays fully checked.
-    fn step_loop(&mut self) -> Result<StepResult, VmError> {
-        if self.verified {
-            self.step_loop_g::<true>()
-        } else {
-            self.step_loop_g::<false>()
-        }
     }
 
     /// The fetch/decode/execute loop.  Returns `Done` when the outermost
     /// frame has returned, `Suspended` when the budget ran dry or a host
     /// call yielded; terminal errors move the machine to `Faulted`.
-    fn step_loop_g<const V: bool>(&mut self) -> Result<StepResult, VmError> {
+    fn step_loop(&mut self) -> Result<StepResult, VmError> {
         loop {
             let (fi, pc) = {
                 let Some(top) = self.frames.last_mut() else {
@@ -875,29 +850,12 @@ impl Machine {
                 top.pc += 1;
                 (fi, pc)
             };
-            let inst = if V {
-                debug_assert!(
-                    pc < self.decoded.funs[fi].insts.len(),
-                    "verifier missed a pc"
-                );
-                // SAFETY: `fi` comes from a frame, and frames are built
-                // only for function ids the verifier bounds-checked
-                // (fn-oob rule, `closure_target` validation); the verifier
-                // additionally proved every reachable pc in bounds
-                // (fall-off-end and jump-oob rules), so the fetch cannot
-                // miss.
-                unsafe { *self.decoded.funs.get_unchecked(fi).insts.get_unchecked(pc) }
-            } else {
-                match self.decoded.funs[fi].insts.get(pc) {
-                    Some(&i) => i,
-                    None => {
-                        self.phase = Phase::Faulted;
-                        return Err(VmError::new(
-                            VmErrorKind::BadProgram,
-                            format!("fell off the end of `{}`", self.program.funs[fi].name),
-                        ));
-                    }
-                }
+            let Some(&inst) = self.decoded.funs[fi].insts.get(pc) else {
+                self.phase = Phase::Faulted;
+                return Err(VmError::new(
+                    VmErrorKind::BadProgram,
+                    format!("fell off the end of `{}`", self.program.funs[fi].name),
+                ));
             };
             // The budget is charged before an instruction does anything —
             // including `ResetCounters` — so a limit of N admits exactly N
@@ -917,7 +875,7 @@ impl Machine {
                 continue;
             }
             self.counters.count(inst.class());
-            match self.exec_inst::<V>(inst) {
+            match self.exec_inst(inst) {
                 Ok(Exec::Continue) => {}
                 Ok(Exec::Suspend(reason)) => {
                     return Ok(StepResult::Suspended(reason));
@@ -932,66 +890,48 @@ impl Machine {
         }
     }
 
-    /// Executes one (already counted and budgeted) instruction.  `V` is
-    /// the fast-path gate: with a verified program the register, pool,
-    /// global, and operand-arena accesses skip their bounds checks (each
-    /// proved by a verifier rule); heap accesses stay checked in both
-    /// modes — object-level addresses depend on run-time values the
-    /// verifier does not model.
+    /// Executes one (already counted and budgeted) instruction.
     #[inline]
-    fn exec_inst<const V: bool>(&mut self, inst: DInst) -> Result<Exec, VmError> {
+    fn exec_inst(&mut self, inst: DInst) -> Result<Exec, VmError> {
         match inst {
             DInst::Const { d, imm } => {
-                self.set_r_g::<V>(d, imm);
+                self.set_r(d, imm);
             }
             DInst::Pool { d, idx } => {
-                let w = if V {
-                    debug_assert!((idx as usize) < self.pool.len());
-                    // SAFETY: pool-oob rule — `idx < pool.len()`.
-                    unsafe { *self.pool.get_unchecked(idx as usize) }
-                } else {
-                    self.pool[idx as usize]
-                };
-                self.set_r_g::<V>(d, w);
+                self.set_r(d, self.pool[idx as usize]);
             }
             DInst::Move { d, s } => {
-                let w = self.r_g::<V>(s);
-                self.set_r_g::<V>(d, w);
+                let w = self.r(s);
+                self.set_r(d, w);
             }
             DInst::Bin { op, d, a, b } => {
-                let (a, b) = (self.r_g::<V>(a), self.r_g::<V>(b));
+                let (a, b) = (self.r(a), self.r(b));
                 let v = self.binop(op, a, b)?;
-                self.set_r_g::<V>(d, v);
+                self.set_r(d, v);
             }
             DInst::BinI { op, d, a, imm } => {
-                let a = self.r_g::<V>(a);
+                let a = self.r(a);
                 let v = self.binop(op, a, imm)?;
-                self.set_r_g::<V>(d, v);
+                self.set_r(d, v);
             }
             DInst::LoadD { d, p, disp } => {
-                let addr = self.r_g::<V>(p).wrapping_add(disp);
+                let addr = self.r(p).wrapping_add(disp);
                 let w = self.heap.get((addr >> 3) as usize)?;
-                self.set_r_g::<V>(d, w);
+                self.set_r(d, w);
             }
             DInst::LoadX { d, p, x, disp } => {
-                let addr = self
-                    .r_g::<V>(p)
-                    .wrapping_add(self.r_g::<V>(x))
-                    .wrapping_add(disp);
+                let addr = self.r(p).wrapping_add(self.r(x)).wrapping_add(disp);
                 let w = self.heap.get((addr >> 3) as usize)?;
-                self.set_r_g::<V>(d, w);
+                self.set_r(d, w);
             }
             DInst::StoreD { p, disp, s } => {
-                let addr = self.r_g::<V>(p).wrapping_add(disp);
-                let w = self.r_g::<V>(s);
+                let addr = self.r(p).wrapping_add(disp);
+                let w = self.r(s);
                 self.heap.set((addr >> 3) as usize, w)?;
             }
             DInst::StoreX { p, x, disp, s } => {
-                let addr = self
-                    .r_g::<V>(p)
-                    .wrapping_add(self.r_g::<V>(x))
-                    .wrapping_add(disp);
-                let w = self.r_g::<V>(s);
+                let addr = self.r(p).wrapping_add(self.r(x)).wrapping_add(disp);
+                let w = self.r(s);
                 self.heap.set((addr >> 3) as usize, w)?;
             }
             DInst::AllocImm {
@@ -1003,9 +943,9 @@ impl Machine {
             } => {
                 let len = len as usize;
                 self.ensure_space(len + 1)?;
-                let fill = self.r_g::<V>(fill); // after possible GC
+                let fill = self.r(fill); // after possible GC
                 let w = self.alloc_object(len, rep, tag, fill)?;
-                self.set_r_g::<V>(d, w);
+                self.set_r(d, w);
             }
             DInst::AllocReg {
                 d,
@@ -1014,7 +954,7 @@ impl Machine {
                 rep,
                 tag,
             } => {
-                let len = self.r_g::<V>(len);
+                let len = self.r(len);
                 if !(0..=(1 << 40)).contains(&len) {
                     return Err(VmError::new(
                         VmErrorKind::BadRepOperation,
@@ -1023,46 +963,30 @@ impl Machine {
                 }
                 let len = len as usize;
                 self.ensure_space(len + 1)?;
-                let fill = self.r_g::<V>(fill); // after possible GC
+                let fill = self.r(fill); // after possible GC
                 let w = self.alloc_object(len, rep, tag, fill)?;
-                self.set_r_g::<V>(d, w);
+                self.set_r(d, w);
             }
             DInst::Jump { t } => {
                 self.frames.last_mut().expect("frame").pc = t as usize;
             }
             DInst::JumpCmpRR { op, a, b, t } => {
-                let (a, b) = (self.r_g::<V>(a), self.r_g::<V>(b));
+                let (a, b) = (self.r(a), self.r(b));
                 if cmp_taken(op, a, b) {
                     self.frames.last_mut().expect("frame").pc = t as usize;
                 }
             }
             DInst::JumpCmpRI { op, a, imm, t } => {
-                let a = self.r_g::<V>(a);
+                let a = self.r(a);
                 if cmp_taken(op, a, imm) {
                     self.frames.last_mut().expect("frame").pc = t as usize;
                 }
             }
             DInst::GlobalGet { d, g } => {
-                let w = if V {
-                    debug_assert!((g as usize) < self.globals.len());
-                    // SAFETY: global-oob rule — `g < nglobals`.
-                    unsafe { *self.globals.get_unchecked(g as usize) }
-                } else {
-                    self.globals[g as usize]
-                };
-                self.set_r_g::<V>(d, w);
+                self.set_r(d, self.globals[g as usize]);
             }
             DInst::GlobalSet { g, s } => {
-                let w = self.r_g::<V>(s);
-                if V {
-                    debug_assert!((g as usize) < self.globals.len());
-                    // SAFETY: global-oob rule — `g < nglobals`.
-                    unsafe {
-                        *self.globals.get_unchecked_mut(g as usize) = w;
-                    }
-                } else {
-                    self.globals[g as usize] = w;
-                }
+                self.globals[g as usize] = self.r(s);
             }
             DInst::MakeClosure { d, free, tag, code } => {
                 let n = free.len as usize;
@@ -1070,62 +994,59 @@ impl Machine {
                 let w = self.alloc_object(n + 1, self.role.closure as u16, tag, code)?;
                 let base = (w >> 3) as usize;
                 for i in 0..n {
-                    let v = self.r_g::<V>(self.arg_g::<V>(free, i));
+                    let v = self.r(self.arg(free, i));
                     self.heap.set(base + 2 + i, v)?;
                 }
-                self.set_r_g::<V>(d, w);
+                self.set_r(d, w);
             }
             DInst::ClosureSet { clo, idx, val } => {
-                let base = (self.r_g::<V>(clo) >> 3) as usize;
-                let v = self.r_g::<V>(val);
+                let base = (self.r(clo) >> 3) as usize;
+                let v = self.r(val);
                 self.heap.set(base + 2 + idx as usize, v)?;
             }
             DInst::Call { d, f, args } => {
-                let fnid = self.closure_target(self.r_g::<V>(f))?;
+                let fnid = self.closure_target(self.r(f))?;
                 self.counters.calls += 1;
-                let frame = self.build_frame::<V>(fnid, f, args, d)?;
-                self.frames.push(frame);
+                let frame = self.build_frame(fnid, f, args, d)?;
+                self.push_frame(frame);
             }
             DInst::CallKnown { d, f, clo, args } => {
                 self.counters.calls += 1;
-                let frame = self.build_frame::<V>(f, clo, args, d)?;
-                self.frames.push(frame);
+                let frame = self.build_frame(f, clo, args, d)?;
+                self.push_frame(frame);
             }
             DInst::TailCall { f, args } => {
-                let fnid = self.closure_target(self.r_g::<V>(f))?;
+                let fnid = self.closure_target(self.r(f))?;
                 self.counters.calls += 1;
-                let ret_dst = self.frames.last().expect("frame").ret_dst;
-                let frame = self.build_frame::<V>(fnid, f, args, ret_dst)?;
-                let old = std::mem::replace(self.frames.last_mut().expect("frame"), frame);
-                self.recycle_regs(old.regs);
+                self.tail_call(fnid, f, args)?;
             }
             DInst::TailCallKnown { f, clo, args } => {
                 self.counters.calls += 1;
-                let ret_dst = self.frames.last().expect("frame").ret_dst;
-                let frame = self.build_frame::<V>(f, clo, args, ret_dst)?;
-                let old = std::mem::replace(self.frames.last_mut().expect("frame"), frame);
-                self.recycle_regs(old.regs);
+                self.tail_call(f, clo, args)?;
             }
             DInst::Ret { s } => {
-                let v = self.r_g::<V>(s);
+                let v = self.r(s);
                 let frame = self.frames.pop().expect("frame");
-                match self.frames.last_mut() {
-                    Some(caller) => caller.regs[frame.ret_dst as usize] = v,
+                self.regs.truncate(frame.base);
+                match self.frames.last() {
+                    Some(caller) => {
+                        self.top_base = caller.base;
+                        self.set_r(frame.ret_dst, v);
+                    }
                     None => self.result = v,
                 }
-                self.recycle_regs(frame.regs);
             }
             DInst::Rep { op, d, args } => {
                 let v = self.rep_generic(op, args)?;
-                self.set_r_g::<V>(d, v);
+                self.set_r(d, v);
             }
             DInst::Intern { d, s } => {
-                let sval = self.r_g::<V>(s);
+                let sval = self.r(s);
                 let sym = self.intern_value(sval)?;
-                self.set_r_g::<V>(d, sym);
+                self.set_r(d, sym);
             }
             DInst::WriteChar { s } => {
-                let w = self.r_g::<V>(s);
+                let w = self.r(s);
                 let char_rep = self.registry.role(roles::CHAR).ok_or_else(|| {
                     VmError::new(VmErrorKind::BadProgram, "no `char` representation role")
                 })?;
@@ -1136,7 +1057,7 @@ impl Machine {
                 }
             }
             DInst::ErrorOp { s } => {
-                let w = self.r_g::<V>(s);
+                let w = self.r(s);
                 self.pending_trap = Some(PendingTrap::Payload(w));
                 return Err(VmError::new(
                     VmErrorKind::SchemeError,
@@ -1146,7 +1067,7 @@ impl Machine {
             DInst::PushHandler { h, d, t } => {
                 self.handlers.push(Handler {
                     depth: self.frames.len(),
-                    handler: self.r_g::<V>(h),
+                    handler: self.r(h),
                     dst: d,
                     t,
                 });
@@ -1160,7 +1081,7 @@ impl Machine {
                 }
             }
             DInst::RaiseOp { s } => {
-                let w = self.r_g::<V>(s);
+                let w = self.r(s);
                 self.pending_trap = Some(PendingTrap::Reraise(w));
                 return Err(VmError::new(
                     VmErrorKind::UncaughtCondition,
@@ -1205,41 +1126,37 @@ impl Machine {
                 Some(_) => continue,
             }
         };
-        while self.frames.len() > h.depth {
-            let f = self.frames.pop().expect("frame");
-            self.recycle_regs(f.regs);
-        }
+        self.unwind_to(h.depth);
+        // Building the condition may collect, and the popped entry no
+        // longer roots the handler closure: it rides in `trap_roots`.
+        self.trap_roots.push(h.handler);
         let cond = match pending {
-            Some(PendingTrap::Reraise(w)) => w,
-            other => {
-                let payload = match other {
-                    Some(PendingTrap::Payload(w)) => Some(w),
-                    _ => None,
-                };
-                match self.build_condition(&e, payload) {
-                    Ok(c) => c,
-                    // The condition itself would not fit (or the library
-                    // defines no condition representation): the original
-                    // error is terminal after all.
-                    Err(_) => return Err(e),
-                }
-            }
+            Some(PendingTrap::Reraise(w)) => Ok(w),
+            Some(PendingTrap::Payload(w)) => self.build_condition(&e, Some(w)),
+            None => self.build_condition(&e, None),
         };
-        let fnid = self.closure_target(h.handler)?;
+        let handler = self.trap_roots.pop().expect("handler root");
+        // The condition itself would not fit (or the library defines no
+        // condition representation): the original error is terminal after
+        // all.
+        let Ok(cond) = cond else {
+            return Err(e);
+        };
+        let fnid = self.closure_target(handler)?;
         let fun = &self.decoded.funs[fnid as usize];
         if fun.variadic || fun.arity != 1 {
             return Err(self.arity_error(fnid, false, 1));
         }
         let nregs = fun.nregs;
-        let mut regs = self.take_regs(nregs);
-        regs[0] = h.handler;
-        regs[1] = cond;
         self.frames.last_mut().expect("installing frame").pc = h.t as usize;
+        let base = self.push_window(nregs);
+        self.regs[base] = handler;
+        self.regs[base + 1] = cond;
         self.counters.calls += 1;
-        self.frames.push(Frame {
+        self.push_frame(Frame {
             fnid,
             pc: 0,
-            regs,
+            base,
             ret_dst: h.dst,
         });
         Ok(())
@@ -1629,5 +1546,184 @@ fn cmp_taken(op: CmpOp, a: Word, b: Word) -> bool {
         CmpOp::Ne => a != b,
         CmpOp::Lt => a < b,
         CmpOp::Ge => a >= b,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Register-stack invariants, checked at every suspension of fuel-sliced
+    //! runs of hand-built programs.
+
+    use super::*;
+    use crate::inst::{CodeFun, Inst, RegImm};
+
+    /// Fixnum 1 (fixnums are tagged `n << 3`).
+    const ONE: i32 = 8;
+
+    fn fun(arity: usize, nregs: usize, insts: Vec<Inst>) -> CodeFun {
+        CodeFun {
+            name: format!("f{nregs}"),
+            arity,
+            variadic: false,
+            nregs,
+            free_count: 0,
+            insts,
+            ptr_map: vec![true; nregs],
+            free_ptr_map: vec![],
+        }
+    }
+
+    /// `n -> other(n - 1) + 1`, and `n` itself at 0; `tail` makes the call
+    /// a tail call, `trap` makes the base case divide by zero.
+    fn count(other: u32, nregs: usize, tail: bool, trap: bool) -> CodeFun {
+        let (a, d, f, clo, args) = (1, 2, other, 0, vec![2]);
+        let jump = Inst::JumpCmp {
+            op: CmpOp::Ne,
+            a,
+            b: RegImm::Imm(0),
+            t: 2,
+        };
+        let base = if trap {
+            let op = BinOp::Quot;
+            Inst::Bin { op, d, a, b: a }
+        } else {
+            Inst::Ret { s: a }
+        };
+        let call = if tail {
+            Inst::TailCallKnown { f, clo, args }
+        } else {
+            Inst::CallKnown { d, f, clo, args }
+        };
+        let (dec, inc) = (BinOp::Sub, BinOp::Add);
+        let step = |op, a| Inst::BinI { op, d, a, imm: ONE };
+        let insts = vec![
+            jump,
+            base,
+            step(dec, a),
+            call,
+            step(inc, d),
+            Inst::Ret { s: d },
+        ];
+        fun(1, nregs, insts)
+    }
+
+    /// A machine whose `main` installs a handler returning 7, calls
+    /// `funs[0]` on `args` (r4 = `n`, r5 = 2, r6 = 3) and returns its value.
+    fn machine(n: i64, args: Vec<Reg>, funs: Vec<CodeFun>, fault: FaultPlan) -> Machine {
+        let fx = |n: i64| n * ONE as i64;
+        let closure = |d, f| Inst::MakeClosure { d, f, free: vec![] };
+        let main = vec![
+            closure(1, 1),
+            closure(2, 2),
+            Inst::PushHandler { h: 1, d: 3, t: 8 },
+            Inst::Const { d: 4, imm: fx(n) },
+            Inst::Const { d: 5, imm: fx(2) },
+            Inst::Const { d: 6, imm: fx(3) },
+            Inst::Call { d: 3, f: 2, args },
+            Inst::PopHandler,
+            Inst::Ret { s: 3 },
+        ];
+        let handler = vec![Inst::Const { d: 1, imm: fx(7) }, Inst::Ret { s: 1 }];
+        let mut registry = RepRegistry::new();
+        for (role, bits, tag) in [("fixnum", 3, 0), ("boolean", 8, 2), ("char", 8, 18)] {
+            let id = registry.intern_immediate(role, bits, tag, bits).unwrap();
+            registry.provide_role(role, id).unwrap();
+        }
+        for (role, tag) in [("null", 34), ("unspecified", 50)] {
+            let id = registry.intern_immediate(role, 8, tag, 8).unwrap();
+            registry.provide_role(role, id).unwrap();
+        }
+        for (role, tag) in [("pair", 1), ("string", 5), ("symbol", 6), ("closure", 7)] {
+            let id = registry.intern_pointer(role, tag, false).unwrap();
+            registry.provide_role(role, id).unwrap();
+        }
+        let id = registry.intern_pointer("condition", 4, true).unwrap();
+        registry.provide_role("condition", id).unwrap();
+        let program = CodeProgram {
+            funs: [vec![fun(0, 7, main), fun(1, 2, handler)], funs].concat(),
+            main: 0,
+            pool: vec![],
+            nglobals: 0,
+            global_names: vec![],
+            registry,
+        };
+        let config = MachineConfig {
+            fault,
+            ..MachineConfig::default()
+        };
+        Machine::new(program, config).unwrap()
+    }
+
+    /// Runs `m` in fuel slices of `slice`, checking that frame windows are
+    /// contiguous from the bottom of the stack, that the stack ends at the
+    /// top frame's window, and that the cached base is the top frame's.
+    /// Returns the result and the deepest frame stack seen.
+    fn run_sliced(m: &mut Machine, slice: u64) -> (Word, usize) {
+        m.set_fuel(Some(slice));
+        let (mut step, mut depth) = (m.start().unwrap(), 0);
+        while let StepResult::Suspended(_) = step {
+            let mut end = 0;
+            for f in &m.frames {
+                assert_eq!(f.base, end, "windows are contiguous");
+                end = f.base + m.decoded.funs[f.fnid as usize].nregs;
+            }
+            assert_eq!(m.regs.len(), end, "the stack ends at the top window");
+            assert_eq!(m.top_base, m.frames.last().expect("frame").base);
+            depth = depth.max(m.frames.len());
+            step = m.resume(slice).unwrap();
+        }
+        assert!(m.frames.is_empty() && m.regs.is_empty(), "run empties it");
+        let StepResult::Done(w) = step else {
+            unreachable!()
+        };
+        (w, depth)
+    }
+
+    #[test]
+    fn deep_recursion_keeps_windows_contiguous() {
+        let funs = vec![count(3, 3, false, false), count(2, 6, false, false)];
+        let mut m = machine(2000, vec![4], funs, FaultPlan::none());
+        let (w, depth) = run_sliced(&mut m, 7);
+        assert_eq!(w, 2000 * ONE as Word);
+        assert!(depth > 2000, "the recursion nests ({depth} frames)");
+    }
+
+    #[test]
+    fn tail_call_loop_reuses_the_callers_window() {
+        // Tail calls alternate between windows of 3 and 8 registers.
+        let funs = vec![count(3, 3, true, false), count(2, 8, true, false)];
+        let mut m = machine(100_000, vec![4], funs, FaultPlan::none());
+        let (w, depth) = run_sliced(&mut m, 13);
+        assert_eq!((w, depth), (0, 2), "tail calls never deepen the stack");
+        assert!(m.counters.calls > 100_000);
+    }
+
+    #[test]
+    fn caught_trap_truncates_to_the_installing_frame() {
+        // main -> f(3) -> g(2) -> f(1) -> g(0), which divides by zero.
+        let funs = vec![count(3, 4, false, true), count(2, 9, false, true)];
+        let mut m = machine(3, vec![4], funs, FaultPlan::none());
+        let (w, depth) = run_sliced(&mut m, 1);
+        assert_eq!(w, 7 * ONE as Word, "the handler's value replaces the trap");
+        assert_eq!(depth, 5, "the trap was raised four calls deep");
+    }
+
+    #[test]
+    fn failed_rest_list_leaves_the_stack_unchanged() {
+        // main calls a variadic function on (1 2 3).  Allocations: the two
+        // closures, then the rest-list pairs from the last argument back.
+        let variadic = CodeFun {
+            variadic: true,
+            ..fun(0, 4, vec![Inst::Ret { s: 1 }])
+        };
+        let mut m = machine(1, vec![4, 5, 6], vec![variadic.clone()], FaultPlan::none());
+        let w = m.run().unwrap();
+        assert!(m.frames.is_empty() && m.regs.is_empty(), "run empties it");
+        assert_eq!((m.describe(w), m.allocations()), ("(1 2 3)".to_string(), 5));
+        let fault = FaultPlan::none().with_fail_alloc_at(4);
+        let mut m = machine(1, vec![4, 5, 6], vec![variadic], fault);
+        let (w, depth) = run_sliced(&mut m, 1);
+        assert_eq!(w, 7 * ONE as Word, "the out-of-memory trap was caught");
+        assert_eq!(depth, 2, "only the handler's frame was ever pushed");
     }
 }

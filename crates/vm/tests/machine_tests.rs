@@ -828,11 +828,11 @@ fn variadic_too_few_args_is_arity_error() {
 }
 
 #[test]
-fn frame_pool_no_register_bleed() {
+fn callee_registers_start_at_reg_init() {
     // `leak` writes a secret into a high register and returns; `probe` has
-    // the same register count and returns a register it never wrote.  With
-    // frame recycling the probe's registers come from the pool that just
-    // held the secret — they must read as the library's register-init word
+    // the same register count and returns a register it never wrote.  The
+    // probe's window occupies the same register-stack words that just held
+    // the secret — they must read as the library's register-init word
     // (fixnum 0), not as the previous frame's contents.
     let r = classic_registry();
     let enc = |n: i64| r.reg.encode_immediate(r.fx, n);
@@ -886,7 +886,10 @@ fn frame_pool_no_register_bleed() {
         registry: r.reg,
     };
     let (s, m) = run_program(prog);
-    assert_eq!(s, "0", "recycled frame must not leak the previous contents");
+    assert_eq!(
+        s, "0",
+        "a reused window must not leak the previous contents"
+    );
     assert_eq!(m.counters.calls, 2);
 }
 
@@ -1594,4 +1597,92 @@ fn terminal_faults_ignore_handlers() {
     };
     let mut m = Machine::new(prog, MachineConfig::default()).unwrap();
     assert_eq!(m.run().unwrap_err().kind, VmErrorKind::BadMemoryAccess);
+}
+
+#[test]
+fn accept_all_verifier_does_not_license_a_wild_jump() {
+    // A verifier hook only decides whether a program loads; it cannot make
+    // the machine trust code it never checked.  A jump far past the end of
+    // `main`, admitted by a hook that accepts everything, must end in the
+    // same structured error as without a hook.
+    fn accept_all(_: &CodeProgram) -> Result<(), sxr_vm::VmError> {
+        Ok(())
+    }
+    for verifier in [Some(accept_all as sxr_vm::VerifierHook), None] {
+        let r = classic_registry();
+        let main = fun("main", 0, 1, vec![Inst::Jump { t: 1_000_000 }]);
+        let prog = one_fun_program(r.reg, main, vec![]);
+        let config = MachineConfig {
+            verifier,
+            ..MachineConfig::default()
+        };
+        let mut m = Machine::new(prog, config).unwrap();
+        let err = m.run().unwrap_err();
+        assert_eq!(err.kind, VmErrorKind::BadProgram);
+        assert!(err.message.contains("fell off the end"), "{err}");
+    }
+}
+
+#[test]
+fn handler_closure_survives_a_collection_during_delivery() {
+    // The handler closure is referenced only by its handler entry (its
+    // register is overwritten), and the heap is full of garbage when the
+    // trap fires, so building the condition collects.  The closure must be
+    // a root across that collection, or the handler call reads a stale
+    // address.
+    let r = registry_with_conditions();
+    let enc = |n: i64| r.reg.encode_immediate(r.fx, n);
+    let handler = fun(
+        "handler",
+        1,
+        3,
+        vec![Inst::Const { d: 2, imm: enc(7) }, Inst::Ret { s: 2 }],
+    );
+    let mut main = fun(
+        "main",
+        0,
+        6,
+        vec![
+            Inst::MakeClosure {
+                d: 1,
+                f: 1,
+                free: vec![],
+            },
+            Inst::PushHandler { h: 1, d: 2, t: 8 },
+            Inst::Const { d: 1, imm: enc(0) },
+            Inst::AllocFill {
+                d: 3,
+                len: RegImm::Imm(40),
+                fill: 1,
+                rep: 6,
+            }, // vector rep id; garbage once r3 is overwritten
+            Inst::Const { d: 3, imm: enc(0) },
+            Inst::Const { d: 4, imm: enc(1) },
+            Inst::Const { d: 5, imm: 0 }, // raw 0 divisor
+            Inst::Bin {
+                op: BinOp::Quot,
+                d: 4,
+                a: 4,
+                b: 5,
+            }, // traps: divide by zero
+            Inst::Ret { s: 2 },
+        ],
+    );
+    main.ptr_map[5] = false;
+    let prog = CodeProgram {
+        funs: vec![main, handler],
+        main: 0,
+        pool: vec![],
+        nglobals: 0,
+        global_names: vec![],
+        registry: r.reg,
+    };
+    let config = MachineConfig {
+        heap_words: 64,
+        ..MachineConfig::default()
+    };
+    let mut m = Machine::new(prog, config).unwrap();
+    let w = m.run().unwrap();
+    assert_eq!(m.describe(w), "7");
+    assert_eq!(m.counters.gc_count, 1, "delivery collected");
 }

@@ -425,8 +425,8 @@ fn pipelines_agree_on_random_programs() {
             });
             // Load-time verification oracle: every compiler-produced
             // program must pass the bytecode verifier — a rejection is a
-            // codegen (or verifier) bug, and would force the machine off
-            // its unchecked fast path.
+            // codegen (or verifier) bug, and the machine would refuse to
+            // load the program.
             let vreport = compiled.verify_bytecode();
             assert!(
                 vreport.is_clean(),
