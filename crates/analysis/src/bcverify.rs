@@ -7,10 +7,16 @@
 //! starts, and an admitted one runs on the VM's ordinary bounds-checked
 //! step loop.  The design follows the JVM verifier: per-function
 //! abstract interpretation to a fixpoint over the control-flow graph, with
-//! purely structural checks (index bounds) applied to *every* instruction
-//! and dataflow rules applied to *reachable* instructions only (compiled
-//! code legitimately carries unreachable tails after `ErrorOp`/`RaiseOp`
-//! terminators).
+//! static checks applied to *every* instruction and dataflow rules applied
+//! to *reachable* instructions only (compiled code legitimately carries
+//! unreachable tails after `ErrorOp`/`RaiseOp` terminators).
+//!
+//! Structure (roles, frame sizes, every index bound, operand and capture
+//! counts) is not decided here: [`sxr_vm::check_structure`] owns it, the
+//! machine refuses its first finding at load, and this verifier reports
+//! each finding under a [`Rule`].  What the verifier adds is typing and
+//! dataflow, plus two static rules of its own (`const-ptr` and tagged
+//! parameter registers the root map leaves unscanned).
 //!
 //! # The abstract domain
 //!
@@ -32,9 +38,9 @@
 //!
 //! # What is proved, and what is trusted
 //!
-//! The verifier proves: every read register was written on every path;
-//! every jump lands inside its function; every pool/global/function/
-//! representation index is in bounds; memory bases are never raw words;
+//! The verifier proves, on top of the structural check: every read
+//! register was written on every path; control never falls off the end of
+//! a function; memory bases are never raw words;
 //! provably tagged values never land in registers or closure slots the GC
 //! is told not to scan; and the handler stack is balanced — never popped
 //! below zero, path-consistent at joins, and empty at returns and tail
@@ -52,7 +58,10 @@ use std::fmt;
 
 use crate::lattice::TagSet;
 use sxr_ir::rep::{roles, RepId, RepRegistry};
-use sxr_vm::{CodeFun, CodeProgram, Inst, PoolEntry, Reg, RegImm, RepVmOp, VmError};
+use sxr_vm::{
+    check_structure, CodeFun, CodeProgram, Inst, Malformed, MalformedKind, PoolEntry, Reg, RegImm,
+    RepVmOp, VmError,
+};
 
 /// The verifier's rule set.  Every rejection names exactly one rule; the
 /// [`Rule::label`] strings are stable — tests, the CLI, and
@@ -271,17 +280,6 @@ struct AbsState {
     depth: u32,
 }
 
-/// Operand count of a generic representation operation (mirrors the VM's
-/// decode-time check; crafted programs are verified before decode sees
-/// them).
-fn rep_arity(op: RepVmOp) -> usize {
-    match op {
-        RepVmOp::MakeImm | RepVmOp::Set => 4,
-        RepVmOp::MakePtr | RepVmOp::Alloc | RepVmOp::Ref => 3,
-        RepVmOp::Provide | RepVmOp::Inject | RepVmOp::Project | RepVmOp::Test | RepVmOp::Len => 2,
-    }
-}
-
 /// How control leaves an instruction.
 enum Flow {
     /// Falls through to `pc + 1`.
@@ -306,82 +304,16 @@ enum Flow {
 /// the exact contract.
 pub fn verify_program(program: &CodeProgram) -> VerifyReport {
     let mut report = VerifyReport::default();
-    let registry = &program.registry;
-
-    // Program-level prologue: the machine refuses to load without these,
-    // so mirroring the checks keeps "verify-clean implies loadable code".
-    let main = program.main;
-    if (main as usize) >= program.funs.len() {
-        report.rejections.push(Rejection {
-            fun: main,
-            pc: 0,
-            rule: Rule::FnOob,
-            detail: format!(
-                "entry function id {main} out of bounds ({} functions)",
-                program.funs.len()
-            ),
-        });
-        return report;
-    }
-    let missing = |role: &str, why: &str, report: &mut VerifyReport| {
-        report.rejections.push(Rejection {
-            fun: main,
-            pc: 0,
-            rule: Rule::MissingRole,
-            detail: format!("registry provides no `{role}` role ({why})"),
-        });
-    };
-    for role in [roles::FIXNUM, roles::BOOLEAN, roles::UNSPECIFIED] {
-        match registry.role(role) {
-            None => missing(role, "the machine cannot boot", &mut report),
-            Some(id) if registry.info(id).is_pointer() => {
-                report.rejections.push(Rejection {
-                    fun: main,
-                    pc: 0,
-                    rule: Rule::MissingRole,
-                    detail: format!("role `{role}` must be an immediate representation"),
-                });
-            }
-            Some(_) => {}
-        }
-    }
-    match registry.role(roles::CLOSURE) {
-        None => missing(
-            roles::CLOSURE,
-            "procedures are unrepresentable",
-            &mut report,
-        ),
-        Some(id) if !registry.info(id).is_pointer() => {
-            report.rejections.push(Rejection {
-                fun: main,
-                pc: 0,
-                rule: Rule::MissingRole,
-                detail: "role `closure` must be a pointer representation".to_string(),
-            });
-        }
-        Some(_) => {}
-    }
-    for (i, entry) in program.pool.iter().enumerate() {
-        if let PoolEntry::Rep(rid) = entry {
-            if (*rid as usize) >= registry.len() {
-                report.rejections.push(Rejection {
-                    fun: main,
-                    pc: 0,
-                    rule: Rule::PoolOob,
-                    detail: format!("pool entry {i} references unknown representation id {rid}"),
-                });
-            } else if reptype_role(registry).is_none() {
-                missing(
-                    "rep-type",
-                    "the pool holds a first-class representation object",
-                    &mut report,
-                );
-            }
-        }
-    }
-    if !report.rejections.is_empty() {
+    let mut structure = check_structure(program).into_iter().peekable();
+    if structure.peek().is_some_and(|m| m.fun.is_none()) {
         // Without the boot roles the typing rules below have no ground
         // truth; stop at the program-level report.
+        report.rejections.extend(structure.map(|m| Rejection {
+            fun: program.main,
+            pc: m.pc,
+            rule: structural_rule(m.kind),
+            detail: m.detail,
+        }));
         return report;
     }
 
@@ -390,12 +322,13 @@ pub fn verify_program(program: &CodeProgram) -> VerifyReport {
         report.insts += fun.insts.len();
         let v = FnVerifier {
             program,
-            registry,
+            registry: &program.registry,
             fun,
             fid: fid as u32,
         };
         let before = report.rejections.len();
-        v.structural(&mut report);
+        let findings = std::iter::from_fn(|| structure.next_if(|m| m.fun == Some(v.fid)));
+        v.static_rules(findings, &mut report);
         if report.rejections.len() == before {
             if let Err(r) = v.dataflow() {
                 report.rejections.push(r);
@@ -405,9 +338,19 @@ pub fn verify_program(program: &CodeProgram) -> VerifyReport {
     report
 }
 
-fn reptype_role(registry: &RepRegistry) -> Option<RepId> {
-    let id = registry.role("rep-type")?;
-    registry.info(id).is_pointer().then_some(id)
+/// The rule a structural finding of `sxr-vm` is reported under.
+fn structural_rule(kind: MalformedKind) -> Rule {
+    match kind {
+        MalformedKind::Main | MalformedKind::Fun => Rule::FnOob,
+        MalformedKind::Role => Rule::MissingRole,
+        MalformedKind::PoolRep | MalformedKind::Pool => Rule::PoolOob,
+        MalformedKind::Empty => Rule::FallOffEnd,
+        MalformedKind::Frame | MalformedKind::Reg => Rule::RegOob,
+        MalformedKind::Target => Rule::JumpOob,
+        MalformedKind::Global => Rule::GlobalOob,
+        MalformedKind::Alloc => Rule::BadAlloc,
+        MalformedKind::RepOperands | MalformedKind::Captures => Rule::BadArgs,
+    }
 }
 
 struct FnVerifier<'a> {
@@ -433,41 +376,26 @@ impl<'a> FnVerifier<'a> {
         self.fun.ptr_map.get(r as usize).copied().unwrap_or(true)
     }
 
-    /// Registers the frame defines on entry: closure, parameters, and the
-    /// rest list for variadic functions.
-    fn entry_regs(&self) -> usize {
-        1 + self.fun.arity + usize::from(self.fun.variadic)
-    }
+    // ----- static rules (every instruction, reachable or not) -----
 
-    // ----- structural pass (every instruction, reachable or not) -----
-
-    fn structural(&self, report: &mut VerifyReport) {
-        let fun = self.fun;
-        let len = fun.insts.len();
+    /// Reports this function's structural `findings` (in pc order) with
+    /// the verifier's own static rules interleaved at their pcs: tagged
+    /// parameter registers the root map leaves unscanned, and constants
+    /// carrying a pointer tag into scanned registers.
+    fn static_rules(&self, findings: impl Iterator<Item = Malformed>, report: &mut VerifyReport) {
+        let mut findings = findings.peekable();
+        let structural =
+            |m: Malformed| self.reject(m.pc as usize, structural_rule(m.kind), m.detail);
         let mut out = |r: Rejection| report.rejections.push(r);
 
-        if fun.insts.is_empty() {
-            out(self.reject(
-                0,
-                Rule::FallOffEnd,
-                "function has no instructions".to_string(),
-            ));
-            return;
+        // An empty function or a frame too small for its parameters is
+        // all there is to say about it.
+        if let Some(m) =
+            findings.next_if(|m| matches!(m.kind, MalformedKind::Empty | MalformedKind::Frame))
+        {
+            return out(structural(m));
         }
-        if fun.nregs < self.entry_regs() {
-            out(self.reject(
-                0,
-                Rule::RegOob,
-                format!(
-                    "frame of {} register(s) cannot hold closure + {} parameter(s){}",
-                    fun.nregs,
-                    fun.arity,
-                    if fun.variadic { " + rest list" } else { "" }
-                ),
-            ));
-            return;
-        }
-        for r in 0..self.entry_regs() {
+        for r in 0..self.fun.entry_regs() {
             if !self.ptr(r as Reg) {
                 out(self.reject(
                     0,
@@ -479,147 +407,22 @@ impl<'a> FnVerifier<'a> {
                 ));
             }
         }
-        if fun.variadic {
-            for role in [roles::PAIR, roles::NULL] {
-                if self.registry.role(role).is_none() {
-                    out(self.reject(
-                        0,
-                        Rule::MissingRole,
-                        format!("variadic entry requires the `{role}` role"),
-                    ));
-                }
+        for (pc, inst) in self.fun.insts.iter().enumerate() {
+            while let Some(m) = findings.next_if(|m| m.pc as usize == pc) {
+                out(structural(m));
             }
-            if let Some(pair) = self.registry.role(roles::PAIR) {
-                if !self.registry.info(pair).is_pointer() {
-                    out(self.reject(
-                        0,
-                        Rule::MissingRole,
-                        "role `pair` must be a pointer representation".to_string(),
-                    ));
-                }
-            }
-        }
-
-        for (pc, inst) in fun.insts.iter().enumerate() {
-            for r in inst_regs(inst) {
-                if (r as usize) >= fun.nregs {
+            if let Inst::Const { d, imm } = inst {
+                let pattern = (*imm as u64 & 0b111) as usize;
+                if self.ptr(*d) && self.registry.pointer_pattern_table()[pattern] {
                     out(self.reject(
                         pc,
-                        Rule::RegOob,
+                        Rule::ConstPtr,
                         format!(
-                            "register r{r} out of bounds (frame has {} registers)",
-                            fun.nregs
+                            "constant {imm:#x} carries a pointer tag; the GC \
+                             would chase a fabricated pointer in r{d}"
                         ),
                     ));
                 }
-            }
-            for t in inst_targets(inst) {
-                if (t as usize) >= len {
-                    out(self.reject(
-                        pc,
-                        Rule::JumpOob,
-                        format!("target {t} out of bounds (function has {len} instructions)"),
-                    ));
-                }
-            }
-            match inst {
-                Inst::Const { d, imm } => {
-                    let pattern = (*imm as u64 & 0b111) as usize;
-                    if self.ptr(*d) && self.registry.pointer_pattern_table()[pattern] {
-                        out(self.reject(
-                            pc,
-                            Rule::ConstPtr,
-                            format!(
-                                "constant {imm:#x} carries a pointer tag; the GC \
-                                 would chase a fabricated pointer in r{d}"
-                            ),
-                        ));
-                    }
-                }
-                Inst::Pool { idx, .. } if (*idx as usize) >= self.program.pool.len() => {
-                    out(self.reject(
-                        pc,
-                        Rule::PoolOob,
-                        format!(
-                            "pool index {idx} out of bounds ({} entries)",
-                            self.program.pool.len()
-                        ),
-                    ));
-                }
-                Inst::GlobalGet { g, .. } | Inst::GlobalSet { g, .. }
-                    if (*g as usize) >= self.program.nglobals =>
-                {
-                    out(self.reject(
-                        pc,
-                        Rule::GlobalOob,
-                        format!("global {g} out of bounds ({} slots)", self.program.nglobals),
-                    ));
-                }
-                Inst::MakeClosure { f, free, .. } => match self.program.funs.get(*f as usize) {
-                    None => out(self.reject(
-                        pc,
-                        Rule::FnOob,
-                        format!("closure over unknown function {f}"),
-                    )),
-                    Some(target) => {
-                        if free.len() != target.free_count {
-                            out(self.reject(
-                                pc,
-                                Rule::BadArgs,
-                                format!(
-                                    "closure captures {} value(s) but `{}` \
-                                         declares {} free slot(s)",
-                                    free.len(),
-                                    target.name,
-                                    target.free_count
-                                ),
-                            ));
-                        }
-                    }
-                },
-                Inst::CallKnown { f, .. } | Inst::TailCallKnown { f, .. }
-                    if (*f as usize) >= self.program.funs.len() =>
-                {
-                    out(self.reject(pc, Rule::FnOob, format!("call of unknown function {f}")));
-                }
-                Inst::AllocFill { len: l, rep, .. } => {
-                    if (*rep as usize) >= self.registry.len() {
-                        out(self.reject(
-                            pc,
-                            Rule::BadAlloc,
-                            format!("allocation of unknown representation id {rep}"),
-                        ));
-                    } else if !self.registry.info(*rep).is_pointer() {
-                        out(self.reject(
-                            pc,
-                            Rule::BadAlloc,
-                            format!(
-                                "allocation of immediate representation `{}`",
-                                self.registry.info(*rep).name
-                            ),
-                        ));
-                    }
-                    if let RegImm::Imm(n) = l {
-                        if *n < 0 {
-                            out(self.reject(
-                                pc,
-                                Rule::BadAlloc,
-                                format!("negative allocation length {n}"),
-                            ));
-                        }
-                    }
-                }
-                Inst::Rep { op, args, .. } => {
-                    let want = rep_arity(*op);
-                    if args.len() != want {
-                        out(self.reject(
-                            pc,
-                            Rule::BadArgs,
-                            format!("{op:?} takes {want} operand(s), got {}", args.len()),
-                        ));
-                    }
-                }
-                _ => {}
             }
         }
     }
@@ -633,7 +436,7 @@ impl<'a> FnVerifier<'a> {
             regs: vec![Rv::Uninit; fun.nregs],
             depth: 0,
         };
-        for r in entry.regs.iter_mut().take(self.entry_regs()) {
+        for r in entry.regs.iter_mut().take(self.fun.entry_regs()) {
             *r = Rv::Tagged;
         }
         let mut states: Vec<Option<AbsState>> = vec![None; len];
@@ -792,7 +595,9 @@ impl<'a> FnVerifier<'a> {
             Inst::Pool { d, idx } => {
                 let v = match &self.program.pool[*idx as usize] {
                     PoolEntry::Datum(_) => Rv::Tagged,
-                    PoolEntry::Rep(_) => match reptype_role(self.registry) {
+                    // The structural check proved a pointer `rep-type`
+                    // role for every pooled representation object.
+                    PoolEntry::Rep(_) => match self.registry.role("rep-type") {
                         Some(rt) => Rv::Ptr {
                             tags: TagSet::singleton(rt),
                             fid: None,
@@ -1051,76 +856,6 @@ impl<'a> FnVerifier<'a> {
             ));
         }
         Ok(())
-    }
-}
-
-/// Every register an instruction names (for frame-bounds checking).
-fn inst_regs(inst: &Inst) -> Vec<Reg> {
-    let mut out = Vec::new();
-    let ri = |v: &RegImm, out: &mut Vec<Reg>| {
-        if let RegImm::Reg(r) = v {
-            out.push(*r);
-        }
-    };
-    match inst {
-        Inst::Const { d, .. } => out.push(*d),
-        Inst::Pool { d, .. } => out.push(*d),
-        Inst::Move { d, s } => out.extend([*d, *s]),
-        Inst::Bin { d, a, b, .. } => out.extend([*d, *a, *b]),
-        Inst::BinI { d, a, .. } => out.extend([*d, *a]),
-        Inst::LoadD { d, p, .. } => out.extend([*d, *p]),
-        Inst::LoadX { d, p, x, .. } => out.extend([*d, *p, *x]),
-        Inst::StoreD { p, s, .. } => out.extend([*p, *s]),
-        Inst::StoreX { p, x, s, .. } => out.extend([*p, *x, *s]),
-        Inst::AllocFill { d, len, fill, .. } => {
-            out.extend([*d, *fill]);
-            ri(len, &mut out);
-        }
-        Inst::Jump { .. } | Inst::PopHandler | Inst::ResetCounters => {}
-        Inst::JumpCmp { a, b, .. } => {
-            out.push(*a);
-            ri(b, &mut out);
-        }
-        Inst::GlobalGet { d, .. } => out.push(*d),
-        Inst::GlobalSet { s, .. } => out.push(*s),
-        Inst::MakeClosure { d, free, .. } => {
-            out.push(*d);
-            out.extend(free.iter().copied());
-        }
-        Inst::ClosureSet { clo, val, .. } => out.extend([*clo, *val]),
-        Inst::Call { d, f, args } => {
-            out.extend([*d, *f]);
-            out.extend(args.iter().copied());
-        }
-        Inst::CallKnown { d, clo, args, .. } => {
-            out.extend([*d, *clo]);
-            out.extend(args.iter().copied());
-        }
-        Inst::TailCall { f, args } => {
-            out.push(*f);
-            out.extend(args.iter().copied());
-        }
-        Inst::TailCallKnown { clo, args, .. } => {
-            out.push(*clo);
-            out.extend(args.iter().copied());
-        }
-        Inst::Ret { s } => out.push(*s),
-        Inst::Rep { d, args, .. } => {
-            out.push(*d);
-            out.extend(args.iter().copied());
-        }
-        Inst::Intern { d, s } => out.extend([*d, *s]),
-        Inst::WriteChar { s } | Inst::ErrorOp { s } | Inst::RaiseOp { s } => out.push(*s),
-        Inst::PushHandler { h, d, .. } => out.extend([*h, *d]),
-    }
-    out
-}
-
-/// Every static control-flow target an instruction names.
-fn inst_targets(inst: &Inst) -> Vec<u32> {
-    match inst {
-        Inst::Jump { t } | Inst::JumpCmp { t, .. } | Inst::PushHandler { t, .. } => vec![*t],
-        _ => Vec::new(),
     }
 }
 

@@ -9,7 +9,8 @@ use sxr_analysis::bcverify::build::ProgramBuilder;
 use sxr_analysis::bcverify::{verifier_hook, verify_program, Rejection, Rule};
 use sxr_ir::rep::RepRegistry;
 use sxr_vm::{
-    BinOp, CmpOp, CodeFun, CodeProgram, Inst, Machine, MachineConfig, RegImm, RepVmOp, VmErrorKind,
+    BinOp, CmpOp, CodeFun, CodeProgram, Inst, Machine, MachineConfig, PoolEntry, RegImm, RepVmOp,
+    VmErrorKind,
 };
 
 /// Verifies `prog` and returns the first rejection, asserting there is one.
@@ -32,6 +33,22 @@ fn assert_rejects(prog: &CodeProgram, fun: u32, pc: u32, rule: Rule, label: &str
     assert_eq!(r.rule.label(), label, "label drifted for {rule:?}");
 }
 
+/// [`assert_rejects`] for a structural rejection: the machine's own load
+/// check refuses the program too, with no verifier installed.
+#[track_caller]
+fn assert_structural(prog: &CodeProgram, fun: u32, pc: u32, rule: Rule, label: &str) {
+    assert_rejects(prog, fun, pc, rule, label);
+    assert_unloadable(prog);
+}
+
+#[track_caller]
+fn assert_unloadable(prog: &CodeProgram) {
+    match Machine::new(prog.clone(), MachineConfig::default()) {
+        Err(e) => assert_eq!(e.kind, VmErrorKind::BadProgram, "{e}"),
+        Ok(_) => panic!("structurally rejected program loaded without a verifier"),
+    }
+}
+
 /// An encoded classic-scheme fixnum (tag 0, shift 3).
 fn fx(n: i64) -> i64 {
     n << 3
@@ -47,7 +64,7 @@ fn reg_oob() {
             vec![Inst::Move { d: 1, s: 5 }, Inst::Ret { s: 1 }],
         )
         .build();
-    assert_rejects(&prog, 0, 0, Rule::RegOob, "reg-oob");
+    assert_structural(&prog, 0, 0, Rule::RegOob, "reg-oob");
 }
 
 #[test]
@@ -55,7 +72,7 @@ fn jump_oob() {
     let prog = ProgramBuilder::new()
         .fun("main", 0, 2, vec![Inst::Jump { t: 9 }, Inst::Ret { s: 0 }])
         .build();
-    assert_rejects(&prog, 0, 0, Rule::JumpOob, "jump-oob");
+    assert_structural(&prog, 0, 0, Rule::JumpOob, "jump-oob");
 }
 
 #[test]
@@ -79,7 +96,7 @@ fn branch_target_at_end_is_oob() {
             ],
         )
         .build();
-    assert_rejects(&prog, 0, 1, Rule::JumpOob, "jump-oob");
+    assert_structural(&prog, 0, 1, Rule::JumpOob, "jump-oob");
 }
 
 #[test]
@@ -92,7 +109,7 @@ fn pool_oob() {
             vec![Inst::Pool { d: 1, idx: 4 }, Inst::Ret { s: 1 }],
         )
         .build();
-    assert_rejects(&prog, 0, 0, Rule::PoolOob, "pool-oob");
+    assert_structural(&prog, 0, 0, Rule::PoolOob, "pool-oob");
 }
 
 #[test]
@@ -106,7 +123,7 @@ fn global_oob() {
             vec![Inst::GlobalGet { d: 1, g: 3 }, Inst::Ret { s: 1 }],
         )
         .build();
-    assert_rejects(&prog, 0, 0, Rule::GlobalOob, "global-oob");
+    assert_structural(&prog, 0, 0, Rule::GlobalOob, "global-oob");
 }
 
 #[test]
@@ -127,7 +144,7 @@ fn fn_oob() {
             ],
         )
         .build();
-    assert_rejects(&prog, 0, 0, Rule::FnOob, "fn-oob");
+    assert_structural(&prog, 0, 0, Rule::FnOob, "fn-oob");
 }
 
 #[test]
@@ -150,7 +167,7 @@ fn bad_alloc_of_immediate_rep() {
             ],
         )
         .build();
-    assert_rejects(&prog, 0, 1, Rule::BadAlloc, "bad-alloc");
+    assert_structural(&prog, 0, 1, Rule::BadAlloc, "bad-alloc");
 }
 
 #[test]
@@ -172,7 +189,7 @@ fn bad_alloc_negative_length() {
             ],
         )
         .build();
-    assert_rejects(&prog, 0, 1, Rule::BadAlloc, "bad-alloc");
+    assert_structural(&prog, 0, 1, Rule::BadAlloc, "bad-alloc");
 }
 
 #[test]
@@ -192,7 +209,7 @@ fn bad_args_rep_operand_count() {
             ],
         )
         .build();
-    assert_rejects(&prog, 0, 0, Rule::BadArgs, "bad-args");
+    assert_structural(&prog, 0, 0, Rule::BadArgs, "bad-args");
 }
 
 #[test]
@@ -223,12 +240,11 @@ fn bad_args_closure_capture_mismatch() {
         )
         .fun_raw(leaf)
         .build();
-    assert_rejects(&prog, 0, 0, Rule::BadArgs, "bad-args");
+    assert_structural(&prog, 0, 0, Rule::BadArgs, "bad-args");
 }
 
-#[test]
-fn missing_role() {
-    // A registry with only the boot roles: `WriteChar` needs `char`.
+/// A registry with only the boot roles.
+fn boot_registry() -> RepRegistry {
     let mut reg = RepRegistry::new();
     let fx_id = reg.intern_immediate("fixnum", 3, 0, 3).unwrap();
     let bo = reg.intern_immediate("boolean", 8, 0b010, 8).unwrap();
@@ -244,8 +260,14 @@ fn missing_role() {
     ] {
         reg.provide_role(role, id).unwrap();
     }
+    reg
+}
+
+#[test]
+fn missing_role() {
+    // `WriteChar` needs `char`, which the boot roles do not include.
     let prog = ProgramBuilder::new()
-        .registry(reg)
+        .registry(boot_registry())
         .fun(
             "main",
             0,
@@ -261,6 +283,48 @@ fn missing_role() {
 }
 
 #[test]
+fn missing_boot_role() {
+    let mut reg = RepRegistry::new();
+    let fx_id = reg.intern_immediate("fixnum", 3, 0, 3).unwrap();
+    reg.provide_role("fixnum", fx_id).unwrap();
+    let prog = ProgramBuilder::new()
+        .registry(reg)
+        .fun("main", 0, 1, vec![Inst::Ret { s: 0 }])
+        .build();
+    assert_structural(&prog, 0, 0, Rule::MissingRole, "missing-role");
+}
+
+#[test]
+fn missing_variadic_role() {
+    // A variadic entry builds its rest list from `pair` and `null`.
+    let f = CodeFun {
+        name: "f".into(),
+        arity: 0,
+        variadic: true,
+        nregs: 2,
+        free_count: 0,
+        insts: vec![Inst::Ret { s: 1 }],
+        ptr_map: vec![true, true],
+        free_ptr_map: vec![],
+    };
+    let prog = ProgramBuilder::new()
+        .registry(boot_registry())
+        .fun("main", 0, 1, vec![Inst::Ret { s: 0 }])
+        .fun_raw(f)
+        .build();
+    assert_structural(&prog, 1, 0, Rule::MissingRole, "missing-role");
+}
+
+#[test]
+fn pool_entry_of_unknown_rep() {
+    let prog = ProgramBuilder::new()
+        .pool(PoolEntry::Rep(99))
+        .fun("main", 0, 1, vec![Inst::Ret { s: 0 }])
+        .build();
+    assert_structural(&prog, 0, 0, Rule::PoolOob, "pool-oob");
+}
+
+#[test]
 fn fall_off_end() {
     let prog = ProgramBuilder::new()
         .fun("main", 0, 2, vec![Inst::Const { d: 1, imm: fx(1) }])
@@ -271,7 +335,7 @@ fn fall_off_end() {
 #[test]
 fn empty_function_falls_off_immediately() {
     let prog = ProgramBuilder::new().fun("main", 0, 1, vec![]).build();
-    assert_rejects(&prog, 0, 0, Rule::FallOffEnd, "fall-off-end");
+    assert_structural(&prog, 0, 0, Rule::FallOffEnd, "fall-off-end");
 }
 
 #[test]
@@ -516,7 +580,7 @@ fn entry_function_oob() {
         .fun("main", 0, 1, vec![Inst::Ret { s: 0 }])
         .build();
     prog.main = 3;
-    assert_rejects(&prog, 3, 0, Rule::FnOob, "fn-oob");
+    assert_structural(&prog, 3, 0, Rule::FnOob, "fn-oob");
 }
 
 #[test]
@@ -537,6 +601,7 @@ fn structural_problems_are_collected_exhaustively() {
     let report = verify_program(&prog);
     let rules: Vec<Rule> = report.rejections.iter().map(|r| r.rule).collect();
     assert_eq!(rules, vec![Rule::RegOob, Rule::JumpOob, Rule::GlobalOob]);
+    assert_unloadable(&prog);
 }
 
 // ----- the machine refuses to start on a rejected program -----

@@ -270,11 +270,8 @@ fn drop_fallthrough_jumps(insts: Vec<Inst>) -> Vec<Inst> {
         .enumerate()
         .filter(|(i, _)| !dead[*i])
         .map(|(_, mut inst)| {
-            match &mut inst {
-                Inst::Jump { t } | Inst::JumpCmp { t, .. } | Inst::PushHandler { t, .. } => {
-                    *t = new_index[*t as usize]
-                }
-                _ => {}
+            if let Some(t) = inst.target_mut() {
+                *t = new_index[*t as usize];
             }
             inst
         })
@@ -425,11 +422,10 @@ impl<'a, 'b> FnGen<'a, 'b> {
         for (at, label) in std::mem::take(&mut g.patches) {
             let target = g.labels[label as usize]
                 .ok_or_else(|| CodegenError(format!("unbound label {label}")))?;
-            match &mut g.insts[at] {
-                Inst::Jump { t } | Inst::JumpCmp { t, .. } | Inst::PushHandler { t, .. } => {
-                    *t = target
-                }
-                other => return Err(CodegenError(format!("patch of non-branch {other:?}"))),
+            let inst = &mut g.insts[at];
+            match inst.target_mut() {
+                Some(t) => *t = target,
+                None => return Err(CodegenError(format!("patch of non-branch {inst:?}"))),
             }
         }
         g.insts = drop_fallthrough_jumps(g.insts);

@@ -16,8 +16,10 @@
 //!
 //! The interpreter then fetches instructions by value: zero per-step heap
 //! allocation and no borrows of the program during execution.
+//!
+//! Decoding refuses nothing.  Whether a program is loadable is decided
+//! once, by [`crate::check_structure`], before the machine decodes it.
 
-use crate::error::{VmError, VmErrorKind};
 use crate::heap::Word;
 use crate::inst::{BinOp, CmpOp, CodeProgram, Inst, InstClass, Reg, RegImm, RepVmOp};
 use sxr_ir::rep::{RepId, RepKind, RepRegistry};
@@ -28,7 +30,7 @@ pub(crate) struct ArgSpan {
     /// First operand's index in the arena.
     pub off: u32,
     /// Number of operands.
-    pub len: u16,
+    pub len: u32,
 }
 
 /// One pre-decoded instruction.  Everything is `Copy`; executing a `DInst`
@@ -184,7 +186,8 @@ pub(crate) enum DInst {
 }
 
 impl DInst {
-    /// The reporting class (mirrors [`Inst::class`]).
+    /// The reporting class the dynamic counters file this instruction
+    /// under.
     pub fn class(self) -> InstClass {
         match self {
             DInst::Const { .. } | DInst::Move { .. } | DInst::Bin { .. } | DInst::BinI { .. } => {
@@ -239,215 +242,32 @@ pub(crate) struct DecodedProgram {
     pub args: Vec<Reg>,
 }
 
-/// Resolves the pointer tag of `rep`, or reports which instruction wanted
-/// it to be a pointer.
-fn pointer_tag(registry: &RepRegistry, rep: RepId, what: &str) -> Result<u64, VmError> {
-    match registry.info(rep).kind {
-        RepKind::Pointer { tag, .. } => Ok(tag),
-        RepKind::Immediate { .. } => Err(VmError::new(
-            VmErrorKind::BadProgram,
-            format!(
-                "{what} of immediate representation `{}`",
-                registry.info(rep).name
-            ),
-        )),
-    }
-}
-
-/// Number of operands each generic representation operation consumes from
-/// its argument list (the machine reads the arena by this count, so decode
-/// validates it up front and the reads never go out of bounds).
-pub(crate) fn rep_op_arity(op: RepVmOp) -> usize {
-    match op {
-        RepVmOp::MakeImm => 4,
-        RepVmOp::MakePtr => 3,
-        RepVmOp::Provide | RepVmOp::Inject | RepVmOp::Project | RepVmOp::Test | RepVmOp::Len => 2,
-        RepVmOp::Alloc | RepVmOp::Ref => 3,
-        RepVmOp::Set => 4,
-    }
-}
-
-/// Structural validation of one loadable instruction: every register field
-/// is inside the function's frame, every pool/global/function/`RepId` index
-/// is in bounds, and generic rep operations carry the operand count the
-/// interpreter will read.  These used to be debug-only assumptions (release
-/// builds would panic on out-of-range indexing); they are hard load errors
-/// in all builds now, so the checked interpreter loop never panics on
-/// adversarial programs.
-fn validate_inst(
-    program: &CodeProgram,
-    registry: &RepRegistry,
-    fun_name: &str,
-    nregs: usize,
-    inst: &Inst,
-) -> Result<(), VmError> {
-    let bad = |what: String| {
-        Err(VmError::new(
-            VmErrorKind::BadProgram,
-            format!("`{fun_name}`: {what}"),
-        ))
-    };
-    let reg = |r: Reg| -> Result<(), VmError> {
-        if (r as usize) < nregs {
-            Ok(())
-        } else {
-            bad(format!("register r{r} out of range (frame has {nregs})"))
-        }
-    };
-    let regs = |list: &[Reg]| -> Result<(), VmError> { list.iter().copied().try_for_each(&reg) };
-    let reg_imm = |ri: &RegImm| -> Result<(), VmError> {
-        match ri {
-            RegImm::Reg(r) => reg(*r),
-            RegImm::Imm(_) => Ok(()),
-        }
-    };
-    let pool = |idx: u32| -> Result<(), VmError> {
-        if (idx as usize) < program.pool.len() {
-            Ok(())
-        } else {
-            bad(format!(
-                "pool index {idx} out of range (pool has {})",
-                program.pool.len()
-            ))
-        }
-    };
-    let global = |g: u32| -> Result<(), VmError> {
-        if (g as usize) < program.nglobals {
-            Ok(())
-        } else {
-            bad(format!(
-                "global {g} out of range ({} globals)",
-                program.nglobals
-            ))
-        }
-    };
-    let fnid = |f: u32| -> Result<(), VmError> {
-        if (f as usize) < program.funs.len() {
-            Ok(())
-        } else {
-            bad(format!(
-                "function id {f} out of range ({} functions)",
-                program.funs.len()
-            ))
-        }
-    };
-    match inst {
-        Inst::Const { d, .. } => reg(*d),
-        Inst::Pool { d, idx } => reg(*d).and_then(|()| pool(*idx)),
-        Inst::Move { d, s } => reg(*d).and_then(|()| reg(*s)),
-        Inst::Bin { d, a, b, .. } => regs(&[*d, *a, *b]),
-        Inst::BinI { d, a, .. } => regs(&[*d, *a]),
-        Inst::LoadD { d, p, .. } => regs(&[*d, *p]),
-        Inst::LoadX { d, p, x, .. } => regs(&[*d, *p, *x]),
-        Inst::StoreD { p, s, .. } => regs(&[*p, *s]),
-        Inst::StoreX { p, x, s, .. } => regs(&[*p, *x, *s]),
-        Inst::AllocFill { d, len, fill, rep } => {
-            reg(*d)?;
-            reg_imm(len)?;
-            reg(*fill)?;
-            if (*rep as usize) >= registry.len() {
-                return bad(format!("alloc of unknown representation id {rep}"));
-            }
-            Ok(())
-        }
-        Inst::Jump { .. } => Ok(()),
-        Inst::JumpCmp { a, b, .. } => reg(*a).and_then(|()| reg_imm(b)),
-        Inst::GlobalGet { d, g } => reg(*d).and_then(|()| global(*g)),
-        Inst::GlobalSet { g, s } => reg(*s).and_then(|()| global(*g)),
-        Inst::MakeClosure { d, f, free } => {
-            reg(*d)?;
-            fnid(*f)?;
-            regs(free)
-        }
-        Inst::ClosureSet { clo, val, .. } => regs(&[*clo, *val]),
-        Inst::Call { d, f, args } => {
-            regs(&[*d, *f])?;
-            regs(args)
-        }
-        Inst::CallKnown { d, f, clo, args } => {
-            regs(&[*d, *clo])?;
-            fnid(*f)?;
-            regs(args)
-        }
-        Inst::TailCall { f, args } => {
-            reg(*f)?;
-            regs(args)
-        }
-        Inst::TailCallKnown { f, clo, args } => {
-            reg(*clo)?;
-            fnid(*f)?;
-            regs(args)
-        }
-        Inst::Ret { s } => reg(*s),
-        Inst::Rep { op, d, args } => {
-            reg(*d)?;
-            regs(args)?;
-            let need = rep_op_arity(*op);
-            if args.len() != need {
-                return bad(format!(
-                    "rep operation {op:?} takes {need} operands, got {}",
-                    args.len()
-                ));
-            }
-            Ok(())
-        }
-        Inst::Intern { d, s } => regs(&[*d, *s]),
-        Inst::WriteChar { s } | Inst::ErrorOp { s } | Inst::RaiseOp { s } => reg(*s),
-        Inst::PushHandler { h, d, .. } => regs(&[*h, *d]),
-        Inst::PopHandler | Inst::ResetCounters => Ok(()),
-    }
-}
-
 /// Decodes `program` against its (load-time) registry.  `closure_tag` and
 /// the fixnum role come from the machine's role cache; they are fixed for
 /// the life of the machine.
 ///
-/// # Errors
-///
-/// Returns [`VmErrorKind::BadProgram`] for instructions that could never
-/// execute successfully: an `AllocFill` of an immediate representation or
-/// with a negative static length, any out-of-range register, pool, global,
-/// function, or representation index, or a generic rep operation with the
-/// wrong operand count (see [`validate_inst`]).
+/// This is a pure translation: the program must already have passed
+/// [`crate::check_structure`], which proves every index the decoded form
+/// and the interpreter rely on.
 pub(crate) fn decode_program(
     program: &CodeProgram,
     registry: &RepRegistry,
     closure_tag: u64,
     fixnum: RepId,
-) -> Result<DecodedProgram, VmError> {
+) -> DecodedProgram {
     let mut args: Vec<Reg> = Vec::new();
     let mut span = |list: &[Reg]| -> ArgSpan {
         let off = args.len() as u32;
         args.extend_from_slice(list);
         ArgSpan {
             off,
-            len: list.len() as u16,
+            len: list.len() as u32,
         }
     };
-    if (program.main as usize) >= program.funs.len() {
-        return Err(VmError::new(
-            VmErrorKind::BadProgram,
-            format!("main function id {} out of range", program.main),
-        ));
-    }
     let mut funs = Vec::with_capacity(program.funs.len());
     for fun in &program.funs {
-        // The frame must hold the closure register plus every parameter
-        // (and the rest-list register of a variadic function): frame
-        // construction writes them unconditionally.
-        let min_regs = 1 + fun.arity + usize::from(fun.variadic);
-        if fun.nregs < min_regs {
-            return Err(VmError::new(
-                VmErrorKind::BadProgram,
-                format!(
-                    "`{}`: frame of {} registers cannot hold {} parameters",
-                    fun.name, fun.nregs, min_regs
-                ),
-            ));
-        }
         let mut insts = Vec::with_capacity(fun.insts.len());
         for inst in &fun.insts {
-            validate_inst(program, registry, &fun.name, fun.nregs, inst)?;
             let d = match inst {
                 Inst::Const { d, imm } => DInst::Const { d: *d, imm: *imm },
                 Inst::Pool { d, idx } => DInst::Pool { d: *d, idx: *idx },
@@ -487,23 +307,17 @@ pub(crate) fn decode_program(
                     s: *s,
                 },
                 Inst::AllocFill { d, len, fill, rep } => {
-                    let tag = pointer_tag(registry, *rep, "alloc")?;
+                    let RepKind::Pointer { tag, .. } = registry.info(*rep).kind else {
+                        unreachable!("the structural check admits only pointer allocations");
+                    };
                     match len {
-                        RegImm::Imm(n) => {
-                            if *n < 0 {
-                                return Err(VmError::new(
-                                    VmErrorKind::BadProgram,
-                                    format!("`{}`: allocation of {n} fields", fun.name),
-                                ));
-                            }
-                            DInst::AllocImm {
-                                d: *d,
-                                len: *n as u32,
-                                fill: *fill,
-                                rep: *rep as u16,
-                                tag,
-                            }
-                        }
+                        RegImm::Imm(n) => DInst::AllocImm {
+                            d: *d,
+                            len: *n as u32,
+                            fill: *fill,
+                            rep: *rep as u16,
+                            tag,
+                        },
                         RegImm::Reg(r) => DInst::AllocReg {
                             d: *d,
                             len: *r,
@@ -588,5 +402,54 @@ pub(crate) fn decode_program(
             insts,
         });
     }
-    Ok(DecodedProgram { funs, args })
+    DecodedProgram { funs, args }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::inst::CodeFun;
+
+    /// The class the counters file `inst` under once it is decoded.
+    fn class(inst: Inst) -> InstClass {
+        let mut registry = RepRegistry::new();
+        let fixnum = registry.intern_immediate("fixnum", 3, 0, 3).unwrap();
+        let program = CodeProgram {
+            funs: vec![CodeFun {
+                insts: vec![inst],
+                ..CodeFun::default()
+            }],
+            ..CodeProgram::default()
+        };
+        decode_program(&program, &registry, 0b111, fixnum).funs[0].insts[0].class()
+    }
+
+    #[test]
+    fn classes() {
+        assert_eq!(class(Inst::Const { d: 0, imm: 1 }), InstClass::Arith);
+        assert_eq!(
+            class(Inst::LoadD {
+                d: 0,
+                p: 0,
+                disp: 7
+            }),
+            InstClass::Memory
+        );
+        assert_eq!(class(Inst::Jump { t: 0 }), InstClass::Branch);
+        assert_eq!(class(Inst::Ret { s: 0 }), InstClass::Call);
+        assert_eq!(
+            class(Inst::PushHandler { h: 0, d: 0, t: 0 }),
+            InstClass::Misc
+        );
+        assert_eq!(class(Inst::PopHandler), InstClass::Misc);
+        assert_eq!(class(Inst::RaiseOp { s: 0 }), InstClass::Misc);
+        assert_eq!(
+            class(Inst::Rep {
+                op: RepVmOp::Ref,
+                d: 0,
+                args: vec![]
+            }),
+            InstClass::RepGeneric
+        );
+    }
 }

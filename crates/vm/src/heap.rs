@@ -14,6 +14,7 @@
 //! registry (library policy).
 
 use crate::error::{VmError, VmErrorKind};
+use std::collections::TryReserveError;
 
 /// A machine word.
 pub type Word = i64;
@@ -95,10 +96,17 @@ impl Heap {
 
     /// Grows capacity to at least `capacity_words`. Existing indices remain
     /// valid (addresses are indices, not Rust pointers).
-    pub fn grow_to(&mut self, capacity_words: usize) {
+    ///
+    /// # Errors
+    ///
+    /// Fails, leaving the heap as it was, when the host refuses the memory.
+    pub fn grow_to(&mut self, capacity_words: usize) -> Result<(), TryReserveError> {
         if capacity_words > self.space.len() {
+            self.space
+                .try_reserve_exact(capacity_words - self.space.len())?;
             self.space.resize(capacity_words, 0);
         }
+        Ok(())
     }
 
     /// Allocates an object with `len` fields, all set to `fill`, returning
@@ -163,11 +171,20 @@ impl Heap {
     /// past the allocation cursor are never read before being written
     /// (allocation fills them, forwarding copies over them, and
     /// [`Heap::get`]/[`Heap::set`] reject indices past the cursor).
-    pub fn begin_gc(&mut self, capacity: usize) -> Vec<Word> {
-        self.next = 0;
+    ///
+    /// # Errors
+    ///
+    /// Fails, leaving the heap as it was, when the host refuses the memory
+    /// for the to-space.
+    pub fn begin_gc(&mut self, capacity: usize) -> Result<Vec<Word>, TryReserveError> {
         let mut to = std::mem::take(&mut self.spare);
+        if let Err(e) = to.try_reserve_exact(capacity.saturating_sub(to.len())) {
+            self.spare = to;
+            return Err(e);
+        }
         to.resize(capacity, 0);
-        std::mem::replace(&mut self.space, to)
+        self.next = 0;
+        Ok(std::mem::replace(&mut self.space, to))
     }
 
     /// Ends a collection by retiring the drained from-space for reuse as
@@ -346,7 +363,7 @@ mod tests {
         h.set(a + 1, b_ptr).unwrap();
         let a_ptr = ((a as i64) << 3) | 1;
 
-        let mut from = h.begin_gc(256);
+        let mut from = h.begin_gc(256).unwrap();
         let new_a = h.forward(&mut from, a_ptr, &ptr_table).unwrap();
         h.scan_from(0, &mut from, &ptr_table).unwrap();
         // Only a and b survive: 3 + 3 words.
@@ -370,7 +387,7 @@ mod tests {
         h.set(a + 2, b_ptr).unwrap(); // two references to b
         let a_ptr = ((a as i64) << 3) | 1;
 
-        let mut from = h.begin_gc(128);
+        let mut from = h.begin_gc(128).unwrap();
         let new_a = h.forward(&mut from, a_ptr, &ptr_table).unwrap();
         h.scan_from(0, &mut from, &ptr_table).unwrap();
         let a_idx = (new_a >> 3) as usize;
@@ -386,7 +403,7 @@ mod tests {
     fn non_pointers_untouched() {
         let ptr_table = [false; 8];
         let mut h = Heap::new(64);
-        let mut from = h.begin_gc(64);
+        let mut from = h.begin_gc(64).unwrap();
         assert_eq!(
             h.forward(&mut from, 12345 << 3, &ptr_table).unwrap(),
             12345 << 3
@@ -398,7 +415,7 @@ mod tests {
         let mut ptr_table = [false; 8];
         ptr_table[1] = true;
         let mut h = Heap::new(64);
-        let mut from = h.begin_gc(64);
+        let mut from = h.begin_gc(64).unwrap();
         // A "pointer" addressing far beyond from-space.
         let bogus = (1_000_000i64 << 3) | 1;
         let err = h.forward(&mut from, bogus, &ptr_table).unwrap_err();
@@ -414,7 +431,7 @@ mod tests {
         let obj = h.alloc(10, 5, 0);
         let ptr = ((obj as i64) << 3) | 1;
         // Begin a GC into a to-space too small to hold the object.
-        let mut from = h.begin_gc(4);
+        let mut from = h.begin_gc(4).unwrap();
         let err = h.forward(&mut from, ptr, &ptr_table).unwrap_err();
         assert_eq!(err.kind, VmErrorKind::BadMemoryAccess);
         assert!(err.message.contains("to-space overflow"));
@@ -429,7 +446,7 @@ mod tests {
         // Corrupt the header so the object claims to overrun from-space.
         h.set(obj, header(1 << 20, 5)).unwrap();
         let ptr = ((obj as i64) << 3) | 1;
-        let mut from = h.begin_gc(64);
+        let mut from = h.begin_gc(64).unwrap();
         let err = h.forward(&mut from, ptr, &ptr_table).unwrap_err();
         assert_eq!(err.kind, VmErrorKind::BadMemoryAccess);
         assert!(err.message.contains("corrupt length"));
@@ -466,7 +483,7 @@ mod tests {
             let payload = (1000 + round) << 3; // fixnum-style, tag 0
             let obj = h.alloc(2, 5, payload);
             let ptr = ((obj as i64) << 3) | 1;
-            let mut from = h.begin_gc(128);
+            let mut from = h.begin_gc(128).unwrap();
             let fwd = h.forward(&mut from, ptr, &ptr_table).unwrap();
             h.scan_from(0, &mut from, &ptr_table).unwrap();
             h.end_gc(from);
@@ -480,7 +497,7 @@ mod tests {
     fn grow_preserves_indices() {
         let mut h = Heap::new(64);
         let idx = h.alloc(1, 2, 5);
-        h.grow_to(1024);
+        h.grow_to(1024).unwrap();
         assert_eq!(h.get(idx + 1).unwrap(), 5);
         assert_eq!(h.capacity(), 1024);
     }

@@ -202,36 +202,84 @@ impl InstClass {
     }
 }
 
-impl Inst {
-    /// The reporting class of this instruction.
-    pub fn class(&self) -> InstClass {
+impl RepVmOp {
+    /// Number of operands the operation reads from its argument list.
+    pub(crate) fn arity(self) -> usize {
         match self {
-            Inst::Const { .. } | Inst::Move { .. } | Inst::Bin { .. } | Inst::BinI { .. } => {
-                InstClass::Arith
+            RepVmOp::MakeImm | RepVmOp::Set => 4,
+            RepVmOp::MakePtr | RepVmOp::Alloc | RepVmOp::Ref => 3,
+            RepVmOp::Provide
+            | RepVmOp::Inject
+            | RepVmOp::Project
+            | RepVmOp::Test
+            | RepVmOp::Len => 2,
+        }
+    }
+}
+
+impl Inst {
+    /// Calls `f` on every register operand, in field order.  This is the
+    /// one list of each instruction's registers: the structural check
+    /// bounds them against the frame from here.
+    pub(crate) fn for_each_reg(&self, f: impl FnMut(Reg)) {
+        let imm = |v: &RegImm| match v {
+            RegImm::Reg(r) => Some(*r),
+            RegImm::Imm(_) => None,
+        };
+        let (fixed, list): ([Option<Reg>; 3], &[Reg]) = match self {
+            Inst::Const { d, .. } | Inst::Pool { d, .. } | Inst::GlobalGet { d, .. } => {
+                ([Some(*d), None, None], &[])
             }
-            Inst::LoadD { .. }
-            | Inst::LoadX { .. }
-            | Inst::StoreD { .. }
-            | Inst::StoreX { .. }
-            | Inst::ClosureSet { .. } => InstClass::Memory,
-            Inst::Jump { .. } | Inst::JumpCmp { .. } => InstClass::Branch,
-            Inst::Call { .. }
-            | Inst::CallKnown { .. }
-            | Inst::TailCall { .. }
-            | Inst::TailCallKnown { .. }
-            | Inst::Ret { .. } => InstClass::Call,
-            Inst::AllocFill { .. } | Inst::MakeClosure { .. } => InstClass::Alloc,
-            Inst::Rep { .. } => InstClass::RepGeneric,
-            Inst::Pool { .. }
-            | Inst::GlobalGet { .. }
-            | Inst::GlobalSet { .. }
-            | Inst::Intern { .. }
-            | Inst::WriteChar { .. }
-            | Inst::ErrorOp { .. }
-            | Inst::PushHandler { .. }
-            | Inst::PopHandler
-            | Inst::RaiseOp { .. }
-            | Inst::ResetCounters => InstClass::Misc,
+            Inst::Move { d, s: a }
+            | Inst::BinI { d, a, .. }
+            | Inst::LoadD { d, p: a, .. }
+            | Inst::Intern { d, s: a } => ([Some(*d), Some(*a), None], &[]),
+            Inst::Bin { d, a, b, .. } | Inst::LoadX { d, p: a, x: b, .. } => {
+                ([Some(*d), Some(*a), Some(*b)], &[])
+            }
+            Inst::StoreD { p, s, .. }
+            | Inst::ClosureSet { clo: p, val: s, .. }
+            | Inst::PushHandler { h: p, d: s, .. } => ([Some(*p), Some(*s), None], &[]),
+            Inst::StoreX { p, x, s, .. } => ([Some(*p), Some(*x), Some(*s)], &[]),
+            Inst::AllocFill { d, len, fill, .. } => ([Some(*d), imm(len), Some(*fill)], &[]),
+            Inst::JumpCmp { a, b, .. } => ([Some(*a), imm(b), None], &[]),
+            Inst::GlobalSet { s, .. }
+            | Inst::Ret { s }
+            | Inst::WriteChar { s }
+            | Inst::ErrorOp { s }
+            | Inst::RaiseOp { s } => ([Some(*s), None, None], &[]),
+            Inst::MakeClosure { d, free, .. } => ([Some(*d), None, None], free),
+            Inst::Call { d, f, args }
+            | Inst::CallKnown {
+                d, clo: f, args, ..
+            } => ([Some(*d), Some(*f), None], args),
+            Inst::TailCall { f, args } | Inst::TailCallKnown { clo: f, args, .. } => {
+                ([Some(*f), None, None], args)
+            }
+            Inst::Rep { d, args, .. } => ([Some(*d), None, None], args),
+            Inst::Jump { .. } | Inst::PopHandler | Inst::ResetCounters => ([None; 3], &[]),
+        };
+        fixed
+            .into_iter()
+            .flatten()
+            .chain(list.iter().copied())
+            .for_each(f);
+    }
+
+    /// The static control-flow target (jump, branch, or handler resume
+    /// point), if the instruction names one.
+    pub(crate) fn target(&self) -> Option<u32> {
+        match self {
+            Inst::Jump { t } | Inst::JumpCmp { t, .. } | Inst::PushHandler { t, .. } => Some(*t),
+            _ => None,
+        }
+    }
+
+    /// [`Inst::target`], for patching.
+    pub fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Inst::Jump { t } | Inst::JumpCmp { t, .. } | Inst::PushHandler { t, .. } => Some(t),
+            _ => None,
         }
     }
 }
@@ -246,8 +294,8 @@ pub struct CodeFun {
     /// True when extra arguments are collected into a rest list (built via
     /// the library's `pair`/`null` representations).
     pub variadic: bool,
-    /// Number of registers in a frame (>= arity + 1; register 0 is the
-    /// closure).
+    /// Number of registers in a frame (at least [`CodeFun::entry_regs`];
+    /// register 0 is the closure).
     pub nregs: usize,
     /// Number of closure free-variable slots.
     pub free_count: usize,
@@ -263,6 +311,14 @@ pub struct CodeFun {
     /// function. Slots past the end of the map are conservatively scanned,
     /// so an empty map means "scan everything" (hand-built code).
     pub free_ptr_map: Vec<bool>,
+}
+
+impl CodeFun {
+    /// Registers a call writes on entry: the closure, every parameter and,
+    /// for a variadic function, the rest list.
+    pub fn entry_regs(&self) -> usize {
+        1 + self.arity + usize::from(self.variadic)
+    }
 }
 
 /// An entry in the constant pool, materialized on the heap by the loader.
@@ -304,41 +360,5 @@ impl Default for CodeFun {
             ptr_map: vec![true],
             free_ptr_map: Vec::new(),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn classes() {
-        assert_eq!(Inst::Const { d: 0, imm: 1 }.class(), InstClass::Arith);
-        assert_eq!(
-            Inst::LoadD {
-                d: 0,
-                p: 0,
-                disp: 7
-            }
-            .class(),
-            InstClass::Memory
-        );
-        assert_eq!(Inst::Jump { t: 0 }.class(), InstClass::Branch);
-        assert_eq!(Inst::Ret { s: 0 }.class(), InstClass::Call);
-        assert_eq!(
-            Inst::PushHandler { h: 0, d: 0, t: 0 }.class(),
-            InstClass::Misc
-        );
-        assert_eq!(Inst::PopHandler.class(), InstClass::Misc);
-        assert_eq!(Inst::RaiseOp { s: 0 }.class(), InstClass::Misc);
-        assert_eq!(
-            Inst::Rep {
-                op: RepVmOp::Ref,
-                d: 0,
-                args: vec![]
-            }
-            .class(),
-            InstClass::RepGeneric
-        );
     }
 }

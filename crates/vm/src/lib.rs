@@ -60,6 +60,7 @@ mod fault;
 mod heap;
 mod inst;
 mod machine;
+mod structure;
 
 pub use counters::Counters;
 pub use encode::{describe as describe_word, encode_datum, words_needed};
@@ -70,3 +71,4 @@ pub use inst::{
     BinOp, CmpOp, CodeFun, CodeProgram, Inst, InstClass, PoolEntry, Reg, RegImm, RepVmOp,
 };
 pub use machine::{Machine, MachineConfig, StepResult, SuspendReason, VerifierHook};
+pub use structure::{check_structure, Malformed, MalformedKind};

@@ -7,10 +7,11 @@
 //! counters always agree.
 //!
 //! There is one step loop and every access in it is bounds-checked.
-//! Decoding already proves each register, pool, global, and function index
-//! of a loadable program in range, so those checks never fail; the
-//! instruction fetch is the one check left with real work (a jump or a
-//! fall-through can leave a function's code).
+//! The load-time structural check ([`check_structure`]) proves every
+//! register, pool, global, and function index and every jump target of a
+//! loadable program in range, so those checks never fail; the instruction
+//! fetch is the one check left with real work (a function's last
+//! instruction can fall through past its end).
 
 use crate::counters::Counters;
 use crate::decode::{decode_program, ArgSpan, DInst, DecodedProgram};
@@ -19,6 +20,7 @@ use crate::error::{OomPhase, VmError, VmErrorKind};
 use crate::fault::{ChaosRng, FaultPlan};
 use crate::heap::{grow_target, header_len, header_type, ClosureScan, Heap, Word};
 use crate::inst::{BinOp, CmpOp, CodeProgram, PoolEntry, Reg, RepVmOp};
+use crate::structure::check_structure;
 use std::collections::HashMap;
 use std::rc::Rc;
 use sxr_ir::rep::{roles, RepId, RepKind, RepRegistry};
@@ -210,52 +212,31 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`VmErrorKind::BadProgram`] when the program's registry lacks
-    /// a role its literals or code require, or when an instruction could
-    /// never execute (e.g. allocation of an immediate representation).
+    /// Returns [`VmErrorKind::BadProgram`] for the first problem
+    /// [`check_structure`] finds, and whatever the configured verifier
+    /// rejects.
     pub fn new(program: CodeProgram, config: MachineConfig) -> Result<Machine, VmError> {
-        let registry = program.registry.clone();
-        let need_role = |name: &str| {
-            registry.role(name).ok_or_else(|| {
-                VmError::new(
-                    VmErrorKind::BadProgram,
-                    format!("library did not provide required representation role `{name}`"),
-                )
-            })
-        };
-        let fixnum = need_role(roles::FIXNUM)?;
-        let boolean = need_role(roles::BOOLEAN)?;
-        let closure = need_role(roles::CLOSURE)?;
-        let unspecified = need_role(roles::UNSPECIFIED)?;
-        for (name, id) in [
-            ("fixnum", fixnum),
-            ("boolean", boolean),
-            ("unspecified", unspecified),
-        ] {
-            if registry.info(id).is_pointer() {
-                return Err(VmError::new(
-                    VmErrorKind::BadProgram,
-                    format!("role `{name}` must be an immediate representation"),
-                ));
-            }
+        if let Some(m) = check_structure(&program).into_iter().next() {
+            return Err(VmError::new(VmErrorKind::BadProgram, m.to_string()));
         }
+        let registry = program.registry.clone();
+        let role_id = |name: &str| registry.role(name).expect("boot role checked at load");
+        let fixnum = role_id(roles::FIXNUM);
+        let closure = role_id(roles::CLOSURE);
         let RepKind::Pointer {
             tag: closure_tag, ..
         } = registry.info(closure).kind
         else {
-            return Err(VmError::new(
-                VmErrorKind::BadProgram,
-                "role `closure` must be a pointer representation",
-            ));
+            unreachable!("closure role checked as a pointer at load");
         };
         let role = RoleCache {
             fixnum,
             closure,
-            false_word: registry.encode_immediate(boolean, 0),
-            unspec_word: registry.encode_immediate(unspecified, 0),
+            false_word: registry.encode_immediate(role_id(roles::BOOLEAN), 0),
+            unspec_word: registry.encode_immediate(role_id(roles::UNSPECIFIED), 0),
             reg_init: registry.encode_immediate(fixnum, 0),
         };
-        let decoded = decode_program(&program, &registry, closure_tag, fixnum)?;
+        let decoded = decode_program(&program, &registry, closure_tag, fixnum);
         // The verifier sees the loadable program, of which the decoded
         // stream is a faithful 1:1 translation; a rejected program never
         // starts.
@@ -312,10 +293,11 @@ impl Machine {
         }
         if self.heap.needs_gc(need) {
             let target = grow_target(self.heap.used(), need, self.heap.capacity());
-            self.heap.grow_to(target.min(self.heap_cap));
+            // A refused growth leaves the heap as it was.
+            let _ = self.heap.grow_to(target.min(self.heap_cap));
             if self.heap.needs_gc(need) {
-                // Nothing on the heap is garbage at load time, so a capped
-                // heap that cannot hold the pool is simply too small.
+                // Nothing on the heap is garbage at load time, so a heap
+                // that cannot hold the pool is simply too small.
                 return Err(VmError::oom(need, self.heap.capacity(), OomPhase::Alloc));
             }
         }
@@ -431,17 +413,19 @@ impl Machine {
         // target is strictly larger than the current capacity — see
         // [`grow_target`] — which keeps the decision monotone and
         // thrash-free under high live-data residency.  A capacity cap
-        // clamps the target; a request the capped heap cannot satisfy is a
-        // structured out-of-memory error, never a panic.
+        // clamps the target, and the host may refuse the memory (leaving
+        // the heap as it was); a request the heap then cannot satisfy is a
+        // structured out-of-memory error, never a panic or an abort.
+        let mut refused = false;
         if self.heap.needs_gc(words.saturating_sub(1))
             || self.heap.used() * 2 > self.heap.capacity()
         {
             let target = grow_target(self.heap.used(), words, self.heap.capacity());
-            self.heap.grow_to(target.min(self.heap_cap));
+            refused = self.heap.grow_to(target.min(self.heap_cap)).is_err();
         }
         if self.heap.needs_gc(words.saturating_sub(1)) {
-            let phase = if words > self.heap_cap {
-                OomPhase::Alloc // could never fit, even in an empty heap
+            let phase = if refused || words > self.heap_cap {
+                OomPhase::Alloc // the memory is not to be had
             } else {
                 OomPhase::Collect // collection reclaimed too little
             };
@@ -458,9 +442,12 @@ impl Machine {
     /// heap corruption (out-of-range pointers, to-space overflow) instead
     /// of silently mis-forwarding in release builds.
     pub fn collect(&mut self) -> Result<(), VmError> {
-        self.counters.gc_count += 1;
         let cap = self.heap.capacity();
-        let mut from = self.heap.begin_gc(cap);
+        let mut from = self
+            .heap
+            .begin_gc(cap)
+            .map_err(|_| VmError::oom(cap, cap, OomPhase::Alloc))?;
+        self.counters.gc_count += 1;
         let pt = self.ptr_table;
         for w in self.globals.iter_mut() {
             *w = self.heap.forward(&mut from, *w, &pt)?;
@@ -645,29 +632,16 @@ impl Machine {
     /// register is read, so a collection here cannot leave stale copies
     /// behind, and none can run before the caller stores the list.
     fn rest_list(&mut self, arg_span: ArgSpan, arity: usize) -> Result<Word, VmError> {
-        let pair = self
-            .registry
-            .role(sxr_ir::rep::roles::PAIR)
-            .ok_or_else(|| {
-                VmError::new(
-                    VmErrorKind::BadProgram,
-                    "variadic call requires a `pair` representation",
-                )
-            })?;
-        let null = self
-            .registry
-            .role(sxr_ir::rep::roles::NULL)
-            .ok_or_else(|| {
-                VmError::new(
-                    VmErrorKind::BadProgram,
-                    "variadic call requires a `null` representation",
-                )
-            })?;
+        // The load-time structural check proved both roles for every
+        // variadic function, and a role is never rebound.
+        let role = |name| {
+            self.registry
+                .role(name)
+                .expect("variadic role checked at load")
+        };
+        let (pair, null) = (role(roles::PAIR), role(roles::NULL));
         let RepKind::Pointer { tag: pair_tag, .. } = self.registry.info(pair).kind else {
-            return Err(VmError::new(
-                VmErrorKind::BadProgram,
-                "`pair` role must be a pointer",
-            ));
+            unreachable!("pair role checked as a pointer at load");
         };
         let nargs = arg_span.len as usize;
         self.ensure_space(3 * (nargs - arity) + 1)?;

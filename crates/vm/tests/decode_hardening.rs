@@ -53,7 +53,7 @@ fn program(funs: Vec<CodeFun>) -> CodeProgram {
 
 #[track_caller]
 fn assert_load_rejected(prog: CodeProgram, needle: &str) {
-    // No verifier installed: these are the *decoder's* own hard checks.
+    // No verifier installed: these are the loader's own structural checks.
     let err = Machine::new(prog, MachineConfig::default()).unwrap_err();
     assert_eq!(err.kind, VmErrorKind::BadProgram, "{}", err.message);
     assert!(
@@ -168,6 +168,21 @@ fn frame_too_small_for_parameters() {
     let mut f = fun(1, vec![Inst::Ret { s: 0 }]);
     f.arity = 2; // needs closure + 2 params = 3 registers
     assert_load_rejected(program(vec![f]), "register");
+}
+
+#[test]
+fn variadic_entry_needs_an_immediate_null_role() {
+    // A rest list ends in the `null` role's immediate encoding.
+    let mut reg = boot_registry();
+    let pair = reg.intern_pointer("pair", 0b001, false).unwrap();
+    let null = reg.intern_pointer("null", 0b011, false).unwrap();
+    reg.provide_role("pair", pair).unwrap();
+    reg.provide_role("null", null).unwrap();
+    let mut f = fun(2, vec![Inst::Ret { s: 1 }]);
+    f.variadic = true;
+    let mut prog = program(vec![f]);
+    prog.registry = reg;
+    assert_load_rejected(prog, "null");
 }
 
 #[test]

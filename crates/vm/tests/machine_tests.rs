@@ -740,6 +740,41 @@ fn variadic_calls_build_rest_lists() {
 }
 
 #[test]
+fn argument_lists_longer_than_16_bits_arrive_whole() {
+    let r = classic_registry();
+    let enc = |n: i64| r.reg.encode_immediate(r.fx, n);
+    let arity = 70_000;
+    let wide = fun("wide", arity, arity + 1, vec![Inst::Ret { s: 1 }]);
+    let mut args = vec![2];
+    args.resize(arity, 0);
+    let main = fun(
+        "main",
+        0,
+        4,
+        vec![
+            Inst::MakeClosure {
+                d: 1,
+                f: 1,
+                free: vec![],
+            },
+            Inst::Const { d: 2, imm: enc(7) },
+            Inst::Call { d: 3, f: 1, args },
+            Inst::Ret { s: 3 },
+        ],
+    );
+    let prog = CodeProgram {
+        funs: vec![main, wide],
+        main: 0,
+        pool: vec![],
+        nglobals: 0,
+        global_names: vec![],
+        registry: r.reg,
+    };
+    let (s, _m) = run_program(prog);
+    assert_eq!(s, "7");
+}
+
+#[test]
 fn variadic_with_exact_arity_gets_empty_rest() {
     let r = classic_registry();
     let enc = |n: i64| r.reg.encode_immediate(r.fx, n);
@@ -1601,21 +1636,30 @@ fn terminal_faults_ignore_handlers() {
 
 #[test]
 fn accept_all_verifier_does_not_license_a_wild_jump() {
-    // A verifier hook only decides whether a program loads; it cannot make
-    // the machine trust code it never checked.  A jump far past the end of
-    // `main`, admitted by a hook that accepts everything, must end in the
-    // same structured error as without a hook.
+    // A verifier hook only decides whether a structurally sound program
+    // loads; it cannot admit code the machine's own structural check
+    // refuses.  A jump far past the end of `main` is refused at load,
+    // with a hook that accepts everything as without one.  Falling off
+    // the last instruction is structurally sound, so the run-time fetch
+    // guard still ends it in a structured error.
     fn accept_all(_: &CodeProgram) -> Result<(), sxr_vm::VmError> {
         Ok(())
     }
     for verifier in [Some(accept_all as sxr_vm::VerifierHook), None] {
-        let r = classic_registry();
-        let main = fun("main", 0, 1, vec![Inst::Jump { t: 1_000_000 }]);
-        let prog = one_fun_program(r.reg, main, vec![]);
         let config = MachineConfig {
             verifier,
             ..MachineConfig::default()
         };
+        let r = classic_registry();
+        let main = fun("main", 0, 1, vec![Inst::Jump { t: 1_000_000 }]);
+        let prog = one_fun_program(r.reg, main, vec![]);
+        let err = Machine::new(prog, config.clone()).unwrap_err();
+        assert_eq!(err.kind, VmErrorKind::BadProgram);
+        assert!(err.message.contains("target 1000000"), "{err}");
+
+        let r = classic_registry();
+        let main = fun("main", 0, 2, vec![Inst::Const { d: 1, imm: 8 }]);
+        let prog = one_fun_program(r.reg, main, vec![]);
         let mut m = Machine::new(prog, config).unwrap();
         let err = m.run().unwrap_err();
         assert_eq!(err.kind, VmErrorKind::BadProgram);

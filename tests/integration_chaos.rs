@@ -13,8 +13,9 @@
 
 use std::sync::OnceLock;
 use sxr::report::{run_resumable, ChaosOutcome};
-use sxr::{Compiler, FaultPlan, PipelineConfig};
+use sxr::{Compiler, FaultPlan, OomPhase, PipelineConfig, VmErrorKind};
 use sxr_bench::{chaos_targets, run_chaos, ChaosTarget};
+use sxr_vm::{Machine, MachineConfig};
 
 const HEAP_WORDS: usize = 1 << 14;
 
@@ -217,6 +218,42 @@ fn guard_catches_injected_oom_and_recovers_in_every_config() {
     }
 }
 
+/// A vector the host cannot back at all: growing the heap for it must end
+/// in the same catchable out-of-memory condition as a capped heap, never
+/// in a host allocation abort.
+const HUGE_ALLOC_SRC: &str = r#"
+(display
+  (guard (c ((eq? (condition-kind c) 'out-of-memory) (condition-phase c)))
+    (vector-length (make-vector 100000000000 0))))
+"#;
+
+#[test]
+fn host_refused_heap_growth_is_a_catchable_oom_in_every_config() {
+    for (name, cfg) in three_configs() {
+        let out = Compiler::new(cfg.clone())
+            .compile(HUGE_ALLOC_SRC)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: guard must catch the refused growth: {e}"));
+        assert_eq!(out.output, "alloc", "{name}");
+        let err = Compiler::new(cfg)
+            .compile("(make-vector 100000000000 0)")
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .run()
+            .expect_err("no handler installed");
+        assert!(
+            matches!(
+                err.kind,
+                VmErrorKind::OutOfMemory {
+                    phase: OomPhase::Alloc,
+                    ..
+                }
+            ),
+            "{name}: {err}"
+        );
+    }
+}
+
 /// One guarded probe per recoverable fault class, printing the condition
 /// kind each handler received.  `raise` of a non-condition must arrive
 /// identity-preserved (the bare symbol, not a wrapped condition).
@@ -377,6 +414,25 @@ fn verified_corpus_never_degrades_to_program_or_memory_faults() {
                 e.kind.label()
             );
         }
+    }
+}
+
+#[test]
+fn loader_and_verifier_agree_on_the_corpus() {
+    // The machine's load check and the bytecode verifier share one
+    // definition of structure, so with no verifier installed a program
+    // loads exactly when the verifier finds it clean.
+    for t in targets() {
+        let clean = t.compiled.verify_bytecode().is_clean();
+        let loads = Machine::new(t.compiled.code.clone(), MachineConfig::default());
+        assert_eq!(
+            loads.is_ok(),
+            clean,
+            "{}/{}: load {:?}",
+            t.name,
+            t.config,
+            loads.err()
+        );
     }
 }
 
