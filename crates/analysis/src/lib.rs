@@ -10,16 +10,15 @@
 //!    are provably immediates, constant field indices outside a known
 //!    allocation, and representation tests whose outcome is statically
 //!    known;
-//! 2. an **inter-pass semantic verifier** ([`verify_expr`],
-//!    [`verify_module`]) — cheap invariant checks strong enough to run after
-//!    every optimizer pass, so a pass that breaks scoping, arity, tail
-//!    discipline, or registry consistency is caught *at the pass that broke
-//!    it* rather than at the VM;
-//! 3. a **load-time bytecode verifier** ([`verify_program`]) — a JVM-style
+//! 2. a **load-time bytecode verifier** ([`verify_program`]) — a JVM-style
 //!    dataflow proof over the final instruction stream.  Installed via
 //!    [`verifier_hook`] as `MachineConfig::verifier` it gates loading: a
 //!    rejection names the exact `{fun, pc, rule}` and the machine refuses
 //!    to start.
+//!
+//! The IR well-formedness checker lives in `sxr-ir` ([`sxr_ir::validate`]);
+//! [`verify_expr`] and [`verify_module`] are re-exported here for existing
+//! callers.
 //!
 //! The analyzer is deliberately conservative: unknown values (parameters,
 //! call results, closure slots) are `Top`, and only contradictions that hold
@@ -33,10 +32,9 @@ pub mod analyzer;
 pub mod bcverify;
 pub mod diag;
 pub mod lattice;
-pub mod verify;
 
 pub use analyzer::analyze_module;
 pub use bcverify::{verifier_hook, verify_program, Rejection, Rule, VerifyReport};
 pub use diag::{DiagClass, Diagnostic, Severity};
 pub use lattice::{AbsVal, TagSet};
-pub use verify::{verify_expr, verify_module, VerifyError};
+pub use sxr_ir::{verify_expr, verify_module};

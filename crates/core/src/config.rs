@@ -26,10 +26,10 @@ pub struct PipelineConfig {
     pub heap_words: usize,
     /// Optional instruction budget for runs.
     pub instruction_limit: Option<u64>,
-    /// Run the inter-pass semantic verifier after every optimizer pass and
-    /// on the closure-converted module (attributing any broken invariant to
-    /// the pass that introduced it).  Defaults on in debug builds and tests,
-    /// off in release builds.
+    /// Re-check the IR ([`sxr_ir::verify_expr`]) after every optimizer pass,
+    /// attributing any broken invariant to the pass that introduced it.  The
+    /// closure-converted module is checked either way.  Defaults on in debug
+    /// builds and tests, off in release builds.
     pub verify_passes: bool,
     /// Deterministic fault-injection schedule for machine runs (defaults to
     /// none).  See [`FaultPlan`]; the chaos battery runs the whole corpus
@@ -99,7 +99,7 @@ impl PipelineConfig {
         self
     }
 
-    /// Turns the inter-pass verifier on or off (see
+    /// Turns the per-pass IR re-check on or off (see
     /// [`PipelineConfig::verify_passes`]).
     pub fn with_verify_passes(mut self, on: bool) -> PipelineConfig {
         self.verify_passes = on;

@@ -48,7 +48,7 @@ pub use pipeline::{
 };
 
 // Re-exports for downstream tools (benches, examples).
-pub use sxr_analysis::{DiagClass, Diagnostic, Severity, VerifyError};
+pub use sxr_analysis::{DiagClass, Diagnostic, Severity};
 pub use sxr_opt::{OptOptions, OptReport};
 pub use sxr_vm::{
     ChaosRng, Counters, FaultPlan, InstClass, OomPhase, StepResult, SuspendReason, VmError,

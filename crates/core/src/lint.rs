@@ -8,8 +8,8 @@
 //! constants propagate to their use sites), but representation
 //! specialization, bits, CSE and DCE off (so the generic operations the
 //! analyzer understands survive, and no dead misuse is silently deleted
-//! before it can be reported) — then run [`Compiled::analyze`] and map each
-//! finding back to the span of the top-level `define` it lives in.
+//! before it can be reported) — then run [`crate::Compiled::analyze`] and
+//! map each finding back to the span of the top-level `define` it lives in.
 
 use crate::config::PipelineConfig;
 use crate::error::CompileError;

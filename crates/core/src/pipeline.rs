@@ -9,7 +9,7 @@ use sxr_codegen::{generate, lower_intrinsics_expr};
 use sxr_ir::anf::{GlobalId, Module};
 use sxr_ir::lower::Lowered;
 use sxr_ir::rep::{RepId, RepRegistry};
-use sxr_ir::{closure_convert, lower_program, validate_module};
+use sxr_ir::{closure_convert, lower_program, verify_module};
 use sxr_opt::{optimize, scan_representations, OptReport};
 use sxr_sexp::parse_all;
 use sxr_vm::{CodeFun, CodeProgram, Counters, FaultPlan, Machine, MachineConfig, VmError};
@@ -152,20 +152,14 @@ impl Compiler {
             &opt_options,
         )?;
 
-        // 7. Closure-convert, validate, generate.  With `verify_passes` the
-        //    deeper semantic verifier (structural invariants plus
-        //    representation-registry consistency) replaces the plain
-        //    structural validation.
+        // 7. Closure-convert, check (structure plus representation-registry
+        //    consistency), generate.
         let module = closure_convert(Lowered {
             main_body,
             supply,
             global_names,
         });
-        if self.config.verify_passes {
-            sxr_analysis::verify_module(&module, &registry, &rep_globals)?;
-        } else {
-            validate_module(&module)?;
-        }
+        verify_module(&module, &registry, &rep_globals)?;
         let code = generate(&module, &registry)?;
         Ok(Compiled {
             code,

@@ -9,7 +9,10 @@
 //!    compiler itself understands;
 //! 3. the **A-normal-form IR** ([`anf`]) with lowering from the front end
 //!    ([`lower`]), closure conversion ([`clconv`]), pretty printing
-//!    ([`pretty`]) and invariant checking ([`validate`]).
+//!    ([`pretty`]) and the one well-formedness checker ([`validate`]).
+//!    It checks the IR on either side of closure conversion, and with a
+//!    registry also representation consistency: [`verify_expr`] after
+//!    every optimizer pass, [`verify_module`] before code generation.
 //!
 //! # Example
 //!
@@ -45,4 +48,4 @@ pub use clconv::{closure_convert, free_vars};
 pub use lower::{lower_expr, lower_program, LowerError, Lowered};
 pub use prim::{Intrinsic, PrimOp};
 pub use rep::{RepError, RepId, RepInfo, RepKind, RepRegistry};
-pub use validate::{validate_module, ValidateError, ValidateErrorKind};
+pub use validate::{validate_module, verify_expr, verify_module, ValidateError, ValidateErrorKind};

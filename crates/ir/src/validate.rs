@@ -1,12 +1,25 @@
-//! IR sanity checking. The validator is cheap enough to run after every
-//! pass in debug builds, and the test suites run it constantly; it exists to
-//! turn "miscompiled program" into "failed invariant at the pass that broke
-//! it".
+//! IR well-formedness: the one checker for the ANF invariants.
+//!
+//! A single recursive walk checks the IR on either side of closure
+//! conversion and, given a [`RepRegistry`], representation consistency too.
+//! Three entry points share it:
+//!
+//! * [`verify_expr`]: the whole-program expression *before* closure
+//!   conversion, as the optimizer re-checks it after every pass;
+//! * [`validate_module`]: the structure of a closure-converted module;
+//! * [`verify_module`]: the same plus registry consistency, as the pipeline
+//!   checks every module before code generation.
+//!
+//! It exists to turn "miscompiled program" into "failed invariant at the
+//! pass that broke it", with an excerpt of the offending binding.
 
-use crate::anf::{Atom, Bound, Expr, FnId, Fun, GlobalId, Module, VarId};
+use crate::anf::{Atom, Bound, Expr, FnId, Fun, FunDef, GlobalId, Literal, Module, VarId};
+use crate::pretty::expr_to_string;
 use crate::prim::PrimOp;
-use std::collections::HashSet;
+use crate::rep::{RepId, RepKind, RepRegistry};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::iter::once;
 
 /// The specific IR invariant that was violated.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,7 +29,7 @@ pub enum ValidateErrorKind {
         /// The offending variable.
         var: VarId,
     },
-    /// A variable is let-bound twice in one function (single assignment).
+    /// A variable is bound twice (single assignment).
     RedefinedVar {
         /// The offending variable.
         var: VarId,
@@ -33,6 +46,12 @@ pub enum ValidateErrorKind {
     LetRecSurvives,
     /// A [`Bound::Lambda`] survived closure conversion.
     LambdaSurvives,
+    /// A closure-converted form (known call, closure allocation, closure
+    /// slot access or patch) appears before closure conversion.
+    PostConversionForm {
+        /// The form's name.
+        form: &'static str,
+    },
     /// A `ClosureRef` index is outside the function's `free_count`.
     ClosureRefOutOfRange {
         /// The index used.
@@ -86,6 +105,31 @@ pub enum ValidateErrorKind {
     },
     /// The module's entry function id is out of range.
     MainOutOfRange,
+    /// A rep literal or specialized op names a rep id the registry does
+    /// not hold.
+    UnregisteredRep {
+        /// The rep id used.
+        rep: RepId,
+        /// Entries in the registry.
+        registered: usize,
+    },
+    /// A specialized memory op (`SpecHeader`/`SpecAlloc`/`SpecRef`/
+    /// `SpecSet`) names a non-pointer rep.
+    SpecOnNonPointer {
+        /// The specialized op.
+        op: PrimOp,
+        /// The rep's name.
+        rep: String,
+    },
+    /// The rep-globals table maps a global to an unregistered rep id.
+    UnregisteredRepGlobal {
+        /// The global.
+        global: GlobalId,
+        /// The rep id it maps to.
+        rep: RepId,
+        /// Entries in the registry.
+        registered: usize,
+    },
 }
 
 impl fmt::Display for ValidateErrorKind {
@@ -98,6 +142,10 @@ impl fmt::Display for ValidateErrorKind {
             TailCallInNonTail => write!(f, "tail call in non-tail position"),
             LetRecSurvives => write!(f, "letrec survives closure conversion"),
             LambdaSurvives => write!(f, "nested lambda survives closure conversion"),
+            PostConversionForm { form } => write!(
+                f,
+                "post-closure-conversion form {form} appeared before closure conversion"
+            ),
             ClosureRefOutOfRange { index, free_count } => {
                 write!(
                     f,
@@ -125,23 +173,55 @@ impl fmt::Display for ValidateErrorKind {
                 )
             }
             MainOutOfRange => write!(f, "main function id out of range"),
+            UnregisteredRep { rep, registered } => write!(
+                f,
+                "rep id {rep} is not registered (registry has {registered} entries)"
+            ),
+            SpecOnNonPointer { op, rep } => {
+                write!(f, "`{op}` specialized on non-pointer rep `{rep}`")
+            }
+            UnregisteredRepGlobal {
+                global,
+                rep,
+                registered,
+            } => write!(
+                f,
+                "rep-globals table, global {global}: rep id {rep} is not registered \
+                 (registry has {registered} entries)"
+            ),
         }
     }
 }
 
-/// A violated IR invariant, with the function it occurred in (when any).
+/// A violated IR invariant, with the function it occurred in (when any)
+/// and the binding it sits in (when any).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidateError {
     /// What went wrong.
     pub kind: ValidateErrorKind,
-    /// The containing function: `(id, diagnostic name)`. `None` for
+    /// The containing function of a closure-converted module:
+    /// `(id, diagnostic name)`. `None` before closure conversion and for
     /// module-level violations.
     pub fun: Option<(FnId, String)>,
+    /// Pretty-printed excerpt of the innermost `let` binding the violation
+    /// sits in, when it sits in one.
+    pub excerpt: Option<String>,
 }
 
 impl ValidateError {
-    fn new(kind: ValidateErrorKind) -> ValidateError {
-        ValidateError { kind, fun: None }
+    /// Attaches `let v = b` as the excerpt unless a nested binding already
+    /// did. The excerpt is capped to a handful of lines so a huge `if` body
+    /// does not drown the message.
+    fn in_binding(mut self, v: VarId, b: &Bound) -> ValidateError {
+        if self.excerpt.is_none() {
+            let full = expr_to_string(&Expr::Let(v, b.clone(), Box::new(Expr::Ret(Atom::Var(v)))));
+            let mut x: String = full.lines().take(6).map(|l| format!("    {l}\n")).collect();
+            if full.lines().nth(6).is_some() {
+                x.push_str("    ...\n");
+            }
+            self.excerpt = Some(x);
+        }
+        self
     }
 }
 
@@ -151,223 +231,394 @@ impl fmt::Display for ValidateError {
         if let Some((id, name)) = &self.fun {
             write!(f, "in f{id} ({name}): ")?;
         }
-        self.kind.fmt(f)
+        self.kind.fmt(f)?;
+        if let Some(x) = &self.excerpt {
+            write!(f, "\n  in:\n{x}")?;
+        }
+        Ok(())
     }
 }
 
 impl std::error::Error for ValidateError {}
 
-/// Validates a closure-converted module:
+fn fail<T>(kind: ValidateErrorKind) -> Result<T, ValidateError> {
+    Err(ValidateError {
+        kind,
+        fun: None,
+        excerpt: None,
+    })
+}
+
+/// Checks the whole-program expression *before* closure conversion:
+///
+/// * lexical scoping with single assignment (one scope spans the program,
+///   nested `Lambda`/`LetRec` included),
+/// * primitive operand counts match [`PrimOp::arity`],
+/// * tail calls only in tail position (the branches of a value-producing
+///   `if`/`body` end in `Ret`),
+/// * no closure-converted forms,
+/// * every rep literal names a registered rep, and specialized memory ops
+///   name registered pointer reps.
+///
+/// # Errors
+///
+/// Returns the first violated invariant, with an IR excerpt when it sits
+/// inside a `let` binding.
+pub fn verify_expr(e: &Expr, registry: &RepRegistry) -> Result<(), ValidateError> {
+    Checker {
+        phase: Phase::Open,
+        registry: Some(registry),
+        defined: HashSet::new(),
+    }
+    .expr(e, true)
+}
+
+/// Validates the structure of a closure-converted module:
 ///
 /// * no nested lambdas / letrec,
 /// * every variable defined before use, defined exactly once per function,
 /// * `ClosureRef` indices within `free_count`,
-/// * `CallKnown`/`MakeClosure` function ids in range, arities consistent,
+/// * `CallKnown`/`MakeClosure` function ids in range, arities and capture
+///   counts consistent,
 /// * primitive operand counts match [`PrimOp::arity`],
 /// * global ids within the module's global table,
-/// * `Bound::If` branches end in `Ret` (no tail calls).
+/// * `Bound::If` branches end in `Ret` (no tail calls),
+/// * the entry function id in range.
 ///
 /// # Errors
 ///
 /// Returns the first violated invariant.
 pub fn validate_module(m: &Module) -> Result<(), ValidateError> {
+    check_module(m, None)
+}
+
+/// Verifies a closure-converted module: everything [`validate_module`]
+/// checks, plus representation-registry consistency. Every rep literal and
+/// specialized op must name a registered rep, specialized memory ops must
+/// name pointer reps, and `rep_globals` must only map to registered ids.
+///
+/// # Errors
+///
+/// Returns the first violated invariant.
+pub fn verify_module(
+    m: &Module,
+    registry: &RepRegistry,
+    rep_globals: &HashMap<GlobalId, RepId>,
+) -> Result<(), ValidateError> {
+    check_module(m, Some(registry))?;
+    let registered = registry.len();
+    match rep_globals
+        .iter()
+        .find(|(_, &rep)| rep as usize >= registered)
+    {
+        Some((&global, &rep)) => fail(ValidateErrorKind::UnregisteredRepGlobal {
+            global,
+            rep,
+            registered,
+        }),
+        None => Ok(()),
+    }
+}
+
+fn check_module(m: &Module, registry: Option<&RepRegistry>) -> Result<(), ValidateError> {
     for (i, f) in m.funs.iter().enumerate() {
-        validate_fun(m, f).map_err(|mut e| {
-            e.fun = Some((
-                i as FnId,
-                f.name.clone().unwrap_or_else(|| "anonymous".into()),
-            ));
-            e
-        })?;
+        let mut c = Checker {
+            phase: Phase::Closed {
+                module: m,
+                free_count: f.free_count,
+            },
+            registry,
+            defined: HashSet::new(),
+        };
+        c.params(Some(f.self_var), &f.params, f.rest)
+            .and_then(|()| c.expr(&f.body, true))
+            .map_err(|mut e| {
+                e.fun = Some((
+                    i as FnId,
+                    f.name.clone().unwrap_or_else(|| "anonymous".into()),
+                ));
+                e
+            })?;
     }
     if m.main as usize >= m.funs.len() {
-        return Err(ValidateError::new(ValidateErrorKind::MainOutOfRange));
+        return fail(ValidateErrorKind::MainOutOfRange);
     }
     Ok(())
 }
 
-fn validate_fun(m: &Module, f: &Fun) -> Result<(), ValidateError> {
-    let mut defined: HashSet<VarId> = HashSet::new();
-    defined.insert(f.self_var);
-    for p in f.params.iter().chain(f.rest.iter()) {
-        if !defined.insert(*p) {
-            return Err(ValidateError::new(ValidateErrorKind::DuplicateParam {
-                var: *p,
-            }));
-        }
-    }
-    check_expr(m, f, &f.body, &mut defined, true)
+/// Which side of closure conversion the checked IR is on.
+#[derive(Clone, Copy)]
+enum Phase<'a> {
+    /// Before closure conversion: functions are nested `Lambda`/`LetRec`
+    /// forms and one scope spans the whole program.
+    Open,
+    /// One function of a closure-converted module, whose free-slot count
+    /// is `free_count`.
+    Closed {
+        /// The module the function belongs to.
+        module: &'a Module,
+        /// The function's free-slot count.
+        free_count: usize,
+    },
 }
 
-fn check_atom(a: &Atom, defined: &HashSet<VarId>) -> Result<(), ValidateError> {
-    if let Atom::Var(v) = a {
-        if !defined.contains(v) {
-            return Err(ValidateError::new(ValidateErrorKind::UndefinedVar {
-                var: *v,
-            }));
-        }
-    }
-    Ok(())
+/// The walk. `defined` holds every variable bound so far in scope: the
+/// whole program when open, the current function when closed. The branches
+/// of an `if` share it because their bindings are disjoint (ids are
+/// globally unique).
+struct Checker<'a> {
+    phase: Phase<'a>,
+    registry: Option<&'a RepRegistry>,
+    defined: HashSet<VarId>,
 }
 
-/// `tail` is true when tail calls are permitted in this position.
-fn check_expr(
-    m: &Module,
-    f: &Fun,
-    e: &Expr,
-    defined: &mut HashSet<VarId>,
-    tail: bool,
-) -> Result<(), ValidateError> {
-    match e {
-        Expr::Let(v, b, body) => {
-            check_bound(m, f, b, defined)?;
-            if !defined.insert(*v) {
-                return Err(ValidateError::new(ValidateErrorKind::RedefinedVar {
-                    var: *v,
-                }));
+impl<'a> Checker<'a> {
+    /// The module and free-slot count, or a rejection of `form` when the
+    /// IR is not closure-converted yet.
+    fn closed(&self, form: &'static str) -> Result<(&'a Module, usize), ValidateError> {
+        match self.phase {
+            Phase::Closed { module, free_count } => Ok((module, free_count)),
+            Phase::Open => fail(ValidateErrorKind::PostConversionForm { form }),
+        }
+    }
+
+    fn rep(&self, rep: RepId) -> Result<(), ValidateError> {
+        match self.registry {
+            Some(reg) if rep as usize >= reg.len() => fail(ValidateErrorKind::UnregisteredRep {
+                rep,
+                registered: reg.len(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    fn atom(&self, a: &Atom) -> Result<(), ValidateError> {
+        match a {
+            Atom::Var(var) if !self.defined.contains(var) => {
+                fail(ValidateErrorKind::UndefinedVar { var: *var })
             }
-            check_expr(m, f, body, defined, tail)
+            Atom::Lit(Literal::Rep(r)) => self.rep(*r),
+            _ => Ok(()),
         }
-        Expr::If(t, then, els) => {
-            check_atom(t.atom(), defined)?;
-            // Each branch sees the same scope; their bindings are disjoint
-            // (globally unique ids), so a shared `defined` set is fine.
-            check_expr(m, f, then, defined, tail)?;
-            check_expr(m, f, els, defined, tail)
-        }
-        Expr::Ret(a) => check_atom(a, defined),
-        Expr::TailCall(callee, args) => {
-            if !tail {
-                return Err(ValidateError::new(ValidateErrorKind::TailCallInNonTail));
-            }
-            check_atom(callee, defined)?;
-            args.iter().try_for_each(|a| check_atom(a, defined))
-        }
-        Expr::TailCallKnown(fid, clo, args) => {
-            if !tail {
-                return Err(ValidateError::new(ValidateErrorKind::TailCallInNonTail));
-            }
-            check_fnid(m, *fid)?;
-            check_arity(m, *fid, args.len())?;
-            check_atom(clo, defined)?;
-            args.iter().try_for_each(|a| check_atom(a, defined))
-        }
-        Expr::LetRec(..) => Err(ValidateError::new(ValidateErrorKind::LetRecSurvives)),
     }
-}
 
-fn check_fnid(m: &Module, fid: FnId) -> Result<(), ValidateError> {
-    if fid as usize >= m.funs.len() {
-        return Err(ValidateError::new(ValidateErrorKind::FnIdOutOfRange {
-            fnid: fid,
-        }));
+    fn atoms<'x>(&self, atoms: impl IntoIterator<Item = &'x Atom>) -> Result<(), ValidateError> {
+        atoms.into_iter().try_for_each(|a| self.atom(a))
     }
-    Ok(())
-}
 
-fn check_arity(m: &Module, fid: FnId, nargs: usize) -> Result<(), ValidateError> {
-    let f = &m.funs[fid as usize];
-    let want = f.params.len();
-    if f.rest.is_some() {
-        return Err(ValidateError::new(ValidateErrorKind::VariadicKnownCall {
-            fnid: fid,
-        }));
+    fn define(&mut self, var: VarId) -> Result<(), ValidateError> {
+        if self.defined.insert(var) {
+            Ok(())
+        } else {
+            fail(ValidateErrorKind::RedefinedVar { var })
+        }
     }
-    if want != nargs {
-        return Err(ValidateError::new(ValidateErrorKind::ArityMismatch {
-            fnid: fid,
-            want,
-            got: nargs,
-        }));
-    }
-    Ok(())
-}
 
-fn check_bound(
-    m: &Module,
-    f: &Fun,
-    b: &Bound,
-    defined: &mut HashSet<VarId>,
-) -> Result<(), ValidateError> {
-    match b {
-        Bound::Atom(a) => check_atom(a, defined),
-        Bound::Prim(op, args) => {
-            if op.arity() != args.len() {
-                return Err(ValidateError::new(ValidateErrorKind::PrimArityMismatch {
-                    op: *op,
-                    want: op.arity(),
-                    got: args.len(),
-                }));
+    /// Binds a function's self slot, parameters and rest slot. A clash
+    /// among those is a duplicate parameter; a clash with a variable bound
+    /// elsewhere is a redefinition.
+    fn params(
+        &mut self,
+        self_var: Option<VarId>,
+        params: &[VarId],
+        rest: Option<VarId>,
+    ) -> Result<(), ValidateError> {
+        self.defined.extend(self_var);
+        for (i, &var) in params.iter().chain(rest.iter()).enumerate() {
+            if !self.defined.insert(var) {
+                return fail(if self_var == Some(var) || params[..i].contains(&var) {
+                    ValidateErrorKind::DuplicateParam { var }
+                } else {
+                    ValidateErrorKind::RedefinedVar { var }
+                });
             }
-            args.iter().try_for_each(|a| check_atom(a, defined))
         }
-        Bound::Call(callee, args) => {
-            check_atom(callee, defined)?;
-            args.iter().try_for_each(|a| check_atom(a, defined))
+        Ok(())
+    }
+
+    fn fundef(&mut self, l: &FunDef) -> Result<(), ValidateError> {
+        self.params(None, &l.params, l.rest)?;
+        self.expr(&l.body, true)
+    }
+
+    /// The function `form` names, or a rejection of `form` when the IR is
+    /// not closure-converted yet.
+    fn callee(&self, form: &'static str, fnid: FnId) -> Result<&'a Fun, ValidateError> {
+        let (module, _) = self.closed(form)?;
+        match module.funs.get(fnid as usize) {
+            Some(f) => Ok(f),
+            None => fail(ValidateErrorKind::FnIdOutOfRange { fnid }),
         }
-        Bound::CallKnown(fid, clo, args) => {
-            check_fnid(m, *fid)?;
-            check_arity(m, *fid, args.len())?;
-            check_atom(clo, defined)?;
-            args.iter().try_for_each(|a| check_atom(a, defined))
+    }
+
+    /// A known call's callee must exist, be fixed-arity and take `nargs`.
+    fn known_call(
+        &self,
+        form: &'static str,
+        fnid: FnId,
+        nargs: usize,
+    ) -> Result<(), ValidateError> {
+        let f = self.callee(form, fnid)?;
+        if f.rest.is_some() {
+            return fail(ValidateErrorKind::VariadicKnownCall { fnid });
         }
-        Bound::GlobalGet(g) => check_global(m, *g),
-        Bound::GlobalSet(g, a) => {
-            check_global(m, *g)?;
-            check_atom(a, defined)
+        if f.params.len() != nargs {
+            return fail(ValidateErrorKind::ArityMismatch {
+                fnid,
+                want: f.params.len(),
+                got: nargs,
+            });
         }
-        Bound::Lambda(_) => Err(ValidateError::new(ValidateErrorKind::LambdaSurvives)),
-        Bound::MakeClosure(fid, frees) => {
-            check_fnid(m, *fid)?;
-            let want = m.funs[*fid as usize].free_count;
-            if frees.len() != want {
-                return Err(ValidateError::new(
-                    ValidateErrorKind::CaptureCountMismatch {
-                        fnid: *fid,
+        Ok(())
+    }
+
+    fn global(&self, global: GlobalId) -> Result<(), ValidateError> {
+        match self.phase {
+            Phase::Closed { module, .. } if global as usize >= module.global_names.len() => {
+                fail(ValidateErrorKind::GlobalOutOfRange { global })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// With a registry, a specialized memory op must name a registered
+    /// pointer rep.
+    fn spec_op(&self, op: PrimOp) -> Result<(), ValidateError> {
+        let (
+            Some(reg),
+            PrimOp::SpecHeader(r) | PrimOp::SpecAlloc(r) | PrimOp::SpecRef(r) | PrimOp::SpecSet(r),
+        ) = (self.registry, op)
+        else {
+            return Ok(());
+        };
+        self.rep(r)?;
+        let info = reg.info(r);
+        if matches!(info.kind, RepKind::Pointer { .. }) {
+            Ok(())
+        } else {
+            fail(ValidateErrorKind::SpecOnNonPointer {
+                op,
+                rep: info.name.clone(),
+            })
+        }
+    }
+
+    /// `tail` is true when tail calls are permitted in this position.
+    fn expr(&mut self, e: &Expr, tail: bool) -> Result<(), ValidateError> {
+        match e {
+            Expr::Let(v, b, body) => {
+                self.bound(b).map_err(|err| err.in_binding(*v, b))?;
+                self.define(*v)?;
+                self.expr(body, tail)
+            }
+            Expr::If(t, then, els) => {
+                self.atom(t.atom())?;
+                self.expr(then, tail)?;
+                self.expr(els, tail)
+            }
+            Expr::Ret(a) => self.atom(a),
+            Expr::TailCall(callee, args) => {
+                if !tail {
+                    return fail(ValidateErrorKind::TailCallInNonTail);
+                }
+                self.atoms(once(callee).chain(args))
+            }
+            Expr::TailCallKnown(fnid, clo, args) => {
+                if !tail {
+                    return fail(ValidateErrorKind::TailCallInNonTail);
+                }
+                self.known_call("TailCallKnown", *fnid, args.len())?;
+                self.atoms(once(clo).chain(args))
+            }
+            Expr::LetRec(binds, body) => {
+                if let Phase::Closed { .. } = self.phase {
+                    return fail(ValidateErrorKind::LetRecSurvives);
+                }
+                for (v, _) in binds {
+                    self.define(*v)?;
+                }
+                for (_, l) in binds {
+                    self.fundef(l)?;
+                }
+                self.expr(body, tail)
+            }
+        }
+    }
+
+    fn bound(&mut self, b: &Bound) -> Result<(), ValidateError> {
+        match b {
+            Bound::Atom(a) => self.atom(a),
+            Bound::Prim(op, args) => {
+                if op.arity() != args.len() {
+                    return fail(ValidateErrorKind::PrimArityMismatch {
+                        op: *op,
+                        want: op.arity(),
+                        got: args.len(),
+                    });
+                }
+                self.spec_op(*op)?;
+                self.atoms(args)
+            }
+            Bound::Call(callee, args) => self.atoms(once(callee).chain(args)),
+            Bound::CallKnown(fnid, clo, args) => {
+                self.known_call("CallKnown", *fnid, args.len())?;
+                self.atoms(once(clo).chain(args))
+            }
+            Bound::GlobalGet(g) => self.global(*g),
+            Bound::GlobalSet(g, a) => {
+                self.global(*g)?;
+                self.atom(a)
+            }
+            Bound::Lambda(l) => match self.phase {
+                Phase::Open => self.fundef(l),
+                Phase::Closed { .. } => fail(ValidateErrorKind::LambdaSurvives),
+            },
+            Bound::MakeClosure(fnid, frees) => {
+                let want = self.callee("MakeClosure", *fnid)?.free_count;
+                if frees.len() != want {
+                    return fail(ValidateErrorKind::CaptureCountMismatch {
+                        fnid: *fnid,
                         want,
                         got: frees.len(),
-                    },
-                ));
+                    });
+                }
+                self.atoms(frees)
             }
-            frees.iter().try_for_each(|a| check_atom(a, defined))
-        }
-        Bound::ClosureRef(i) => {
-            if *i >= f.free_count {
-                return Err(ValidateError::new(
-                    ValidateErrorKind::ClosureRefOutOfRange {
-                        index: *i,
-                        free_count: f.free_count,
-                    },
-                ));
+            Bound::ClosureRef(index) => {
+                let (_, free_count) = self.closed("ClosureRef")?;
+                if *index >= free_count {
+                    return fail(ValidateErrorKind::ClosureRefOutOfRange {
+                        index: *index,
+                        free_count,
+                    });
+                }
+                Ok(())
             }
-            Ok(())
+            Bound::ClosurePatch(c, _, x) => {
+                self.closed("ClosurePatch")?;
+                self.atoms([c, x])
+            }
+            Bound::If(t, then, els) => {
+                self.atom(t.atom())?;
+                self.expr(then, false)?;
+                self.expr(els, false)
+            }
+            Bound::Body(e) => self.expr(e, false),
         }
-        Bound::ClosurePatch(c, _, x) => {
-            check_atom(c, defined)?;
-            check_atom(x, defined)
-        }
-        Bound::If(t, then, els) => {
-            check_atom(t.atom(), defined)?;
-            check_expr(m, f, then, defined, false)?;
-            check_expr(m, f, els, defined, false)
-        }
-        Bound::Body(e) => check_expr(m, f, e, defined, false),
     }
-}
-
-fn check_global(m: &Module, g: GlobalId) -> Result<(), ValidateError> {
-    if g as usize >= m.global_names.len() {
-        return Err(ValidateError::new(ValidateErrorKind::GlobalOutOfRange {
-            global: g,
-        }));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::anf::{Literal, Test};
+    use crate::anf::Test;
+
+    fn registry() -> (RepRegistry, RepId, RepId) {
+        let mut reg = RepRegistry::new();
+        let fx = reg.intern_immediate("fixnum", 3, 0, 3).unwrap();
+        let pair = reg.intern_pointer("pair", 1, false).unwrap();
+        (reg, fx, pair)
+    }
 
     fn module_with_body(body: Expr) -> Module {
         Module {
@@ -427,6 +678,35 @@ mod tests {
         let mut m = module_with_body(Expr::Ret(Atom::Lit(Literal::Unspecified)));
         m.funs[0].params = vec![7, 7];
         assert_eq!(kind_of(&m), ValidateErrorKind::DuplicateParam { var: 7 });
+
+        // Before closure conversion: a lambda repeating its own parameter
+        // is a duplicate; one reusing an outer binding is a redefinition.
+        let (reg, _, _) = registry();
+        let lambda = |params: Vec<VarId>| {
+            Expr::Let(
+                1,
+                Bound::Atom(Atom::raw(0)),
+                Box::new(Expr::Let(
+                    2,
+                    Bound::Lambda(FunDef {
+                        params,
+                        rest: None,
+                        body: Box::new(Expr::Ret(Atom::raw(0))),
+                        name: None,
+                    }),
+                    Box::new(Expr::Ret(Atom::Var(2))),
+                )),
+            )
+        };
+        let kind = |e: &Expr| verify_expr(e, &reg).unwrap_err().kind;
+        assert_eq!(
+            kind(&lambda(vec![3, 3])),
+            ValidateErrorKind::DuplicateParam { var: 3 }
+        );
+        assert_eq!(
+            kind(&lambda(vec![3, 1])),
+            ValidateErrorKind::RedefinedVar { var: 1 }
+        );
     }
 
     #[test]
@@ -456,7 +736,7 @@ mod tests {
     fn rejects_surviving_lambda() {
         let m = module_with_body(Expr::Let(
             1,
-            Bound::Lambda(crate::anf::FunDef {
+            Bound::Lambda(FunDef {
                 params: vec![],
                 rest: None,
                 body: Box::new(Expr::Ret(Atom::Lit(Literal::Unspecified))),
@@ -599,5 +879,258 @@ mod tests {
         let msg = validate_module(&m).unwrap_err().to_string();
         assert!(msg.contains("in f0 (main)"), "{msg}");
         assert!(msg.contains("undefined variable v42"), "{msg}");
+    }
+
+    #[test]
+    fn rejects_post_conversion_form_before_conversion() {
+        let (reg, _, _) = registry();
+        let unspec = || Atom::Lit(Literal::Unspecified);
+        let cases = [
+            (Bound::CallKnown(0, unspec(), vec![]), "CallKnown"),
+            (Bound::MakeClosure(0, vec![]), "MakeClosure"),
+            (Bound::ClosureRef(0), "ClosureRef"),
+            (Bound::ClosurePatch(unspec(), 0, unspec()), "ClosurePatch"),
+        ];
+        for (b, form) in cases {
+            let e = Expr::Let(1, b, Box::new(Expr::Ret(Atom::Var(1))));
+            assert_eq!(
+                verify_expr(&e, &reg).unwrap_err().kind,
+                ValidateErrorKind::PostConversionForm { form }
+            );
+        }
+        let e = Expr::TailCallKnown(0, unspec(), vec![]);
+        assert_eq!(
+            verify_expr(&e, &reg).unwrap_err().kind,
+            ValidateErrorKind::PostConversionForm {
+                form: "TailCallKnown"
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_unregistered_rep() {
+        let (reg, _, _) = registry();
+        let m = module_with_body(Expr::Ret(Atom::Lit(Literal::Rep(50))));
+        // Only a check with a registry knows which rep ids exist.
+        assert!(validate_module(&m).is_ok());
+        assert_eq!(
+            verify_module(&m, &reg, &HashMap::new()).unwrap_err().kind,
+            ValidateErrorKind::UnregisteredRep {
+                rep: 50,
+                registered: 2
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_spec_op_on_non_pointer_rep() {
+        let (reg, fx, _) = registry();
+        let m = module_with_body(Expr::Let(
+            1,
+            Bound::Prim(PrimOp::SpecRef(fx), vec![Atom::raw(0), Atom::raw(0)]),
+            Box::new(Expr::Ret(Atom::Var(1))),
+        ));
+        assert_eq!(
+            verify_module(&m, &reg, &HashMap::new()).unwrap_err().kind,
+            ValidateErrorKind::SpecOnNonPointer {
+                op: PrimOp::SpecRef(fx),
+                rep: "fixnum".into()
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_unregistered_rep_global() {
+        let (reg, _, _) = registry();
+        let m = module_with_body(Expr::Ret(Atom::raw(0)));
+        let rg = HashMap::from([(0, 60)]);
+        assert_eq!(
+            verify_module(&m, &reg, &rg).unwrap_err().kind,
+            ValidateErrorKind::UnregisteredRepGlobal {
+                global: 0,
+                rep: 60,
+                registered: 2
+            }
+        );
+    }
+
+    #[test]
+    fn closed_phase_errors_carry_the_binding_excerpt() {
+        let m = module_with_body(Expr::Let(
+            1,
+            Bound::Atom(Atom::Var(42)),
+            Box::new(Expr::Ret(Atom::Var(1))),
+        ));
+        let err = validate_module(&m).unwrap_err();
+        let excerpt = "    (let v1 v42)\n    (ret v1)\n";
+        assert_eq!(err.excerpt.as_deref(), Some(excerpt));
+        assert!(
+            err.to_string().ends_with(&format!("\n  in:\n{excerpt}")),
+            "{err}"
+        );
+    }
+
+    // Open-phase and registry checks, asserted through the rendered message.
+
+    #[test]
+    fn accepts_well_formed_pre_cc() {
+        let (reg, fx, _) = registry();
+        let e = Expr::Let(
+            1,
+            Bound::Prim(
+                PrimOp::RepInject,
+                vec![Atom::Lit(Literal::Rep(fx)), Atom::raw(5)],
+            ),
+            Box::new(Expr::Let(
+                2,
+                Bound::Lambda(FunDef {
+                    params: vec![3],
+                    rest: None,
+                    body: Box::new(Expr::Ret(Atom::Var(1))),
+                    name: None,
+                }),
+                Box::new(Expr::TailCall(Atom::Var(2), vec![Atom::Var(1)])),
+            )),
+        );
+        assert!(verify_expr(&e, &reg).is_ok());
+    }
+
+    #[test]
+    fn catches_use_before_definition() {
+        let (reg, _, _) = registry();
+        let e = Expr::Let(
+            1,
+            Bound::Atom(Atom::Var(9)),
+            Box::new(Expr::Ret(Atom::Var(1))),
+        );
+        let err = verify_expr(&e, &reg).unwrap_err();
+        assert!(err.to_string().contains("v9"), "{err}");
+        assert!(err.excerpt.is_some(), "binding excerpt attached");
+    }
+
+    #[test]
+    fn catches_double_definition() {
+        let (reg, _, _) = registry();
+        let e = Expr::Let(
+            1,
+            Bound::Atom(Atom::raw(1)),
+            Box::new(Expr::Let(
+                1,
+                Bound::Atom(Atom::raw(2)),
+                Box::new(Expr::Ret(Atom::Var(1))),
+            )),
+        );
+        let err = verify_expr(&e, &reg).unwrap_err();
+        assert!(err.to_string().contains("defined twice"), "{err}");
+    }
+
+    #[test]
+    fn catches_prim_arity() {
+        let (reg, _, _) = registry();
+        let e = Expr::Let(
+            1,
+            Bound::Prim(PrimOp::WordAdd, vec![Atom::raw(1)]),
+            Box::new(Expr::Ret(Atom::Var(1))),
+        );
+        let err = verify_expr(&e, &reg).unwrap_err();
+        assert!(err.to_string().contains("takes 2 operands"), "{err}");
+    }
+
+    #[test]
+    fn catches_unregistered_rep_literal() {
+        let (reg, _, _) = registry();
+        let e = Expr::Let(
+            1,
+            Bound::Atom(Atom::Lit(Literal::Rep(99))),
+            Box::new(Expr::Ret(Atom::Var(1))),
+        );
+        let err = verify_expr(&e, &reg).unwrap_err();
+        assert!(err.to_string().contains("rep id 99"), "{err}");
+    }
+
+    #[test]
+    fn catches_tail_call_in_bound_body() {
+        let (reg, _, _) = registry();
+        let e = Expr::Let(
+            1,
+            Bound::Body(Box::new(Expr::TailCall(Atom::raw(0), vec![]))),
+            Box::new(Expr::Ret(Atom::Var(1))),
+        );
+        let err = verify_expr(&e, &reg).unwrap_err();
+        assert!(err.to_string().contains("non-tail"), "{err}");
+    }
+
+    #[test]
+    fn catches_post_cc_forms_pre_cc() {
+        let (reg, _, _) = registry();
+        let e = Expr::Let(1, Bound::ClosureRef(0), Box::new(Expr::Ret(Atom::Var(1))));
+        let err = verify_expr(&e, &reg).unwrap_err();
+        assert!(
+            err.to_string().contains("before closure conversion"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn catches_spec_op_on_immediate_rep() {
+        let (reg, fx, _) = registry();
+        let e = Expr::Let(
+            1,
+            Bound::Prim(PrimOp::SpecRef(fx), vec![Atom::raw(0), Atom::raw(0)]),
+            Box::new(Expr::Ret(Atom::Var(1))),
+        );
+        let err = verify_expr(&e, &reg).unwrap_err();
+        assert!(err.to_string().contains("non-pointer"), "{err}");
+    }
+
+    #[test]
+    fn module_verification_covers_rep_consistency() {
+        let (reg, _, pair) = registry();
+        let ok = module_with_body(Expr::Let(
+            1,
+            Bound::Prim(PrimOp::SpecAlloc(pair), vec![Atom::raw(2), Atom::raw(0)]),
+            Box::new(Expr::Ret(Atom::Var(1))),
+        ));
+        assert!(verify_module(&ok, &reg, &HashMap::new()).is_ok());
+
+        let bad = module_with_body(Expr::Let(
+            1,
+            Bound::Prim(PrimOp::SpecAlloc(77), vec![Atom::raw(2), Atom::raw(0)]),
+            Box::new(Expr::Ret(Atom::Var(1))),
+        ));
+        let err = verify_module(&bad, &reg, &HashMap::new()).unwrap_err();
+        assert!(err.to_string().contains("rep id 77"), "{err}");
+
+        let bad_lit = module_with_body(Expr::Ret(Atom::Lit(Literal::Rep(50))));
+        assert!(verify_module(&bad_lit, &reg, &HashMap::new()).is_err());
+
+        let mut rg = HashMap::new();
+        rg.insert(0u32, 60u32);
+        let clean = module_with_body(Expr::Ret(Atom::raw(0)));
+        let err = verify_module(&clean, &reg, &rg).unwrap_err();
+        assert!(err.to_string().contains("rep-globals"), "{err}");
+    }
+
+    #[test]
+    fn module_verification_wraps_structural_errors() {
+        let (reg, _, _) = registry();
+        let m = module_with_body(Expr::Ret(Atom::Var(42)));
+        let err = verify_module(&m, &reg, &HashMap::new()).unwrap_err();
+        assert!(err.to_string().contains("undefined variable"), "{err}");
+    }
+
+    #[test]
+    fn conditionals_allow_tail_calls_in_tail_position() {
+        let (reg, _, _) = registry();
+        let e = Expr::Let(
+            1,
+            Bound::Atom(Atom::raw(1)),
+            Box::new(Expr::If(
+                Test::NonZero(Atom::Var(1)),
+                Box::new(Expr::TailCall(Atom::Var(1), vec![])),
+                Box::new(Expr::Ret(Atom::Var(1))),
+            )),
+        );
+        assert!(verify_expr(&e, &reg).is_ok());
     }
 }

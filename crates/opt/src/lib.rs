@@ -60,8 +60,9 @@ pub struct OptOptions {
     pub dce: bool,
     /// Maximum optimization rounds.
     pub rounds: usize,
-    /// Run the semantic verifier after every pass, attributing any broken
-    /// IR invariant to the pass that broke it. Defaults on in debug builds.
+    /// Re-check the IR ([`sxr_ir::verify_expr`]) after every pass,
+    /// attributing any broken invariant to the pass that broke it.
+    /// Defaults on in debug builds.
     pub verify: bool,
 }
 
@@ -147,7 +148,7 @@ impl std::fmt::Display for OptError {
 
 impl std::error::Error for OptError {}
 
-/// Verifies the program against the inter-pass invariants, attributing any
+/// Checks the program with [`sxr_ir::verify_expr`], attributing any
 /// violation to `pass`. Called by [`optimize`] after every enabled pass
 /// when [`OptOptions::verify`] is set; public so pass authors can wrap
 /// experimental rewrites the same way.
@@ -157,8 +158,7 @@ impl std::error::Error for OptError {}
 /// Returns [`OptError`] naming `pass` and the violated invariant, with a
 /// pretty-printed IR excerpt when one is available.
 pub fn verify_pass(pass: &str, e: &Expr, registry: &RepRegistry) -> Result<(), OptError> {
-    sxr_analysis::verify_expr(e, registry)
-        .map_err(|err| OptError(format!("IR verification failed after pass `{pass}`: {err}")))
+    sxr_ir::verify_expr(e, registry).map_err(|err| OptError(format!("after pass `{pass}`: {err}")))
 }
 
 /// Runs the full pass pipeline over the whole-program expression.
@@ -167,13 +167,13 @@ pub fn verify_pass(pass: &str, e: &Expr, registry: &RepRegistry) -> Result<(), O
 /// [`scan_representations`] first); `rep_globals` is that scan's output.
 ///
 /// When [`OptOptions::verify`] is set (the default in debug builds), the
-/// inter-pass verifier runs after every enabled pass and a broken invariant
+/// IR is re-checked after every enabled pass and a broken invariant
 /// surfaces as an [`OptError`] naming the offending pass.
 ///
 /// # Errors
 ///
 /// Returns [`OptError`] if constant-folding a representation declaration
-/// fails, or if inter-pass verification catches a pass breaking the IR.
+/// fails, or if the re-check catches a pass breaking the IR.
 pub fn optimize(
     mut e: Expr,
     registry: &mut RepRegistry,
@@ -334,6 +334,6 @@ mod tests {
             ..OptOptions::default()
         };
         let (out, _) = optimize(e, &mut reg, &HashMap::new(), &mut supply, &opts).unwrap();
-        sxr_analysis::verify_expr(&out, &reg).unwrap();
+        sxr_ir::verify_expr(&out, &reg).unwrap();
     }
 }

@@ -251,24 +251,12 @@ impl Heap {
     /// fields. `scan` is the resume point; returns the new resume point
     /// (equal to [`Heap::used`] when done).
     ///
-    /// # Errors
-    ///
-    /// Propagates [`Heap::forward`] failures.
-    pub fn scan_from(
-        &mut self,
-        scan: usize,
-        from: &mut [Word],
-        ptr_table: &[bool; 8],
-    ) -> Result<usize, VmError> {
-        self.scan_from_precise(scan, from, ptr_table, None)
-    }
-
-    /// [`Heap::scan_from`] with closure-precise field maps: when `closures`
-    /// is given and an object's header type matches, the function id is
-    /// decoded from the code field and free slots whose `free_ptr_map`
-    /// entry is `false` are left unscanned — they hold untagged words whose
-    /// low bits may alias a pointer tag.  Slots past the end of a map (or
-    /// with no map at all) are conservatively scanned.
+    /// Closure fields are scanned precisely: when `closures` is given and
+    /// an object's header type matches, the function id is decoded from the
+    /// code field and free slots whose `free_ptr_map` entry is `false` are
+    /// left unscanned — they hold untagged words whose low bits may alias a
+    /// pointer tag.  Slots past the end of a map (or with no map at all,
+    /// or with `closures` `None`) are conservatively scanned.
     ///
     /// # Errors
     ///
@@ -365,7 +353,7 @@ mod tests {
 
         let mut from = h.begin_gc(256).unwrap();
         let new_a = h.forward(&mut from, a_ptr, &ptr_table).unwrap();
-        h.scan_from(0, &mut from, &ptr_table).unwrap();
+        h.scan_from_precise(0, &mut from, &ptr_table, None).unwrap();
         // Only a and b survive: 3 + 3 words.
         assert_eq!(h.used(), 6);
         let a_idx = (new_a >> 3) as usize;
@@ -389,7 +377,7 @@ mod tests {
 
         let mut from = h.begin_gc(128).unwrap();
         let new_a = h.forward(&mut from, a_ptr, &ptr_table).unwrap();
-        h.scan_from(0, &mut from, &ptr_table).unwrap();
+        h.scan_from_precise(0, &mut from, &ptr_table, None).unwrap();
         let a_idx = (new_a >> 3) as usize;
         assert_eq!(
             h.get(a_idx + 1).unwrap(),
@@ -485,7 +473,7 @@ mod tests {
             let ptr = ((obj as i64) << 3) | 1;
             let mut from = h.begin_gc(128).unwrap();
             let fwd = h.forward(&mut from, ptr, &ptr_table).unwrap();
-            h.scan_from(0, &mut from, &ptr_table).unwrap();
+            h.scan_from_precise(0, &mut from, &ptr_table, None).unwrap();
             h.end_gc(from);
             let idx = (fwd >> 3) as usize;
             assert_eq!(h.get(idx + 1).unwrap(), payload);

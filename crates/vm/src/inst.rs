@@ -275,7 +275,8 @@ impl Inst {
         }
     }
 
-    /// [`Inst::target`], for patching.
+    /// The static control-flow target (jump, branch, or handler resume
+    /// point), if the instruction names one, for patching.
     pub fn target_mut(&mut self) -> Option<&mut u32> {
         match self {
             Inst::Jump { t } | Inst::JumpCmp { t, .. } | Inst::PushHandler { t, .. } => Some(t),

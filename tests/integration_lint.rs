@@ -1,5 +1,5 @@
 //! End-to-end tests for `sxr lint` — the rep-safety static analyzer with
-//! file/span diagnostics — and for the inter-pass verifier across pipeline
+//! file/span diagnostics — and for the per-pass IR re-check across pipeline
 //! configurations.
 //!
 //! The known-bad programs each provoke one diagnostic class from plain
@@ -122,22 +122,41 @@ fn benchmark_suite_lints_clean() {
 
 #[test]
 fn benchmark_suite_verifies_under_all_configs() {
-    // With `verify_passes` forced on, every optimizer pass re-verifies the
-    // IR and closure conversion runs the deeper module verifier; the whole
-    // benchmark suite must compile with zero violations under every
-    // pipeline configuration, and the compiled modules must carry zero
-    // error-severity analyzer findings.
+    // With `verify_passes` forced on, every optimizer pass re-checks the
+    // IR; the whole benchmark suite must compile with zero violations under
+    // every pipeline configuration, and the compiled modules must carry
+    // zero error-severity analyzer findings.  Checking only observes: the
+    // same compile with the re-check off yields identical code and an
+    // identical optimizer report.
     for (label, cfg) in [
         ("Traditional", PipelineConfig::traditional()),
         ("AbstractOpt", PipelineConfig::abstract_optimized()),
         ("AbstractNoOpt", PipelineConfig::abstract_unoptimized()),
         ("Ablate(repspec)", PipelineConfig::ablated("repspec")),
     ] {
-        let compiler = Compiler::new(cfg.with_verify_passes(true));
+        let compiler = Compiler::new(cfg.clone().with_verify_passes(true));
+        let unchecked = Compiler::new(cfg.with_verify_passes(false));
         for b in BENCHMARKS {
             let compiled = compiler
                 .compile(b.source)
                 .unwrap_or_else(|e| panic!("[{label}] {} failed verification: {e}", b.name));
+            let plain = unchecked
+                .compile(b.source)
+                .unwrap_or_else(|e| panic!("[{label}] {} failed to compile: {e}", b.name));
+            let (c, p) = (&compiled.code, &plain.code);
+            assert!(
+                c.funs == p.funs
+                    && c.pool == p.pool
+                    && c.nglobals == p.nglobals
+                    && c.main == p.main,
+                "[{label}] {}: verify_passes changed the generated code",
+                b.name
+            );
+            assert_eq!(
+                compiled.opt_report, plain.opt_report,
+                "[{label}] {}: verify_passes changed the optimizer report",
+                b.name
+            );
             let errors = compiled.analyze_errors();
             assert!(
                 errors.is_empty(),

@@ -251,3 +251,29 @@ fn shipped_scheme_examples_run_identically_everywhere() {
         assert!(outputs.windows(2).all(|w| w[0] == w[1]), "{path} diverged");
     }
 }
+
+#[test]
+fn letrec_early_reference_reads_the_unspecified_value() {
+    // R7RS makes referencing a `letrec` variable before its init has run
+    // "an error" but does not require an implementation to detect it. The
+    // expander's box fallback fills every box with the unspecified value
+    // before any init runs, so the early reference yields exactly that.
+    for cfg in [
+        PipelineConfig::traditional(),
+        PipelineConfig::abstract_optimized(),
+        PipelineConfig::abstract_unoptimized(),
+    ] {
+        let label = cfg.label();
+        let compiler = Compiler::new(cfg);
+        let run = |src: &str| {
+            compiler
+                .compile(src)
+                .unwrap_or_else(|e| panic!("[{label}] {src}: {e}"))
+                .run()
+                .unwrap_or_else(|e| panic!("[{label}] {src}: {e}"))
+        };
+        let early = run("(letrec ((a b) (b 1)) a)");
+        assert_eq!(early.value, run("(if #f #f)").value, "[{label}]");
+        assert_eq!(early.output, "", "[{label}]");
+    }
+}
