@@ -36,6 +36,17 @@
 //! union, and `Raw ⊔ Tagged = Tagged` — mirroring the code generator's own
 //! kind join, where a register any writer tags must be GC-scanned.
 //!
+//! # Where states are kept
+//!
+//! Only *leaders* — pc 0 and every `Jump`/`JumpCmp`/`PushHandler` target
+//! — store an abstract state; every other pc has exactly one predecessor,
+//! its fall-through.  The worklist pops a leader, clones its state once,
+//! and steps that one state in place down the straight-line run, joining
+//! in place at each edge into a leader.  Memory is O(insts + leaders ×
+//! nregs) per function, and so is one pass over it, where a state at
+//! every pc costs O(insts × nregs): the per-pc register files, not the
+//! register count alone, made large straight-line functions expensive.
+//!
 //! # What is proved, and what is trusted
 //!
 //! The verifier proves, on top of the structural check: every read
@@ -182,6 +193,14 @@ pub struct VerifyReport {
     pub funs: usize,
     /// Total instructions structurally checked.
     pub insts: usize,
+    /// Abstract instructions executed by the dataflow pass, summed over
+    /// functions: a deterministic measure of verification work.
+    pub steps: usize,
+    /// Abstract register words the dataflow pass copied or joined: `nregs`
+    /// for every state it cloned and every state it joined into another,
+    /// summed over functions.  Steps alone miss this cost of keeping and
+    /// merging whole register files.
+    pub state_words: usize,
 }
 
 impl VerifyReport {
@@ -330,7 +349,7 @@ pub fn verify_program(program: &CodeProgram) -> VerifyReport {
         let findings = std::iter::from_fn(|| structure.next_if(|m| m.fun == Some(v.fid)));
         v.static_rules(findings, &mut report);
         if report.rejections.len() == before {
-            if let Err(r) = v.dataflow() {
+            if let Err(r) = v.dataflow(&mut report) {
                 report.rejections.push(r);
             }
         }
@@ -429,9 +448,21 @@ impl<'a> FnVerifier<'a> {
 
     // ----- dataflow pass (reachable instructions only) -----
 
-    fn dataflow(&self) -> Result<(), Rejection> {
+    /// The worklist fixpoint.  States live only at leaders; a popped
+    /// leader's state is cloned once and stepped in place down its
+    /// straight-line run, joining into every leader it reaches.  The
+    /// order is a DFS that queues side edges and continues on the
+    /// fall-through, so the first violation found is the same one a
+    /// per-pc walk finds.  Adds its work to `report`'s `steps` and
+    /// `state_words`.
+    fn dataflow(&self, report: &mut VerifyReport) -> Result<(), Rejection> {
         let fun = self.fun;
         let len = fun.insts.len();
+        let mut leader = vec![false; len];
+        leader[0] = true;
+        for t in fun.insts.iter().filter_map(Inst::target) {
+            leader[t as usize] = true;
+        }
         let mut entry = AbsState {
             regs: vec![Rv::Uninit; fun.nregs],
             depth: 0,
@@ -442,67 +473,94 @@ impl<'a> FnVerifier<'a> {
         let mut states: Vec<Option<AbsState>> = vec![None; len];
         states[0] = Some(entry);
         let mut work = vec![0usize];
+        let words = &mut report.state_words;
 
-        while let Some(pc) = work.pop() {
-            let mut st = states[pc].clone().expect("queued pc has a state");
-            let flow = self.step(pc, &fun.insts[pc], &mut st)?;
-            let succs: Vec<(usize, AbsState)> = match flow {
-                Flow::Fall => vec![(pc + 1, st)],
-                Flow::Jump(t) => vec![(t as usize, st)],
-                Flow::Branch(t) => vec![(t as usize, st.clone()), (pc + 1, st)],
-                Flow::Push { t, d } => {
-                    let mut trap = st.clone();
-                    trap.regs[d as usize] = Rv::Tagged;
-                    let mut fall = st;
-                    fall.depth += 1;
-                    vec![(t as usize, trap), (pc + 1, fall)]
-                }
-                Flow::Pop => {
-                    st.depth -= 1;
-                    vec![(pc + 1, st)]
-                }
-                Flow::Stop => vec![],
-            };
-            for (succ, s) in succs {
-                if succ >= len {
+        while let Some(start) = work.pop() {
+            let mut st = states[start].clone().expect("queued leader has a state");
+            *words += fun.nregs;
+            let mut pc = start;
+            loop {
+                report.steps += 1;
+                let next = match self.step(pc, &fun.insts[pc], &mut st)? {
+                    Flow::Fall => pc + 1,
+                    Flow::Jump(t) => {
+                        self.join_into(&mut states, &mut work, words, t as usize, &st)?;
+                        break;
+                    }
+                    Flow::Branch(t) => {
+                        self.join_into(&mut states, &mut work, words, t as usize, &st)?;
+                        pc + 1
+                    }
+                    Flow::Push { t, d } => {
+                        let d = d as usize;
+                        let kept = std::mem::replace(&mut st.regs[d], Rv::Tagged);
+                        self.join_into(&mut states, &mut work, words, t as usize, &st)?;
+                        st.regs[d] = kept;
+                        st.depth += 1;
+                        pc + 1
+                    }
+                    Flow::Pop => {
+                        st.depth -= 1;
+                        pc + 1
+                    }
+                    Flow::Stop => break,
+                };
+                if next >= len {
                     return Err(self.reject(
                         pc,
                         Rule::FallOffEnd,
                         "execution can fall off the end of the function".to_string(),
                     ));
                 }
-                match &states[succ] {
-                    None => {
-                        states[succ] = Some(s);
-                        work.push(succ);
-                    }
-                    Some(old) => {
-                        if old.depth != s.depth {
-                            return Err(self.reject(
-                                succ,
-                                Rule::HandlerJoinMismatch,
-                                format!(
-                                    "paths join with handler depths {} and {}",
-                                    old.depth, s.depth
-                                ),
-                            ));
-                        }
-                        let joined = AbsState {
-                            regs: old
-                                .regs
-                                .iter()
-                                .zip(&s.regs)
-                                .map(|(&a, &b)| a.join(b))
-                                .collect(),
-                            depth: old.depth,
-                        };
-                        if joined != *old {
-                            states[succ] = Some(joined);
-                            work.push(succ);
-                        }
-                    }
+                if leader[next] {
+                    self.join_into(&mut states, &mut work, words, next, &st)?;
+                    break;
                 }
+                pc = next;
             }
+        }
+        Ok(())
+    }
+
+    /// Joins `st` into the state of leader `pc` in place, queueing the
+    /// leader when its state is new or grew, and counts the register words
+    /// it touched into `words`.
+    fn join_into(
+        &self,
+        states: &mut [Option<AbsState>],
+        work: &mut Vec<usize>,
+        words: &mut usize,
+        pc: usize,
+        st: &AbsState,
+    ) -> Result<(), Rejection> {
+        *words += st.regs.len();
+        let changed = match &mut states[pc] {
+            slot @ None => {
+                *slot = Some(st.clone());
+                true
+            }
+            Some(old) => {
+                if old.depth != st.depth {
+                    return Err(self.reject(
+                        pc,
+                        Rule::HandlerJoinMismatch,
+                        format!(
+                            "paths join with handler depths {} and {}",
+                            old.depth, st.depth
+                        ),
+                    ));
+                }
+                let mut changed = false;
+                for (a, &b) in old.regs.iter_mut().zip(&st.regs) {
+                    let j = a.join(b);
+                    changed |= j != *a;
+                    *a = j;
+                }
+                changed
+            }
+        };
+        if changed {
+            work.push(pc);
         }
         Ok(())
     }
@@ -1015,6 +1073,8 @@ mod tests {
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.funs, 1);
         assert_eq!(report.insts, 3);
+        assert_eq!(report.steps, 3);
+        assert_eq!(report.state_words, 3, "one state, cloned once");
         assert!(verifier_hook(&prog).is_ok());
     }
 
@@ -1078,5 +1138,169 @@ mod tests {
         let err = verifier_hook(&prog).unwrap_err();
         assert_eq!(err.kind.label(), "rejected-by-verifier");
         assert!(err.message.contains("[def-before-use]"), "{}", err.message);
+    }
+    // ----- the leader-only walk: one test per join shape -----
+
+    use sxr_vm::CmpOp;
+
+    fn main_only(nregs: usize, insts: Vec<Inst>) -> VerifyReport {
+        verify_program(&ProgramBuilder::new().fun("main", 0, nregs, insts).build())
+    }
+
+    fn addr(report: &VerifyReport) -> (u32, u32, Rule) {
+        let r = report.first().expect("rejected");
+        (r.fun, r.pc, r.rule)
+    }
+
+    fn branch(op: CmpOp, a: Reg, t: u32) -> Inst {
+        Inst::JumpCmp {
+            op,
+            a,
+            b: RegImm::Imm(0),
+            t,
+        }
+    }
+
+    #[test]
+    fn jump_target_also_reached_by_fall_through() {
+        // pc 3 is a branch target and the fall-through of pc 2; only the
+        // fall-through path defines r2.
+        let report = main_only(
+            3,
+            vec![
+                Inst::Const { d: 1, imm: 8 },
+                branch(CmpOp::Eq, 1, 3),
+                Inst::Const { d: 2, imm: 16 },
+                Inst::Ret { s: 2 },
+            ],
+        );
+        assert_eq!(addr(&report), (0, 3, Rule::DefBeforeUse), "{report}");
+
+        // Reading r1, defined on both paths, is fine.
+        let report = main_only(
+            3,
+            vec![
+                Inst::Const { d: 1, imm: 8 },
+                branch(CmpOp::Eq, 1, 3),
+                Inst::Const { d: 2, imm: 16 },
+                Inst::Ret { s: 1 },
+            ],
+        );
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.steps, 4, "the join leader is stepped once");
+    }
+
+    #[test]
+    fn loop_back_edge_exposes_def_before_use() {
+        // The loop header (pc 3) is first reached with r2 defined; the
+        // branch at pc 1 enters the body (pc 4) without it, and only the
+        // back edge at pc 5 carries that into the header.
+        let report = main_only(
+            4,
+            vec![
+                Inst::Const { d: 1, imm: 80 },
+                branch(CmpOp::Eq, 1, 4),
+                Inst::Const { d: 2, imm: 8 },
+                Inst::Move { d: 3, s: 2 },
+                Inst::BinI {
+                    op: BinOp::Sub,
+                    d: 1,
+                    a: 1,
+                    imm: 8,
+                },
+                branch(CmpOp::Ne, 1, 3),
+                Inst::Ret { s: 1 },
+            ],
+        );
+        assert_eq!(addr(&report), (0, 3, Rule::DefBeforeUse), "{report}");
+    }
+
+    #[test]
+    fn handler_resume_defines_its_register_only_on_the_trap_edge() {
+        let push = Inst::PushHandler { h: 1, d: 2, t: 5 };
+        // The resume target reads r2, which only the trap edge defines.
+        let report = main_only(
+            4,
+            vec![
+                Inst::Const { d: 1, imm: 8 },
+                push.clone(),
+                Inst::Const { d: 3, imm: 16 },
+                Inst::PopHandler,
+                Inst::Ret { s: 3 },
+                Inst::Ret { s: 2 },
+            ],
+        );
+        assert!(report.is_clean(), "{report}");
+
+        // The fall-through path does not see the trap edge's definition.
+        let report = main_only(
+            4,
+            vec![
+                Inst::Const { d: 1, imm: 8 },
+                push,
+                Inst::Const { d: 3, imm: 16 },
+                Inst::PopHandler,
+                Inst::Ret { s: 2 },
+                Inst::Ret { s: 2 },
+            ],
+        );
+        assert_eq!(addr(&report), (0, 4, Rule::DefBeforeUse), "{report}");
+
+        // Falling through into the resume target joins r2 back to Uninit.
+        let report = main_only(
+            4,
+            vec![
+                Inst::Const { d: 1, imm: 8 },
+                Inst::PushHandler { h: 1, d: 2, t: 4 },
+                Inst::Const { d: 3, imm: 16 },
+                Inst::PopHandler,
+                Inst::Ret { s: 2 },
+            ],
+        );
+        assert_eq!(addr(&report), (0, 4, Rule::DefBeforeUse), "{report}");
+    }
+
+    #[test]
+    fn branch_to_its_own_fall_through() {
+        // Both edges of pc 1 reach pc 2 with the same state.
+        let report = main_only(
+            3,
+            vec![
+                Inst::Const { d: 1, imm: 8 },
+                branch(CmpOp::Eq, 1, 2),
+                Inst::Ret { s: 1 },
+            ],
+        );
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.steps, 3);
+        // Two walks (from pc 0 and pc 2) and two joins into pc 2.
+        assert_eq!(report.state_words, 4 * 3);
+
+        let report = main_only(
+            3,
+            vec![
+                Inst::Const { d: 1, imm: 8 },
+                branch(CmpOp::Eq, 1, 2),
+                Inst::Ret { s: 2 },
+            ],
+        );
+        assert_eq!(addr(&report), (0, 2, Rule::DefBeforeUse), "{report}");
+    }
+
+    #[test]
+    fn handler_depth_mismatch_at_a_fall_through_leader() {
+        // pc 3 is reached at depth 0 by the branch and at depth 1 by the
+        // fall-through of the push.
+        let report = main_only(
+            3,
+            vec![
+                Inst::Const { d: 1, imm: 8 },
+                branch(CmpOp::Eq, 1, 3),
+                Inst::PushHandler { h: 1, d: 2, t: 4 },
+                Inst::PopHandler,
+                Inst::Ret { s: 1 },
+            ],
+        );
+        assert_eq!(addr(&report), (0, 3, Rule::HandlerJoinMismatch), "{report}");
     }
 }

@@ -337,7 +337,64 @@ pub fn run_chaos(target: &ChaosTarget, plan: FaultPlan) -> ChaosOutcome {
     run_under_fault(&target.compiled, plan, &target.oracle)
 }
 
-fn json_escape(s: &str) -> String {
+// ---------------------------------------------------------------------------
+// Scaling shapes (`bench_scale`, `tests/integration_scale.rs`)
+// ---------------------------------------------------------------------------
+
+/// A program shape whose compile and load cost must grow linearly with
+/// its size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScaleShape {
+    /// `n` top-level `(set! x (fx+ x 1))` forms on one global.
+    SetChain,
+    /// `n` top-level `define`s, each of the previous one plus 1.
+    Defines,
+    /// One `(list 1 (list 1 … 2))` nested `n` deep, walked by a loop.
+    NestedList,
+}
+
+impl ScaleShape {
+    /// Every shape, in report order.
+    pub const ALL: [ScaleShape; 3] = [
+        ScaleShape::SetChain,
+        ScaleShape::Defines,
+        ScaleShape::NestedList,
+    ];
+
+    /// The shape's report name.
+    pub fn name(self) -> &'static str {
+        match self {
+            ScaleShape::SetChain => "set-chain",
+            ScaleShape::Defines => "defines",
+            ScaleShape::NestedList => "nested-list",
+        }
+    }
+
+    /// The program of size `n` (`n` ≥ 1). Every shape's value is `n`.
+    pub fn source(self, n: usize) -> String {
+        match self {
+            ScaleShape::SetChain => {
+                format!("(define x 0)\n{}x\n", "(set! x (fx+ x 1))\n".repeat(n))
+            }
+            ScaleShape::Defines => {
+                let mut src = String::from("(define d1 1)\n");
+                for i in 2..=n {
+                    src.push_str(&format!("(define d{i} (fx+ d{} 1))\n", i - 1));
+                }
+                src.push_str(&format!("d{n}\n"));
+                src
+            }
+            ScaleShape::NestedList => format!(
+                "(let loop ((t {}2{}) (k 0))\n  (if (pair? t) (loop (car (cdr t)) (fx+ k 1)) k))\n",
+                "(list 1 ".repeat(n),
+                ")".repeat(n)
+            ),
+        }
+    }
+}
+
+/// Escapes `s` for a JSON string literal.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

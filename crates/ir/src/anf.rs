@@ -330,6 +330,40 @@ impl Expr {
         }
     }
 
+    /// Whether [`Expr::size`] exceeds `limit`, counting only until it
+    /// does: O(`limit`) however large the expression is.
+    pub fn size_exceeds(&self, limit: usize) -> bool {
+        /// Counts one node; true once the count passes the limit.
+        fn spend(left: &mut usize) -> bool {
+            let over = *left == 0;
+            *left = left.saturating_sub(1);
+            over
+        }
+        fn over(e: &Expr, left: &mut usize) -> bool {
+            spend(left)
+                || match e {
+                    Expr::Let(_, b, body) => {
+                        (match b {
+                            Bound::Lambda(l) => over(&l.body, left),
+                            Bound::If(_, t, e) => over(t, left) || over(e, left),
+                            Bound::Body(e) => over(e, left),
+                            _ => false,
+                        }) || over(body, left)
+                    }
+                    Expr::If(_, t, e) => over(t, left) || over(e, left),
+                    Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => false,
+                    Expr::LetRec(binds, body) => {
+                        binds
+                            .iter()
+                            .any(|(_, l)| spend(left) || over(&l.body, left))
+                            || over(body, left)
+                    }
+                }
+        }
+        let mut left = limit;
+        over(self, &mut left)
+    }
+
     /// Counts uses of each variable as an operand (definitions excluded).
     pub fn use_counts(&self, out: &mut std::collections::HashMap<VarId, usize>) {
         self.for_each_atom(&mut |a| {
@@ -609,6 +643,54 @@ mod tests {
     #[test]
     fn size_counts() {
         assert_eq!(sample().size(), 2);
+    }
+
+    #[test]
+    fn size_exceeds_agrees_with_size() {
+        let lam = |body: Expr| FunDef {
+            params: vec![3],
+            rest: None,
+            body: Box::new(body),
+            name: None,
+        };
+        let shapes = [
+            sample(),
+            Expr::Let(
+                11,
+                Bound::If(
+                    Test::Truthy(Atom::Var(1)),
+                    Box::new(sample()),
+                    Box::new(sample()),
+                ),
+                Box::new(Expr::If(
+                    Test::Truthy(Atom::Var(11)),
+                    Box::new(Expr::Let(
+                        12,
+                        Bound::Body(Box::new(sample())),
+                        Box::new(sample()),
+                    )),
+                    Box::new(Expr::TailCall(Atom::Var(2), vec![])),
+                )),
+            ),
+            Expr::Let(
+                13,
+                Bound::Lambda(lam(sample())),
+                Box::new(Expr::LetRec(
+                    vec![(14, lam(sample())), (15, lam(Expr::Ret(Atom::Var(3))))],
+                    Box::new(sample()),
+                )),
+            ),
+        ];
+        for e in &shapes {
+            let size = e.size();
+            for limit in 0..size + 3 {
+                assert_eq!(
+                    e.size_exceeds(limit),
+                    size > limit,
+                    "size {size}, limit {limit}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -28,23 +28,33 @@ impl Default for InlineOptions {
     }
 }
 
-/// Runs one inlining pass. Returns the rewritten program and the number of
-/// call sites inlined.
+/// What one inlining pass did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InlineReport {
+    /// Call sites inlined.
+    pub inlined: usize,
+    /// Expression nodes walked: a deterministic measure of the pass's
+    /// work, linear in the size of its input and output.
+    pub visits: usize,
+}
+
+/// Runs one inlining pass. Returns the rewritten program and what the pass
+/// did.
 pub fn inline(
     e: Expr,
     globals: &HashMap<GlobalId, GlobalInfo>,
     supply: &mut NameSupply,
     opts: &InlineOptions,
-) -> (Expr, usize) {
+) -> (Expr, InlineReport) {
     let mut st = Inliner {
         globals,
         supply,
         env: HashMap::new(),
         opts,
-        inlined: 0,
+        report: InlineReport::default(),
     };
     let out = st.walk(e);
-    (out, st.inlined)
+    (out, st.report)
 }
 
 struct Inliner<'a> {
@@ -53,12 +63,12 @@ struct Inliner<'a> {
     /// Variables statically bound to a known function definition.
     env: HashMap<VarId, Rc<FunDef>>,
     opts: &'a InlineOptions,
-    inlined: usize,
+    report: InlineReport,
 }
 
 impl Inliner<'_> {
     fn candidate(&self, f: &Atom, nargs: usize) -> Option<Rc<FunDef>> {
-        if self.inlined >= self.opts.max_per_round {
+        if self.report.inlined >= self.opts.max_per_round {
             return None;
         }
         let v = f.as_var()?;
@@ -69,7 +79,7 @@ impl Inliner<'_> {
         if def.params.len() != nargs {
             return None; // leave the arity error for run time
         }
-        if def.body.size() > self.opts.threshold {
+        if def.body.size_exceeds(self.opts.threshold) {
             return None;
         }
         Some(Rc::clone(def))
@@ -87,15 +97,19 @@ impl Inliner<'_> {
             .zip(args.iter().cloned())
             .collect();
         substitute(&mut body, &map);
-        self.inlined += 1;
+        self.report.inlined += 1;
         body
     }
 
     fn walk(&mut self, e: Expr) -> Expr {
+        self.report.visits += 1;
         match e {
             Expr::Let(v, Bound::Lambda(mut f), body) => {
                 f.body = Box::new(self.walk(*f.body));
-                self.env.insert(v, Rc::new(f.clone()));
+                // A body over the threshold can never be a candidate.
+                if !f.body.size_exceeds(self.opts.threshold) {
+                    self.env.insert(v, Rc::new(f.clone()));
+                }
                 Expr::Let(v, Bound::Lambda(f), Box::new(self.walk(*body)))
             }
             Expr::Let(v, Bound::GlobalGet(g), body) => {
@@ -111,16 +125,19 @@ impl Inliner<'_> {
             Expr::Let(v, Bound::Call(f, args), body) => {
                 if let Some(def) = self.candidate(&f, args.len()) {
                     let inlined = self.instantiate(&def, &args);
+                    // The callee body may itself contain inlinable calls
+                    // (wrappers over wrappers): walk it on its own first,
+                    // so the remainder is walked once, in the grafted code,
+                    // where the spliced `let v = a` registers `v` when `a`
+                    // is a known function.
                     let inlined = convert_tails(inlined, self.supply);
-                    let rest = self.walk(*body);
-                    let grafted = match try_splice(inlined, v, rest) {
+                    let inlined = self.walk(inlined);
+                    let grafted = match try_splice(inlined, v, *body) {
                         Ok(spliced) => spliced,
                         Err((inlined, rest)) => {
                             Expr::Let(v, Bound::Body(Box::new(inlined)), Box::new(rest))
                         }
                     };
-                    // Re-walk the grafted code: the callee body may itself
-                    // contain inlinable calls (wrappers over wrappers).
                     return self.walk(grafted);
                 }
                 Expr::Let(v, Bound::Call(f, args), Box::new(self.walk(*body)))
@@ -183,12 +200,13 @@ mod tests {
         let lowered = lower_program(p).unwrap();
         let globals = analyze_globals(&lowered.main_body, &HashMap::new());
         let mut supply = lowered.supply;
-        inline(
+        let (e, report) = inline(
             lowered.main_body,
             &globals,
             &mut supply,
             &InlineOptions::default(),
-        )
+        );
+        (e, report.inlined)
     }
 
     fn count_calls(e: &Expr) -> usize {

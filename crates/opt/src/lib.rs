@@ -33,7 +33,7 @@ pub use cleanup::cleanup;
 pub use constfold::{constfold, FoldError};
 pub use cse::cse;
 pub use globals::{analyze_globals, GlobalInfo};
-pub use inline::{inline, InlineOptions};
+pub use inline::{inline, InlineOptions, InlineReport};
 pub use repspec::{repspec, Assumptions};
 pub use scan::{scan_representations, ScanError};
 pub use util::{lit_word, truthiness};
@@ -127,6 +127,8 @@ pub struct OptReport {
     pub rounds: usize,
     /// Total call sites inlined.
     pub inlined: usize,
+    /// Total expression nodes the inline passes walked.
+    pub inline_visits: usize,
     /// Total algebraic rewrites.
     pub bit_rewrites: usize,
     /// Total subexpressions eliminated.
@@ -198,10 +200,11 @@ pub fn optimize(
                 threshold: options.inline_threshold,
                 ..InlineOptions::default()
             };
-            let (e2, n) = inline(e, &ginfo, supply, &iopts);
+            let (e2, r) = inline(e, &ginfo, supply, &iopts);
             e = e2;
-            report.inlined += n;
-            round_changed += n;
+            report.inlined += r.inlined;
+            report.inline_visits += r.visits;
+            round_changed += r.inlined;
             if options.verify {
                 verify_pass("inline", &e, registry)?;
             }

@@ -268,7 +268,7 @@ impl Inst {
 
     /// The static control-flow target (jump, branch, or handler resume
     /// point), if the instruction names one.
-    pub(crate) fn target(&self) -> Option<u32> {
+    pub fn target(&self) -> Option<u32> {
         match self {
             Inst::Jump { t } | Inst::JumpCmp { t, .. } | Inst::PushHandler { t, .. } => Some(*t),
             _ => None,
