@@ -76,7 +76,8 @@ fn item_expr_mut(item: &mut crate::core::TopItem) -> &mut Expr {
     }
 }
 
-fn collect_assigned(e: &Expr, out: &mut HashSet<VarId>) {
+/// Adds to `out` every lexical variable `e` assigns with `set!`.
+pub(crate) fn collect_assigned(e: &Expr, out: &mut HashSet<VarId>) {
     match e {
         Expr::SetVar(v, inner) => {
             out.insert(*v);

@@ -1,7 +1,8 @@
 //! The macro expander: surface Scheme → core language.
 
+use crate::assignconv::collect_assigned;
 use crate::core::{Expr, GlobalId, Lambda, Program, TopItem, VarId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use sxr_sexp::Datum;
 
@@ -660,8 +661,9 @@ impl Expander {
 
     /// The core of letrec expansion ("fixing letrec"): bindings whose
     /// initializers are all lambdas and whose variables are never assigned
-    /// become [`Expr::LetRec`]; otherwise we fall back to box-based
-    /// initialization through the library's `box`/`unbox`/`set-box!`.
+    /// become [`Expr::LetRec`]; otherwise the bindings become parameters
+    /// initialized by `set!`, which assignment conversion turns into the
+    /// library's boxes.
     fn expand_letrec_prebound(
         &mut self,
         d: &Datum,
@@ -676,18 +678,12 @@ impl Expander {
         }
         let body = self.expand_body(body, scope, d)?;
         let ids: Vec<VarId> = binds.iter().map(|(v, _)| *v).collect();
+        let mut assigned = HashSet::new();
+        for e in inits.iter().chain(std::iter::once(&body)) {
+            collect_assigned(e, &mut assigned);
+        }
         let all_lambda = inits.iter().all(|e| matches!(e, Expr::Lambda(_)));
-        let any_assigned = {
-            let mut found = false;
-            for e in inits.iter().chain(std::iter::once(&body)) {
-                if assigns_any(e, &ids) {
-                    found = true;
-                    break;
-                }
-            }
-            found
-        };
-        if all_lambda && !any_assigned {
+        if all_lambda && !ids.iter().any(|v| assigned.contains(v)) {
             let bindings = ids
                 .into_iter()
                 .zip(inits)
@@ -698,31 +694,24 @@ impl Expander {
                 .collect();
             return Ok(Expr::LetRec(bindings, Box::new(body)));
         }
-        // Fallback: ((lambda (x ...) (set-box! x init) ... body*) (box unspec) ...)
-        // where reads of x in init/body become (unbox x).
-        let box_g = self.global_ref("box", d)?;
-        let unbox_g = self.global_ref("unbox", d)?;
-        let setbox_g = self.global_ref("set-box!", d)?;
-        let mut forms = Vec::new();
-        for (v, init) in ids.iter().zip(inits) {
-            let init = boxify(init, &ids, &unbox_g, &setbox_g);
-            forms.push(Expr::Call(
-                Box::new(setbox_g.clone()),
-                vec![Expr::Var(*v), init],
-            ));
-        }
-        forms.push(boxify(body, &ids, &unbox_g, &setbox_g));
+        // Fallback: ((lambda (x ...) (set! x init) ... body) <unspecified> ...).
+        let mut forms: Vec<Expr> = ids
+            .iter()
+            .zip(inits)
+            .map(|(v, init)| Expr::SetVar(*v, Box::new(init)))
+            .collect();
+        forms.push(body);
         let lam = Lambda {
-            params: ids.clone(),
+            params: ids,
             rest: None,
             body: seq(forms),
             name: None,
         };
-        let boxes = ids
-            .iter()
-            .map(|_| Expr::Call(Box::new(box_g.clone()), vec![Expr::Unspecified]))
-            .collect();
-        Ok(Expr::Call(Box::new(Expr::Lambda(Box::new(lam))), boxes))
+        let unspecified = vec![Expr::Unspecified; lam.params.len()];
+        Ok(Expr::Call(
+            Box::new(Expr::Lambda(Box::new(lam))),
+            unspecified,
+        ))
     }
 
     fn expand_cond(
@@ -1276,79 +1265,6 @@ fn expand_record_type(d: &Datum) -> Result<Vec<Datum>, ExpandError> {
     Ok(out)
 }
 
-/// True if `e` contains `set!` of any of `ids`.
-fn assigns_any(e: &Expr, ids: &[VarId]) -> bool {
-    match e {
-        Expr::SetVar(v, inner) => ids.contains(v) || assigns_any(inner, ids),
-        Expr::Const(_) | Expr::Unspecified | Expr::Var(_) | Expr::Global(_) => false,
-        Expr::If(a, b, c) => assigns_any(a, ids) || assigns_any(b, ids) || assigns_any(c, ids),
-        Expr::Lambda(l) => assigns_any(&l.body, ids),
-        Expr::Call(f, args) => assigns_any(f, ids) || args.iter().any(|a| assigns_any(a, ids)),
-        Expr::Prim(_, args) => args.iter().any(|a| assigns_any(a, ids)),
-        Expr::Seq(es) => es.iter().any(|a| assigns_any(a, ids)),
-        Expr::SetGlobal(_, inner) => assigns_any(inner, ids),
-        Expr::LetRec(binds, body) => {
-            binds.iter().any(|(_, l)| assigns_any(&l.body, ids)) || assigns_any(body, ids)
-        }
-    }
-}
-
-/// Rewrites reads of `ids` into `(unbox v)` and writes into `(set-box! v e)`.
-/// Used by the box-based letrec fallback.
-fn boxify(e: Expr, ids: &[VarId], unbox_g: &Expr, setbox_g: &Expr) -> Expr {
-    match e {
-        Expr::Var(v) if ids.contains(&v) => {
-            Expr::Call(Box::new(unbox_g.clone()), vec![Expr::Var(v)])
-        }
-        Expr::SetVar(v, inner) if ids.contains(&v) => {
-            let inner = boxify(*inner, ids, unbox_g, setbox_g);
-            Expr::Call(Box::new(setbox_g.clone()), vec![Expr::Var(v), inner])
-        }
-        Expr::Var(_) | Expr::Const(_) | Expr::Unspecified | Expr::Global(_) => e,
-        Expr::SetVar(v, inner) => Expr::SetVar(v, Box::new(boxify(*inner, ids, unbox_g, setbox_g))),
-        Expr::If(a, b, c) => Expr::If(
-            Box::new(boxify(*a, ids, unbox_g, setbox_g)),
-            Box::new(boxify(*b, ids, unbox_g, setbox_g)),
-            Box::new(boxify(*c, ids, unbox_g, setbox_g)),
-        ),
-        Expr::Lambda(mut l) => {
-            // Parameter shadowing cannot occur: ids are alpha-renamed unique.
-            l.body = boxify(l.body, ids, unbox_g, setbox_g);
-            Expr::Lambda(l)
-        }
-        Expr::Call(f, args) => Expr::Call(
-            Box::new(boxify(*f, ids, unbox_g, setbox_g)),
-            args.into_iter()
-                .map(|a| boxify(a, ids, unbox_g, setbox_g))
-                .collect(),
-        ),
-        Expr::Prim(n, args) => Expr::Prim(
-            n,
-            args.into_iter()
-                .map(|a| boxify(a, ids, unbox_g, setbox_g))
-                .collect(),
-        ),
-        Expr::Seq(es) => Expr::Seq(
-            es.into_iter()
-                .map(|a| boxify(a, ids, unbox_g, setbox_g))
-                .collect(),
-        ),
-        Expr::SetGlobal(g, inner) => {
-            Expr::SetGlobal(g, Box::new(boxify(*inner, ids, unbox_g, setbox_g)))
-        }
-        Expr::LetRec(binds, body) => Expr::LetRec(
-            binds
-                .into_iter()
-                .map(|(v, mut l)| {
-                    l.body = boxify(l.body, ids, unbox_g, setbox_g);
-                    (v, l)
-                })
-                .collect(),
-            Box::new(boxify(*body, ids, unbox_g, setbox_g)),
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1470,14 +1386,45 @@ mod tests {
 
     #[test]
     fn letrec_with_non_lambda_falls_back_to_boxes() {
-        let e = expand1("(letrec ((x 1) (f (lambda () x))) (f))");
-        // The fallback is an immediate application of a lambda to (box ...) calls.
-        match e {
-            Expr::Call(_, args) => {
-                assert_eq!(args.len(), 2);
-                assert!(matches!(&args[0], Expr::Call(f, _) if matches!(**f, Expr::Global(_))));
-            }
-            other => panic!("expected box fallback, got {other:?}"),
+        let mut ex = expander_with_lib();
+        let forms = parse_all("(letrec ((x 1) (f (lambda () x))) (f))").unwrap();
+        let unit = ex.expand_unit(&forms).unwrap();
+        let mut prog = ex.into_program(vec![unit]);
+        crate::convert_assignments(&mut prog).unwrap();
+        let global = |name| Expr::Global(prog.global_by_name(name).unwrap());
+        let (box_g, setbox_g) = (global("box"), global("set-box!"));
+        // The fallback applies a lambda to one value per binding; assignment
+        // conversion boxes each parameter on entry, one `let` at a time.
+        let TopItem::Expr(Expr::Call(f, args)) = &prog.items[0] else {
+            panic!("expected an application, got {:?}", prog.items[0]);
+        };
+        assert_eq!(args, &vec![Expr::Unspecified; 2]);
+        let Expr::Lambda(l) = &**f else {
+            panic!("expected a lambda, got {f:?}")
+        };
+        let mut boxed = Vec::new();
+        let mut e = &l.body;
+        while let Expr::Call(f, args) = e {
+            let (Expr::Lambda(inner), [Expr::Call(g, raw)]) = (&**f, &args[..]) else {
+                break;
+            };
+            assert_eq!(**g, box_g);
+            boxed.extend(raw.iter().cloned());
+            e = &inner.body;
+        }
+        boxed.reverse();
+        let params: Vec<Expr> = l.params.iter().map(|&v| Expr::Var(v)).collect();
+        assert_eq!(boxed, params, "every binding is boxed");
+        // The initializers then fill the boxes in order.
+        let Expr::Seq(body) = e else {
+            panic!("expected the initializers and the body, got {e:?}")
+        };
+        assert_eq!(body.len(), 3);
+        for init in &body[..2] {
+            assert!(
+                matches!(init, Expr::Call(g, _) if **g == setbox_g),
+                "{init:?}"
+            );
         }
     }
 

@@ -3,21 +3,19 @@
 //!
 //! Regenerate with: `cargo run -p sxr-bench --bin table3`
 
-use sxr::{Compiler, PipelineConfig};
+use sxr::{Compiler, OptOptions, PipelineConfig};
 use sxr_bench::BENCHMARKS;
-
-const PASSES: &[&str] = &["inline", "constfold", "repspec", "bits", "cse", "dce"];
 
 fn main() {
     println!("Table 3: instruction-count inflation with one pass disabled (1.00 = full pipeline)");
     println!();
     print!("{:<8} {:>12}", "bench", "full");
-    for p in PASSES {
+    for p in OptOptions::PASSES {
         print!(" {:>10}", format!("-{p}"));
     }
     println!();
-    println!("{}", "-".repeat(8 + 12 + PASSES.len() * 11));
-    let mut prods = vec![1.0f64; PASSES.len()];
+    println!("{}", "-".repeat(8 + 12 + OptOptions::PASSES.len() * 11));
+    let mut prods = vec![1.0f64; OptOptions::PASSES.len()];
     for b in BENCHMARKS {
         let full = Compiler::new(PipelineConfig::abstract_optimized())
             .compile(b.source)
@@ -26,7 +24,7 @@ fn main() {
             .unwrap();
         assert_eq!(full.value, b.expect, "{} oracle", b.name);
         print!("{:<8} {:>12}", b.name, full.counters.total);
-        for (i, pass) in PASSES.iter().enumerate() {
+        for (i, pass) in OptOptions::PASSES.iter().enumerate() {
             let ablated = Compiler::new(PipelineConfig::ablated(pass))
                 .compile(b.source)
                 .unwrap()
@@ -39,7 +37,7 @@ fn main() {
         }
         println!();
     }
-    println!("{}", "-".repeat(8 + 12 + PASSES.len() * 11));
+    println!("{}", "-".repeat(8 + 12 + OptOptions::PASSES.len() * 11));
     print!("{:<8} {:>12}", "geomean", "");
     let n = BENCHMARKS.len() as f64;
     for p in &prods {

@@ -16,7 +16,7 @@
 //!   --verify-passes                       verify IR after every optimizer pass
 //! ```
 
-use sxr::{lint_source, Compiler, PipelineConfig};
+use sxr::{lint_source, Compiler, OptOptions, PipelineConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -131,7 +131,14 @@ fn main() {
         }
     };
     if let Some(pass) = ablate {
-        cfg.opt = cfg.opt.without(&pass);
+        let Some(opt) = cfg.opt.without(&pass) else {
+            eprintln!(
+                "sxr: unknown pass `{pass}` (expected one of: {})",
+                OptOptions::PASSES.join(", ")
+            );
+            std::process::exit(2);
+        };
+        cfg.opt = opt;
     }
     if let Some(words) = heap {
         cfg = cfg.with_heap_words(words);

@@ -80,10 +80,13 @@ impl PipelineConfig {
     ///
     /// # Panics
     ///
-    /// Panics on an unknown pass name (see [`OptOptions::without`]).
+    /// Panics on a pass name outside [`OptOptions::PASSES`].
     pub fn ablated(pass: &str) -> PipelineConfig {
         let mut cfg = PipelineConfig::abstract_optimized();
-        cfg.opt = cfg.opt.without(pass);
+        cfg.opt = cfg
+            .opt
+            .without(pass)
+            .unwrap_or_else(|| panic!("unknown pass `{pass}`"));
         cfg
     }
 

@@ -46,9 +46,10 @@ pub fn compile_prelude_probe(config: PipelineConfig) -> Result<Compiled, crate::
 }
 
 /// Runs `compiled` once on a fresh machine, reporting how long the *run*
-/// took (machine construction — including instruction pre-decoding and
-/// pool building — is excluded, so the number is the interpreter's
-/// steady-state cost, which is what `BENCH_vm.json` records).
+/// took (machine construction — the structural check, bytecode
+/// verification and pool building — is excluded, so the number is the
+/// interpreter's steady-state cost, which is what `BENCH_vm.json`
+/// records).
 ///
 /// # Errors
 ///

@@ -10,23 +10,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use sxr_ir::anf::{refresh, substitute, Atom, Bound, Expr, FunDef, GlobalId, NameSupply, VarId};
 
-/// Inlining knobs.
-#[derive(Debug, Clone)]
-pub struct InlineOptions {
-    /// Maximum callee body size (IR nodes) to inline.
-    pub threshold: usize,
-    /// Safety valve on total inlines per pass run.
-    pub max_per_round: usize,
-}
-
-impl Default for InlineOptions {
-    fn default() -> InlineOptions {
-        InlineOptions {
-            threshold: 48,
-            max_per_round: 20_000,
-        }
-    }
-}
+/// Safety valve on total inlines per pass run.
+const MAX_PER_ROUND: usize = 20_000;
 
 /// What one inlining pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,19 +23,19 @@ pub struct InlineReport {
     pub visits: usize,
 }
 
-/// Runs one inlining pass. Returns the rewritten program and what the pass
-/// did.
+/// Runs one inlining pass, inlining callees of at most `threshold` IR
+/// nodes. Returns the rewritten program and what the pass did.
 pub fn inline(
     e: Expr,
     globals: &HashMap<GlobalId, GlobalInfo>,
     supply: &mut NameSupply,
-    opts: &InlineOptions,
+    threshold: usize,
 ) -> (Expr, InlineReport) {
     let mut st = Inliner {
         globals,
         supply,
         env: HashMap::new(),
-        opts,
+        threshold,
         report: InlineReport::default(),
     };
     let out = st.walk(e);
@@ -62,13 +47,14 @@ struct Inliner<'a> {
     supply: &'a mut NameSupply,
     /// Variables statically bound to a known function definition.
     env: HashMap<VarId, Rc<FunDef>>,
-    opts: &'a InlineOptions,
+    /// Maximum callee body size (IR nodes) to inline.
+    threshold: usize,
     report: InlineReport,
 }
 
 impl Inliner<'_> {
     fn candidate(&self, f: &Atom, nargs: usize) -> Option<Rc<FunDef>> {
-        if self.report.inlined >= self.opts.max_per_round {
+        if self.report.inlined >= MAX_PER_ROUND {
             return None;
         }
         let v = f.as_var()?;
@@ -79,7 +65,7 @@ impl Inliner<'_> {
         if def.params.len() != nargs {
             return None; // leave the arity error for run time
         }
-        if def.body.size_exceeds(self.opts.threshold) {
+        if def.body.size_exceeds(self.threshold) {
             return None;
         }
         Some(Rc::clone(def))
@@ -107,7 +93,7 @@ impl Inliner<'_> {
             Expr::Let(v, Bound::Lambda(mut f), body) => {
                 f.body = Box::new(self.walk(*f.body));
                 // A body over the threshold can never be a candidate.
-                if !f.body.size_exceeds(self.opts.threshold) {
+                if !f.body.size_exceeds(self.threshold) {
                     self.env.insert(v, Rc::new(f.clone()));
                 }
                 Expr::Let(v, Bound::Lambda(f), Box::new(self.walk(*body)))
@@ -200,12 +186,8 @@ mod tests {
         let lowered = lower_program(p).unwrap();
         let globals = analyze_globals(&lowered.main_body, &HashMap::new());
         let mut supply = lowered.supply;
-        let (e, report) = inline(
-            lowered.main_body,
-            &globals,
-            &mut supply,
-            &InlineOptions::default(),
-        );
+        let threshold = crate::OptOptions::default().inline_threshold;
+        let (e, report) = inline(lowered.main_body, &globals, &mut supply, threshold);
         (e, report.inlined)
     }
 

@@ -33,7 +33,7 @@ pub use cleanup::cleanup;
 pub use constfold::{constfold, FoldError};
 pub use cse::cse;
 pub use globals::{analyze_globals, GlobalInfo};
-pub use inline::{inline, InlineOptions, InlineReport};
+pub use inline::{inline, InlineReport};
 pub use repspec::{repspec, Assumptions};
 pub use scan::{scan_representations, ScanError};
 pub use util::{lit_word, truthiness};
@@ -99,24 +99,23 @@ impl OptOptions {
         }
     }
 
-    /// Returns a copy with the named pass disabled (for ablations).
-    /// Recognized names: `inline`, `constfold`, `repspec`, `bits`, `cse`,
-    /// `dce`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown pass name.
-    pub fn without(mut self, pass: &str) -> OptOptions {
-        match pass {
-            "inline" => self.inline = false,
-            "constfold" => self.constfold = false,
-            "repspec" => self.repspec = false,
-            "bits" => self.bits = false,
-            "cse" => self.cse = false,
-            "dce" => self.dce = false,
-            other => panic!("unknown pass `{other}`"),
-        }
-        self
+    /// The names [`OptOptions::without`] recognizes, in pipeline order.
+    pub const PASSES: [&'static str; 6] = ["inline", "constfold", "repspec", "bits", "cse", "dce"];
+
+    /// Returns a copy with the named pass disabled (for ablations), or
+    /// `None` when `pass` is not one of [`OptOptions::PASSES`].
+    pub fn without(mut self, pass: &str) -> Option<OptOptions> {
+        let enabled = match pass {
+            "inline" => &mut self.inline,
+            "constfold" => &mut self.constfold,
+            "repspec" => &mut self.repspec,
+            "bits" => &mut self.bits,
+            "cse" => &mut self.cse,
+            "dce" => &mut self.dce,
+            _ => return None,
+        };
+        *enabled = false;
+        Some(self)
     }
 }
 
@@ -196,11 +195,7 @@ pub fn optimize(
 
         if options.inline {
             let ginfo = analyze_globals(&e, rep_globals);
-            let iopts = InlineOptions {
-                threshold: options.inline_threshold,
-                ..InlineOptions::default()
-            };
-            let (e2, r) = inline(e, &ginfo, supply, &iopts);
+            let (e2, r) = inline(e, &ginfo, supply, options.inline_threshold);
             e = e2;
             report.inlined += r.inlined;
             report.inline_visits += r.visits;

@@ -218,6 +218,39 @@ impl RepVmOp {
 }
 
 impl Inst {
+    /// The reporting class the dynamic counters file this instruction
+    /// under.
+    pub fn class(&self) -> InstClass {
+        match self {
+            Inst::Const { .. } | Inst::Move { .. } | Inst::Bin { .. } | Inst::BinI { .. } => {
+                InstClass::Arith
+            }
+            Inst::LoadD { .. }
+            | Inst::LoadX { .. }
+            | Inst::StoreD { .. }
+            | Inst::StoreX { .. }
+            | Inst::ClosureSet { .. } => InstClass::Memory,
+            Inst::Jump { .. } | Inst::JumpCmp { .. } => InstClass::Branch,
+            Inst::Call { .. }
+            | Inst::CallKnown { .. }
+            | Inst::TailCall { .. }
+            | Inst::TailCallKnown { .. }
+            | Inst::Ret { .. } => InstClass::Call,
+            Inst::AllocFill { .. } | Inst::MakeClosure { .. } => InstClass::Alloc,
+            Inst::Rep { .. } => InstClass::RepGeneric,
+            Inst::Pool { .. }
+            | Inst::GlobalGet { .. }
+            | Inst::GlobalSet { .. }
+            | Inst::Intern { .. }
+            | Inst::WriteChar { .. }
+            | Inst::ErrorOp { .. }
+            | Inst::PushHandler { .. }
+            | Inst::PopHandler
+            | Inst::RaiseOp { .. }
+            | Inst::ResetCounters => InstClass::Misc,
+        }
+    }
+
     /// Calls `f` on every register operand, in field order.  This is the
     /// one list of each instruction's registers: the structural check
     /// bounds them against the frame from here.
@@ -360,6 +393,129 @@ impl Default for CodeFun {
             insts: Vec::new(),
             ptr_map: vec![true],
             free_ptr_map: Vec::new(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn classes() {
+        use InstClass::*;
+        let (d, p, x, s, a, t) = (0, 1, 2, 3, 4, 0);
+        let op = BinOp::Add;
+        let cases = [
+            (Inst::Const { d, imm: 1 }, Arith),
+            (Inst::Move { d, s }, Arith),
+            (Inst::Bin { op, d, a, b: s }, Arith),
+            (Inst::BinI { op, d, a, imm: 8 }, Arith),
+            (Inst::LoadD { d, p, disp: 7 }, Memory),
+            (Inst::LoadX { d, p, x, disp: 7 }, Memory),
+            (Inst::StoreD { p, disp: 7, s }, Memory),
+            (Inst::StoreX { p, x, disp: 7, s }, Memory),
+            (
+                Inst::ClosureSet {
+                    clo: p,
+                    idx: 0,
+                    val: s,
+                },
+                Memory,
+            ),
+            (Inst::Jump { t }, Branch),
+            (
+                Inst::JumpCmp {
+                    op: CmpOp::Lt,
+                    a,
+                    b: RegImm::Reg(s),
+                    t,
+                },
+                Branch,
+            ),
+            (
+                Inst::JumpCmp {
+                    op: CmpOp::Eq,
+                    a,
+                    b: RegImm::Imm(0),
+                    t,
+                },
+                Branch,
+            ),
+            (
+                Inst::Call {
+                    d,
+                    f: p,
+                    args: vec![s],
+                },
+                Call,
+            ),
+            (
+                Inst::CallKnown {
+                    d,
+                    f: 1,
+                    clo: p,
+                    args: vec![],
+                },
+                Call,
+            ),
+            (Inst::TailCall { f: p, args: vec![] }, Call),
+            (
+                Inst::TailCallKnown {
+                    f: 1,
+                    clo: p,
+                    args: vec![s],
+                },
+                Call,
+            ),
+            (Inst::Ret { s }, Call),
+            (
+                Inst::AllocFill {
+                    d,
+                    len: RegImm::Imm(2),
+                    fill: s,
+                    rep: 0,
+                },
+                Alloc,
+            ),
+            (
+                Inst::AllocFill {
+                    d,
+                    len: RegImm::Reg(x),
+                    fill: s,
+                    rep: 0,
+                },
+                Alloc,
+            ),
+            (
+                Inst::MakeClosure {
+                    d,
+                    f: 1,
+                    free: vec![s],
+                },
+                Alloc,
+            ),
+            (
+                Inst::Rep {
+                    op: RepVmOp::Ref,
+                    d,
+                    args: vec![p, x, s],
+                },
+                RepGeneric,
+            ),
+            (Inst::Pool { d, idx: 0 }, Misc),
+            (Inst::GlobalGet { d, g: 0 }, Misc),
+            (Inst::GlobalSet { g: 0, s }, Misc),
+            (Inst::Intern { d, s }, Misc),
+            (Inst::WriteChar { s }, Misc),
+            (Inst::ErrorOp { s }, Misc),
+            (Inst::PushHandler { h: p, d, t }, Misc),
+            (Inst::PopHandler, Misc),
+            (Inst::RaiseOp { s }, Misc),
+            (Inst::ResetCounters, Misc),
+        ];
+        for (inst, class) in cases {
+            assert_eq!(inst.class(), class, "{inst:?}");
         }
     }
 }

@@ -53,7 +53,6 @@
 #![forbid(unsafe_code)]
 
 mod counters;
-mod decode;
 mod encode;
 mod error;
 mod fault;

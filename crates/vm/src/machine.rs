@@ -1,8 +1,9 @@
 //! The interpreter: loads a [`CodeProgram`], runs it, counts everything.
 //!
-//! The execution hot path is allocation-free: instructions are pre-decoded
-//! into the flat [`DInst`] form at load time (see [`crate::decode`]), every
-//! frame's registers are a window of one contiguous register stack, and the
+//! The execution hot path is allocation-free: the loop executes the same
+//! [`Inst`] stream that the structural check and the verifier saw,
+//! borrowing each instruction from the loaded program; every frame's
+//! registers are a window of one contiguous register stack, and the
 //! instruction budget is charged before an instruction runs so budgets and
 //! counters always agree.
 //!
@@ -14,12 +15,11 @@
 //! instruction can fall through past its end).
 
 use crate::counters::Counters;
-use crate::decode::{decode_program, ArgSpan, DInst, DecodedProgram};
 use crate::encode;
 use crate::error::{OomPhase, VmError, VmErrorKind};
 use crate::fault::{ChaosRng, FaultPlan};
 use crate::heap::{grow_target, header_len, header_type, ClosureScan, Heap, Word};
-use crate::inst::{BinOp, CmpOp, CodeProgram, PoolEntry, Reg, RepVmOp};
+use crate::inst::{BinOp, CmpOp, CodeProgram, Inst, PoolEntry, Reg, RegImm, RepVmOp};
 use crate::structure::check_structure;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -47,8 +47,8 @@ pub struct MachineConfig {
     /// Load-time admission gate.  When set, [`Machine::new`] runs it once
     /// and refuses to load a program it rejects.  It does not change how
     /// an admitted program runs: every machine executes on the same
-    /// bounds-checked loop, which tolerates arbitrary (decodable) input.
-    /// `None` (the default) admits every decodable program.
+    /// bounds-checked loop, which tolerates any structurally sound input.
+    /// `None` (the default) admits every structurally sound program.
     pub verifier: Option<VerifierHook>,
 }
 
@@ -142,6 +142,7 @@ enum Exec {
 struct RoleCache {
     fixnum: RepId,
     closure: RepId,
+    closure_tag: u64,
     false_word: Word,
     unspec_word: Word,
     reg_init: Word,
@@ -156,8 +157,6 @@ struct RoleCache {
 #[derive(Debug)]
 pub struct Machine {
     program: Rc<CodeProgram>,
-    /// The pre-decoded hot-path form of the program.
-    decoded: DecodedProgram,
     /// The run-time representation registry (starts as the compile-time
     /// registry; extended by run-time `%make-*-type`).
     pub registry: RepRegistry,
@@ -207,8 +206,8 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Loads `program` (pre-decoding every function and building the
-    /// constant pool on the heap).
+    /// Loads `program`: checks its structure, runs the configured verifier
+    /// and builds the constant pool on the heap.
     ///
     /// # Errors
     ///
@@ -232,14 +231,13 @@ impl Machine {
         let role = RoleCache {
             fixnum,
             closure,
+            closure_tag,
             false_word: registry.encode_immediate(role_id(roles::BOOLEAN), 0),
             unspec_word: registry.encode_immediate(role_id(roles::UNSPECIFIED), 0),
             reg_init: registry.encode_immediate(fixnum, 0),
         };
-        let decoded = decode_program(&program, &registry, closure_tag, fixnum);
-        // The verifier sees the loadable program, of which the decoded
-        // stream is a faithful 1:1 translation; a rejected program never
-        // starts.
+        // The verifier sees the program the step loop executes; a rejected
+        // program never starts.
         if let Some(verify) = config.verifier {
             verify(&program)?;
         }
@@ -250,7 +248,6 @@ impl Machine {
         let jitter = config.fault.gc_jitter_seed.map(ChaosRng::new);
         let mut m = Machine {
             program: Rc::new(program),
-            decoded,
             registry,
             heap: Heap::new(config.heap_words.min(heap_cap)),
             globals: vec![role.unspec_word; nglobals],
@@ -516,12 +513,6 @@ impl Machine {
         self.regs[self.top_base + reg as usize] = w;
     }
 
-    /// The operand at position `i` of an arena span.
-    #[inline(always)]
-    fn arg(&self, span: ArgSpan, i: usize) -> Reg {
-        self.decoded.args[span.off as usize + i]
-    }
-
     /// Pushes a window of `nregs` registers onto the register stack and
     /// returns its base.  Every register starts as the library's
     /// register-init word, so nothing bleeds through from a frame that
@@ -546,23 +537,21 @@ impl Machine {
         let top = self.frames.last().expect("frame");
         self.top_base = top.base;
         self.regs
-            .truncate(top.base + self.decoded.funs[top.fnid as usize].nregs);
+            .truncate(top.base + self.program.funs[top.fnid as usize].nregs);
     }
 
     /// Builds the entry frame for `main`.
     fn main_frame(&mut self) -> Result<Frame, VmError> {
         let fnid = self.program.main;
-        let fun = &self.decoded.funs[fnid as usize];
+        let fun = &self.program.funs[fnid as usize];
         if fun.arity != 0 {
             return Err(VmError::new(
                 VmErrorKind::ArityMismatch,
-                format!(
-                    "`{}` takes {} arguments, got 0",
-                    self.program.funs[fnid as usize].name, fun.arity
-                ),
+                format!("`{}` takes {} arguments, got 0", fun.name, fun.arity),
             ));
         }
-        let base = self.push_window(fun.nregs);
+        let nregs = fun.nregs;
+        let base = self.push_window(nregs);
         self.regs[base] = self.role.unspec_word;
         Ok(Frame {
             fnid,
@@ -594,17 +583,17 @@ impl Machine {
         &mut self,
         fnid: u32,
         clo_reg: Reg,
-        arg_span: ArgSpan,
+        args: &[Reg],
         ret_dst: Reg,
     ) -> Result<Frame, VmError> {
-        let fun = &self.decoded.funs[fnid as usize];
+        let fun = &self.program.funs[fnid as usize];
         let (arity, variadic, nregs) = (fun.arity, fun.variadic, fun.nregs);
-        let nargs = arg_span.len as usize;
+        let nargs = args.len();
         let rest = if variadic {
             if nargs < arity {
                 return Err(self.arity_error(fnid, true, nargs));
             }
-            Some(self.rest_list(arg_span, arity)?)
+            Some(self.rest_list(args, arity)?)
         } else {
             if arity != nargs {
                 return Err(self.arity_error(fnid, false, nargs));
@@ -613,8 +602,8 @@ impl Machine {
         };
         let base = self.push_window(nregs);
         self.regs[base] = self.r(clo_reg);
-        for i in 0..arity {
-            self.regs[base + 1 + i] = self.r(self.arg(arg_span, i));
+        for (i, &a) in args[..arity].iter().enumerate() {
+            self.regs[base + 1 + i] = self.r(a);
         }
         if let Some(rest) = rest {
             self.regs[base + 1 + arity] = rest;
@@ -631,7 +620,7 @@ impl Machine {
     /// for a variadic callee.  Space for the pairs is reserved before any
     /// register is read, so a collection here cannot leave stale copies
     /// behind, and none can run before the caller stores the list.
-    fn rest_list(&mut self, arg_span: ArgSpan, arity: usize) -> Result<Word, VmError> {
+    fn rest_list(&mut self, args: &[Reg], arity: usize) -> Result<Word, VmError> {
         // The load-time structural check proved both roles for every
         // variadic function, and a role is never rebound.
         let role = |name| {
@@ -643,11 +632,10 @@ impl Machine {
         let RepKind::Pointer { tag: pair_tag, .. } = self.registry.info(pair).kind else {
             unreachable!("pair role checked as a pointer at load");
         };
-        let nargs = arg_span.len as usize;
-        self.ensure_space(3 * (nargs - arity) + 1)?;
+        self.ensure_space(3 * (args.len() - arity) + 1)?;
         let mut rest = self.registry.encode_immediate(null, 0);
-        for i in (arity..nargs).rev() {
-            let car = self.r(self.arg(arg_span, i));
+        for &a in args[arity..].iter().rev() {
+            let car = self.r(a);
             let p = self.alloc_object(2, pair as u16, pair_tag, rest)?;
             let base = (p >> 3) as usize;
             self.heap.set(base + 1, car)?;
@@ -659,9 +647,9 @@ impl Machine {
     /// Replaces the top frame with a call of `fnid`, keeping its return
     /// destination.  The callee's window is built above the caller's and
     /// then copied down over it.
-    fn tail_call(&mut self, fnid: u32, clo_reg: Reg, arg_span: ArgSpan) -> Result<(), VmError> {
+    fn tail_call(&mut self, fnid: u32, clo_reg: Reg, args: &[Reg]) -> Result<(), VmError> {
         let ret_dst = self.frames.last().expect("frame").ret_dst;
-        let callee = self.build_frame(fnid, clo_reg, arg_span, ret_dst)?;
+        let callee = self.build_frame(fnid, clo_reg, args, ret_dst)?;
         let nregs = self.regs.len() - callee.base;
         self.regs.copy_within(callee.base.., self.top_base);
         self.regs.truncate(self.top_base + nregs);
@@ -688,7 +676,7 @@ impl Machine {
         // procedure, and saying so keeps the error recoverable — important
         // for the verifier's contract that verified programs never reach
         // `BadProgram` at run time.
-        if (fnid as usize) >= self.decoded.funs.len() {
+        if (fnid as usize) >= self.program.funs.len() {
             return Err(VmError::new(
                 VmErrorKind::NotAProcedure,
                 format!("closure code word {fnid} is not a function id"),
@@ -809,10 +797,13 @@ impl Machine {
         Ok(())
     }
 
-    /// The fetch/decode/execute loop.  Returns `Done` when the outermost
-    /// frame has returned, `Suspended` when the budget ran dry or a host
-    /// call yielded; terminal errors move the machine to `Faulted`.
+    /// The fetch/execute loop.  Returns `Done` when the outermost frame
+    /// has returned, `Suspended` when the budget ran dry or a host call
+    /// yielded; terminal errors move the machine to `Faulted`.
     fn step_loop(&mut self) -> Result<StepResult, VmError> {
+        // The code never changes once loaded.  One handle per slice lets
+        // each instruction be borrowed while the machine state changes.
+        let program = Rc::clone(&self.program);
         loop {
             let (fi, pc) = {
                 let Some(top) = self.frames.last_mut() else {
@@ -824,11 +815,12 @@ impl Machine {
                 top.pc += 1;
                 (fi, pc)
             };
-            let Some(&inst) = self.decoded.funs[fi].insts.get(pc) else {
+            let fun = &program.funs[fi];
+            let Some(inst) = fun.insts.get(pc) else {
                 self.phase = Phase::Faulted;
                 return Err(VmError::new(
                     VmErrorKind::BadProgram,
-                    format!("fell off the end of `{}`", self.program.funs[fi].name),
+                    format!("fell off the end of `{}`", fun.name),
                 ));
             };
             // The budget is charged before an instruction does anything —
@@ -844,7 +836,7 @@ impl Machine {
                 }
                 *rem -= 1;
             }
-            if matches!(inst, DInst::ResetCounters) {
+            if matches!(inst, Inst::ResetCounters) {
                 self.counters.reset();
                 continue;
             }
@@ -866,139 +858,134 @@ impl Machine {
 
     /// Executes one (already counted and budgeted) instruction.
     #[inline]
-    fn exec_inst(&mut self, inst: DInst) -> Result<Exec, VmError> {
-        match inst {
-            DInst::Const { d, imm } => {
+    fn exec_inst(&mut self, inst: &Inst) -> Result<Exec, VmError> {
+        match *inst {
+            Inst::Const { d, imm } => {
                 self.set_r(d, imm);
             }
-            DInst::Pool { d, idx } => {
+            Inst::Pool { d, idx } => {
                 self.set_r(d, self.pool[idx as usize]);
             }
-            DInst::Move { d, s } => {
+            Inst::Move { d, s } => {
                 let w = self.r(s);
                 self.set_r(d, w);
             }
-            DInst::Bin { op, d, a, b } => {
+            Inst::Bin { op, d, a, b } => {
                 let (a, b) = (self.r(a), self.r(b));
                 let v = self.binop(op, a, b)?;
                 self.set_r(d, v);
             }
-            DInst::BinI { op, d, a, imm } => {
+            Inst::BinI { op, d, a, imm } => {
                 let a = self.r(a);
-                let v = self.binop(op, a, imm)?;
+                let v = self.binop(op, a, imm as i64)?;
                 self.set_r(d, v);
             }
-            DInst::LoadD { d, p, disp } => {
-                let addr = self.r(p).wrapping_add(disp);
+            Inst::LoadD { d, p, disp } => {
+                let addr = self.r(p).wrapping_add(disp as i64);
                 let w = self.heap.get((addr >> 3) as usize)?;
                 self.set_r(d, w);
             }
-            DInst::LoadX { d, p, x, disp } => {
-                let addr = self.r(p).wrapping_add(self.r(x)).wrapping_add(disp);
+            Inst::LoadX { d, p, x, disp } => {
+                let addr = self.r(p).wrapping_add(self.r(x)).wrapping_add(disp as i64);
                 let w = self.heap.get((addr >> 3) as usize)?;
                 self.set_r(d, w);
             }
-            DInst::StoreD { p, disp, s } => {
-                let addr = self.r(p).wrapping_add(disp);
+            Inst::StoreD { p, disp, s } => {
+                let addr = self.r(p).wrapping_add(disp as i64);
                 let w = self.r(s);
                 self.heap.set((addr >> 3) as usize, w)?;
             }
-            DInst::StoreX { p, x, disp, s } => {
-                let addr = self.r(p).wrapping_add(self.r(x)).wrapping_add(disp);
+            Inst::StoreX { p, x, disp, s } => {
+                let addr = self.r(p).wrapping_add(self.r(x)).wrapping_add(disp as i64);
                 let w = self.r(s);
                 self.heap.set((addr >> 3) as usize, w)?;
             }
-            DInst::AllocImm {
-                d,
-                len,
-                fill,
-                rep,
-                tag,
-            } => {
-                let len = len as usize;
+            Inst::AllocFill { d, len, fill, rep } => {
+                let len = match len {
+                    // The structural check proved the immediate is not negative.
+                    RegImm::Imm(n) => n as usize,
+                    RegImm::Reg(r) => {
+                        let len = self.r(r);
+                        if !(0..=(1 << 40)).contains(&len) {
+                            return Err(VmError::new(
+                                VmErrorKind::BadRepOperation,
+                                format!("allocation of {len} fields"),
+                            ));
+                        }
+                        len as usize
+                    }
+                };
+                let RepKind::Pointer { tag, .. } = self.registry.info(rep).kind else {
+                    unreachable!("the structural check admits only pointer allocations");
+                };
                 self.ensure_space(len + 1)?;
                 let fill = self.r(fill); // after possible GC
-                let w = self.alloc_object(len, rep, tag, fill)?;
+                let w = self.alloc_object(len, rep as u16, tag, fill)?;
                 self.set_r(d, w);
             }
-            DInst::AllocReg {
-                d,
-                len,
-                fill,
-                rep,
-                tag,
-            } => {
-                let len = self.r(len);
-                if !(0..=(1 << 40)).contains(&len) {
-                    return Err(VmError::new(
-                        VmErrorKind::BadRepOperation,
-                        format!("allocation of {len} fields"),
-                    ));
-                }
-                let len = len as usize;
-                self.ensure_space(len + 1)?;
-                let fill = self.r(fill); // after possible GC
-                let w = self.alloc_object(len, rep, tag, fill)?;
-                self.set_r(d, w);
-            }
-            DInst::Jump { t } => {
+            Inst::Jump { t } => {
                 self.frames.last_mut().expect("frame").pc = t as usize;
             }
-            DInst::JumpCmpRR { op, a, b, t } => {
-                let (a, b) = (self.r(a), self.r(b));
+            Inst::JumpCmp { op, a, b, t } => {
+                let a = self.r(a);
+                let b = match b {
+                    RegImm::Reg(r) => self.r(r),
+                    RegImm::Imm(i) => i as i64,
+                };
                 if cmp_taken(op, a, b) {
                     self.frames.last_mut().expect("frame").pc = t as usize;
                 }
             }
-            DInst::JumpCmpRI { op, a, imm, t } => {
-                let a = self.r(a);
-                if cmp_taken(op, a, imm) {
-                    self.frames.last_mut().expect("frame").pc = t as usize;
-                }
-            }
-            DInst::GlobalGet { d, g } => {
+            Inst::GlobalGet { d, g } => {
                 self.set_r(d, self.globals[g as usize]);
             }
-            DInst::GlobalSet { g, s } => {
+            Inst::GlobalSet { g, s } => {
                 self.globals[g as usize] = self.r(s);
             }
-            DInst::MakeClosure { d, free, tag, code } => {
-                let n = free.len as usize;
+            Inst::MakeClosure { d, f, ref free } => {
+                let n = free.len();
                 self.ensure_space(n + 2)?;
-                let w = self.alloc_object(n + 1, self.role.closure as u16, tag, code)?;
+                let code = self.registry.encode_immediate(self.role.fixnum, f as i64);
+                let (rep, tag) = (self.role.closure as u16, self.role.closure_tag);
+                let w = self.alloc_object(n + 1, rep, tag, code)?;
                 let base = (w >> 3) as usize;
-                for i in 0..n {
-                    let v = self.r(self.arg(free, i));
+                for (i, &r) in free.iter().enumerate() {
+                    let v = self.r(r);
                     self.heap.set(base + 2 + i, v)?;
                 }
                 self.set_r(d, w);
             }
-            DInst::ClosureSet { clo, idx, val } => {
+            Inst::ClosureSet { clo, idx, val } => {
                 let base = (self.r(clo) >> 3) as usize;
                 let v = self.r(val);
                 self.heap.set(base + 2 + idx as usize, v)?;
             }
-            DInst::Call { d, f, args } => {
+            Inst::Call { d, f, ref args } => {
                 let fnid = self.closure_target(self.r(f))?;
                 self.counters.calls += 1;
                 let frame = self.build_frame(fnid, f, args, d)?;
                 self.push_frame(frame);
             }
-            DInst::CallKnown { d, f, clo, args } => {
+            Inst::CallKnown {
+                d,
+                f,
+                clo,
+                ref args,
+            } => {
                 self.counters.calls += 1;
                 let frame = self.build_frame(f, clo, args, d)?;
                 self.push_frame(frame);
             }
-            DInst::TailCall { f, args } => {
+            Inst::TailCall { f, ref args } => {
                 let fnid = self.closure_target(self.r(f))?;
                 self.counters.calls += 1;
                 self.tail_call(fnid, f, args)?;
             }
-            DInst::TailCallKnown { f, clo, args } => {
+            Inst::TailCallKnown { f, clo, ref args } => {
                 self.counters.calls += 1;
                 self.tail_call(f, clo, args)?;
             }
-            DInst::Ret { s } => {
+            Inst::Ret { s } => {
                 let v = self.r(s);
                 let frame = self.frames.pop().expect("frame");
                 self.regs.truncate(frame.base);
@@ -1010,16 +997,16 @@ impl Machine {
                     None => self.result = v,
                 }
             }
-            DInst::Rep { op, d, args } => {
+            Inst::Rep { op, d, ref args } => {
                 let v = self.rep_generic(op, args)?;
                 self.set_r(d, v);
             }
-            DInst::Intern { d, s } => {
+            Inst::Intern { d, s } => {
                 let sval = self.r(s);
                 let sym = self.intern_value(sval)?;
                 self.set_r(d, sym);
             }
-            DInst::WriteChar { s } => {
+            Inst::WriteChar { s } => {
                 let w = self.r(s);
                 let char_rep = self.registry.role(roles::CHAR).ok_or_else(|| {
                     VmError::new(VmErrorKind::BadProgram, "no `char` representation role")
@@ -1030,7 +1017,7 @@ impl Machine {
                     return Ok(Exec::Suspend(SuspendReason::HostCall));
                 }
             }
-            DInst::ErrorOp { s } => {
+            Inst::ErrorOp { s } => {
                 let w = self.r(s);
                 self.pending_trap = Some(PendingTrap::Payload(w));
                 return Err(VmError::new(
@@ -1038,7 +1025,7 @@ impl Machine {
                     format!("error: {}", self.describe(w)),
                 ));
             }
-            DInst::PushHandler { h, d, t } => {
+            Inst::PushHandler { h, d, t } => {
                 self.handlers.push(Handler {
                     depth: self.frames.len(),
                     handler: self.r(h),
@@ -1046,7 +1033,7 @@ impl Machine {
                     t,
                 });
             }
-            DInst::PopHandler => {
+            Inst::PopHandler => {
                 if self.handlers.pop().is_none() {
                     return Err(VmError::new(
                         VmErrorKind::BadProgram,
@@ -1054,7 +1041,7 @@ impl Machine {
                     ));
                 }
             }
-            DInst::RaiseOp { s } => {
+            Inst::RaiseOp { s } => {
                 let w = self.r(s);
                 self.pending_trap = Some(PendingTrap::Reraise(w));
                 return Err(VmError::new(
@@ -1062,7 +1049,7 @@ impl Machine {
                     format!("uncaught condition: {}", self.describe(w)),
                 ));
             }
-            DInst::ResetCounters => unreachable!("handled before counting"),
+            Inst::ResetCounters => unreachable!("handled before counting"),
         }
         Ok(Exec::Continue)
     }
@@ -1117,7 +1104,7 @@ impl Machine {
             return Err(e);
         };
         let fnid = self.closure_target(handler)?;
-        let fun = &self.decoded.funs[fnid as usize];
+        let fun = &self.program.funs[fnid as usize];
         if fun.variadic || fun.arity != 1 {
             return Err(self.arity_error(fnid, false, 1));
         }
@@ -1386,13 +1373,13 @@ impl Machine {
         Ok(w)
     }
 
-    fn rep_generic(&mut self, op: RepVmOp, span: ArgSpan) -> Result<Word, VmError> {
+    fn rep_generic(&mut self, op: RepVmOp, args: &[Reg]) -> Result<Word, VmError> {
         match op {
             RepVmOp::MakeImm => {
-                let name = self.symbol_name(self.r(self.arg(span, 0)))?;
-                let tag_bits = self.fixnum_arg(self.r(self.arg(span, 1)), "tag-bits")? as u32;
-                let tag = self.fixnum_arg(self.r(self.arg(span, 2)), "tag")? as u64;
-                let shift = self.fixnum_arg(self.r(self.arg(span, 3)), "shift")? as u32;
+                let name = self.symbol_name(self.r(args[0]))?;
+                let tag_bits = self.fixnum_arg(self.r(args[1]), "tag-bits")? as u32;
+                let tag = self.fixnum_arg(self.r(args[2]), "tag")? as u64;
+                let shift = self.fixnum_arg(self.r(args[3]), "shift")? as u32;
                 let rid = self
                     .registry
                     .intern_immediate(&name, tag_bits, tag, shift)
@@ -1400,9 +1387,9 @@ impl Machine {
                 self.make_rep_object(rid)
             }
             RepVmOp::MakePtr => {
-                let name = self.symbol_name(self.r(self.arg(span, 0)))?;
-                let tag = self.fixnum_arg(self.r(self.arg(span, 1)), "tag")? as u64;
-                let discriminated = self.r(self.arg(span, 2)) != self.role.false_word;
+                let name = self.symbol_name(self.r(args[0]))?;
+                let tag = self.fixnum_arg(self.r(args[1]), "tag")? as u64;
+                let discriminated = self.r(args[2]) != self.role.false_word;
                 let rid = self
                     .registry
                     .intern_pointer(&name, tag, discriminated)
@@ -1411,32 +1398,32 @@ impl Machine {
                 self.make_rep_object(rid)
             }
             RepVmOp::Provide => {
-                let role = self.symbol_name(self.r(self.arg(span, 0)))?;
-                let rid = self.rep_id_of(self.r(self.arg(span, 1)))?;
+                let role = self.symbol_name(self.r(args[0]))?;
+                let rid = self.rep_id_of(self.r(args[1]))?;
                 self.registry
                     .provide_role(&role, rid)
                     .map_err(|e| VmError::new(VmErrorKind::BadRepOperation, e.0))?;
                 Ok(self.role.unspec_word)
             }
             RepVmOp::Inject => {
-                let rid = self.rep_id_of(self.r(self.arg(span, 0)))?;
-                let w = self.r(self.arg(span, 1));
+                let rid = self.rep_id_of(self.r(args[0]))?;
+                let w = self.r(args[1]);
                 Ok(match self.registry.info(rid).kind {
                     RepKind::Immediate { tag, shift, .. } => (w << shift) | tag as i64,
                     RepKind::Pointer { tag, .. } => w | tag as i64,
                 })
             }
             RepVmOp::Project => {
-                let rid = self.rep_id_of(self.r(self.arg(span, 0)))?;
-                let w = self.r(self.arg(span, 1));
+                let rid = self.rep_id_of(self.r(args[0]))?;
+                let w = self.r(args[1]);
                 Ok(match self.registry.info(rid).kind {
                     RepKind::Immediate { shift, .. } => w >> shift,
                     RepKind::Pointer { .. } => w & !0b111,
                 })
             }
             RepVmOp::Test => {
-                let rid = self.rep_id_of(self.r(self.arg(span, 0)))?;
-                let w = self.r(self.arg(span, 1));
+                let rid = self.rep_id_of(self.r(args[0]))?;
+                let w = self.r(args[1]);
                 let info = self.registry.info(rid);
                 let mut ok = self.registry.tag_matches(rid, w);
                 if ok {
@@ -1452,7 +1439,7 @@ impl Machine {
                 Ok(ok as i64)
             }
             RepVmOp::Alloc => {
-                let n = self.r(self.arg(span, 1));
+                let n = self.r(args[1]);
                 if !(0..=(1 << 40)).contains(&n) {
                     return Err(VmError::new(
                         VmErrorKind::BadRepOperation,
@@ -1461,8 +1448,8 @@ impl Machine {
                 }
                 self.ensure_space(n as usize + 1)?;
                 // Re-read after potential GC.
-                let rid = self.rep_id_of(self.r(self.arg(span, 0)))?;
-                let fill = self.r(self.arg(span, 2));
+                let rid = self.rep_id_of(self.r(args[0]))?;
+                let fill = self.r(args[2]);
                 let RepKind::Pointer { tag, .. } = self.registry.info(rid).kind else {
                     return Err(VmError::new(
                         VmErrorKind::BadRepOperation,
@@ -1472,8 +1459,8 @@ impl Machine {
                 self.alloc_object(n as usize, rid as u16, tag, fill)
             }
             RepVmOp::Ref | RepVmOp::Set | RepVmOp::Len => {
-                let rid = self.rep_id_of(self.r(self.arg(span, 0)))?;
-                let v = self.r(self.arg(span, 1));
+                let rid = self.rep_id_of(self.r(args[0]))?;
+                let v = self.r(args[1]);
                 if !self.registry.tag_matches(rid, v) {
                     return Err(VmError::new(
                         VmErrorKind::BadRepOperation,
@@ -1489,7 +1476,7 @@ impl Machine {
                 match op {
                     RepVmOp::Len => Ok(len as i64),
                     _ => {
-                        let i = self.r(self.arg(span, 2));
+                        let i = self.r(args[2]);
                         if !(0..len as i64).contains(&i) {
                             return Err(VmError::new(
                                 VmErrorKind::BadRepOperation,
@@ -1499,7 +1486,7 @@ impl Machine {
                         match op {
                             RepVmOp::Ref => self.heap.get(base + 1 + i as usize),
                             RepVmOp::Set => {
-                                let x = self.r(self.arg(span, 3));
+                                let x = self.r(args[3]);
                                 self.heap.set(base + 1 + i as usize, x)?;
                                 Ok(self.role.unspec_word)
                             }
@@ -1639,7 +1626,7 @@ mod tests {
             let mut end = 0;
             for f in &m.frames {
                 assert_eq!(f.base, end, "windows are contiguous");
-                end = f.base + m.decoded.funs[f.fnid as usize].nregs;
+                end = f.base + m.program.funs[f.fnid as usize].nregs;
             }
             assert_eq!(m.regs.len(), end, "the stack ends at the top window");
             assert_eq!(m.top_base, m.frames.last().expect("frame").base);

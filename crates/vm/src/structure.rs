@@ -5,7 +5,7 @@
 //! of each instruction, and the index bounds that make every operand
 //! addressable.  [`check_structure`] is the single statement of that
 //! contract.  [`crate::Machine::new`] refuses a program on its first
-//! finding, before decoding; the bytecode verifier in `sxr-analysis`
+//! finding, before anything else; the bytecode verifier in `sxr-analysis`
 //! reports every finding under its own rule names and adds typing and
 //! dataflow rules on top, so a verify-clean program is loadable by
 //! construction.

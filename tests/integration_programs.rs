@@ -256,7 +256,7 @@ fn shipped_scheme_examples_run_identically_everywhere() {
 fn letrec_early_reference_reads_the_unspecified_value() {
     // R7RS makes referencing a `letrec` variable before its init has run
     // "an error" but does not require an implementation to detect it. The
-    // expander's box fallback fills every box with the unspecified value
+    // expander's fallback binds every variable to the unspecified value
     // before any init runs, so the early reference yields exactly that.
     for cfg in [
         PipelineConfig::traditional(),
@@ -275,5 +275,39 @@ fn letrec_early_reference_reads_the_unspecified_value() {
         let early = run("(letrec ((a b) (b 1)) a)");
         assert_eq!(early.value, run("(if #f #f)").value, "[{label}]");
         assert_eq!(early.output, "", "[{label}]");
+    }
+}
+
+#[test]
+fn letrec_fallback_agrees_across_configurations() {
+    // Neither program can become a plain `LetRec`: the first has a
+    // non-lambda init, the second assigns a letrec variable.  Both go
+    // through the fallback and assignment conversion's boxes.
+    let programs = [
+        (
+            "(letrec ((n 5) (f (lambda (i) (if (fx< i n) (f (fx+ i 1)) (fx* i 2))))) (f 0))",
+            "10",
+        ),
+        (
+            "(letrec ((count 0) (tick (lambda () (set! count (fx+ count 1)) count))) \
+               (tick) (tick) (set! count (fx* count 10)) (tick))",
+            "21",
+        ),
+    ];
+    for cfg in [
+        PipelineConfig::traditional(),
+        PipelineConfig::abstract_optimized(),
+        PipelineConfig::abstract_unoptimized(),
+    ] {
+        let label = cfg.label();
+        let compiler = Compiler::new(cfg);
+        for (src, want) in programs {
+            let out = compiler
+                .compile(src)
+                .unwrap_or_else(|e| panic!("[{label}] {src}: {e}"))
+                .run()
+                .unwrap_or_else(|e| panic!("[{label}] {src}: {e}"));
+            assert_eq!(out.value, want, "[{label}] {src}");
+        }
     }
 }
