@@ -655,7 +655,7 @@ impl<'a> FnVerifier<'a> {
                     PoolEntry::Datum(_) => Rv::Tagged,
                     // The structural check proved a pointer `rep-type`
                     // role for every pooled representation object.
-                    PoolEntry::Rep(_) => match self.registry.role("rep-type") {
+                    PoolEntry::Rep(_) => match self.registry.role(roles::REP_TYPE) {
                         Some(rt) => Rv::Ptr {
                             tags: TagSet::singleton(rt),
                             fid: None,
@@ -826,7 +826,7 @@ impl<'a> FnVerifier<'a> {
                 return Ok(Flow::Stop);
             }
             Inst::Rep { op, d, args } => {
-                self.need_role(pc, "rep-type", "generic representation operations")?;
+                self.need_role(pc, roles::REP_TYPE, "generic representation operations")?;
                 if matches!(op, RepVmOp::MakeImm | RepVmOp::MakePtr | RepVmOp::Provide) {
                     // These read a symbol's name (and its backing string).
                     for role in [roles::SYMBOL, roles::STRING, roles::CHAR] {

@@ -225,9 +225,12 @@ pub fn generate(module: &Module, registry: &RepRegistry) -> Result<CodeProgram, 
         registry,
         pool: Vec::new(),
         pool_index: HashMap::new(),
-        false_word: encode_role_imm(registry, roles::BOOLEAN, 0)?,
-        unspec_word: encode_role_imm(registry, roles::UNSPECIFIED, 0)?,
-        closure_tag: ptr_tag(registry, roles::CLOSURE)?,
+        false_word: role_word(registry, roles::BOOLEAN, 0)?,
+        unspec_word: role_word(registry, roles::UNSPECIFIED, 0)?,
+        closure_tag: registry
+            .pointer_role(roles::CLOSURE)
+            .ok_or_else(|| missing_role(roles::CLOSURE))?
+            .tag as i64,
     };
     let slot_kinds = free_slot_kinds(module);
     let mut funs = Vec::with_capacity(module.funs.len());
@@ -278,28 +281,13 @@ fn drop_fallthrough_jumps(insts: Vec<Inst>) -> Vec<Inst> {
         .collect()
 }
 
-fn encode_role_imm(reg: &RepRegistry, role: &str, payload: i64) -> Result<i64, CodegenError> {
-    let id = reg
-        .role(role)
-        .ok_or_else(|| CodegenError(format!("library provided no `{role}` representation")))?;
-    match reg.info(id).kind {
-        RepKind::Immediate { .. } => Ok(reg.encode_immediate(id, payload)),
-        RepKind::Pointer { .. } => Err(CodegenError(format!(
-            "role `{role}` must be an immediate representation"
-        ))),
-    }
+fn missing_role(role: &str) -> CodegenError {
+    CodegenError(format!("library provided no `{role}` representation"))
 }
 
-fn ptr_tag(reg: &RepRegistry, role: &str) -> Result<i64, CodegenError> {
-    let id = reg
-        .role(role)
-        .ok_or_else(|| CodegenError(format!("library provided no `{role}` representation")))?;
-    match reg.info(id).kind {
-        RepKind::Pointer { tag, .. } => Ok(tag as i64),
-        RepKind::Immediate { .. } => Err(CodegenError(format!(
-            "role `{role}` must be a pointer representation"
-        ))),
-    }
+fn role_word(reg: &RepRegistry, role: &str, payload: i64) -> Result<i64, CodegenError> {
+    reg.role_word(role, payload)
+        .ok_or_else(|| missing_role(role))
 }
 
 #[derive(Debug, Clone, Hash, PartialEq, Eq)]
@@ -338,25 +326,16 @@ impl Shared<'_> {
             Literal::Raw(w) => Enc::Imm(*w, Kind::Raw),
             Literal::Unspecified => Enc::Imm(self.unspec_word, Kind::Tagged),
             Literal::Rep(r) => Enc::Pool(self.pool_slot(PoolKey::Rep(*r))),
-            Literal::Datum(d) => match d {
-                Datum::Fixnum(n) => Enc::Imm(
-                    encode_role_imm(self.registry, roles::FIXNUM, *n)?,
-                    Kind::Tagged,
-                ),
-                Datum::Bool(b) => Enc::Imm(
-                    encode_role_imm(self.registry, roles::BOOLEAN, *b as i64)?,
-                    Kind::Tagged,
-                ),
-                Datum::Char(c) => Enc::Imm(
-                    encode_role_imm(self.registry, roles::CHAR, *c as i64)?,
-                    Kind::Tagged,
-                ),
-                Datum::List(items) if items.is_empty() => Enc::Imm(
-                    encode_role_imm(self.registry, roles::NULL, 0)?,
-                    Kind::Tagged,
-                ),
-                other => Enc::Pool(self.pool_slot(PoolKey::Datum(other.clone()))),
-            },
+            Literal::Datum(d) => {
+                let (role, payload) = match d {
+                    Datum::Fixnum(n) => (roles::FIXNUM, *n),
+                    Datum::Bool(b) => (roles::BOOLEAN, *b as i64),
+                    Datum::Char(c) => (roles::CHAR, *c as i64),
+                    Datum::List(items) if items.is_empty() => (roles::NULL, 0),
+                    other => return Ok(Enc::Pool(self.pool_slot(PoolKey::Datum(other.clone())))),
+                };
+                Enc::Imm(role_word(self.registry, role, payload)?, Kind::Tagged)
+            }
         })
     }
 }

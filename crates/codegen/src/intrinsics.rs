@@ -14,7 +14,7 @@
 
 use sxr_ir::anf::{Atom, Bound, Expr, Literal, Module, NameSupply, VarId};
 use sxr_ir::prim::{Intrinsic, PrimOp};
-use sxr_ir::rep::{roles, RepId, RepKind, RepRegistry};
+use sxr_ir::rep::{roles, ImmediateRole, PointerRole, RepRegistry};
 
 /// An intrinsic-lowering failure (role missing from the registry).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,61 +66,22 @@ pub fn lower_intrinsics_expr(
 
 /// Layout facts extracted from the registry.
 struct Ctx {
-    fx: Imm,
-    bool_: Imm,
-    char_: Imm,
-    null: Imm,
-    pair: Ptr,
-    vector: Ptr,
-    string: Ptr,
-    symbol: Ptr,
-    closure: Ptr,
-}
-
-#[derive(Clone, Copy)]
-struct Imm {
-    tag_bits: u32,
-    tag: i64,
-    shift: u32,
-}
-
-#[derive(Clone, Copy)]
-struct Ptr {
-    id: RepId,
-    tag: i64,
+    fx: ImmediateRole,
+    bool_: ImmediateRole,
+    char_: ImmediateRole,
+    null: ImmediateRole,
+    pair: PointerRole,
+    vector: PointerRole,
+    string: PointerRole,
+    symbol: PointerRole,
+    closure: PointerRole,
 }
 
 impl Ctx {
     fn new(reg: &RepRegistry) -> Result<Ctx, IntrinsicError> {
-        let imm = |role: &str| -> Result<Imm, IntrinsicError> {
-            let id = reg
-                .role(role)
-                .ok_or_else(|| IntrinsicError(format!("missing role `{role}`")))?;
-            match reg.info(id).kind {
-                RepKind::Immediate {
-                    tag_bits,
-                    tag,
-                    shift,
-                } => Ok(Imm {
-                    tag_bits,
-                    tag: tag as i64,
-                    shift,
-                }),
-                _ => Err(IntrinsicError(format!("role `{role}` must be immediate"))),
-            }
-        };
-        let ptr = |role: &str| -> Result<Ptr, IntrinsicError> {
-            let id = reg
-                .role(role)
-                .ok_or_else(|| IntrinsicError(format!("missing role `{role}`")))?;
-            match reg.info(id).kind {
-                RepKind::Pointer { tag, .. } => Ok(Ptr {
-                    id,
-                    tag: tag as i64,
-                }),
-                _ => Err(IntrinsicError(format!("role `{role}` must be a pointer"))),
-            }
-        };
+        let missing = |role: &str| IntrinsicError(format!("missing role `{role}`"));
+        let imm = |role| reg.immediate_role(role).ok_or_else(|| missing(role));
+        let ptr = |role| reg.pointer_role(role).ok_or_else(|| missing(role));
         Ok(Ctx {
             fx: imm(roles::FIXNUM)?,
             bool_: imm(roles::BOOLEAN)?,
@@ -192,32 +153,32 @@ fn raw(w: i64) -> Atom {
 }
 
 /// Injects a raw 0/1 into a boolean.
-fn inject_bool(s: &mut Seq<'_>, b: Imm, raw01: Atom) -> Atom {
+fn inject_bool(s: &mut Seq<'_>, b: ImmediateRole, raw01: Atom) -> Atom {
     let shifted = s.prim(PrimOp::WordShl, vec![raw01, raw(b.shift as i64)]);
     if b.tag == 0 {
         shifted
     } else {
-        s.prim(PrimOp::WordOr, vec![shifted, raw(b.tag)])
+        s.prim(PrimOp::WordOr, vec![shifted, raw(b.tag as i64)])
     }
 }
 
 /// Immediate type test: `(v & mask) == tag`, injected as a boolean.
-fn imm_test(s: &mut Seq<'_>, ctx: &Ctx, t: Imm, v: Atom) -> Atom {
+fn imm_test(s: &mut Seq<'_>, ctx: &Ctx, t: ImmediateRole, v: Atom) -> Atom {
     let mask = (1i64 << t.tag_bits) - 1;
     let low = s.prim(PrimOp::WordAnd, vec![v, raw(mask)]);
-    let cmp = s.prim(PrimOp::WordEq, vec![low, raw(t.tag)]);
+    let cmp = s.prim(PrimOp::WordEq, vec![low, raw(t.tag as i64)]);
     inject_bool(s, ctx.bool_, cmp)
 }
 
 /// Pointer type test on the low 3 bits.
-fn ptr_test(s: &mut Seq<'_>, ctx: &Ctx, p: Ptr, v: Atom) -> Atom {
+fn ptr_test(s: &mut Seq<'_>, ctx: &Ctx, p: PointerRole, v: Atom) -> Atom {
     let low = s.prim(PrimOp::WordAnd, vec![v, raw(0b111)]);
-    let cmp = s.prim(PrimOp::WordEq, vec![low, raw(p.tag)]);
+    let cmp = s.prim(PrimOp::WordEq, vec![low, raw(p.tag as i64)]);
     inject_bool(s, ctx.bool_, cmp)
 }
 
 /// Converts a tagged fixnum into a raw byte offset (`index * 8`).
-fn fixnum_to_byteoff(s: &mut Seq<'_>, fx: Imm, i: Atom) -> Atom {
+fn fixnum_to_byteoff(s: &mut Seq<'_>, fx: ImmediateRole, i: Atom) -> Atom {
     if fx.tag == 0 && fx.shift == 3 {
         // The classic trick: a shift-3, tag-0 fixnum *is* its byte offset.
         return i;
@@ -225,22 +186,22 @@ fn fixnum_to_byteoff(s: &mut Seq<'_>, fx: Imm, i: Atom) -> Atom {
     let detag = if fx.tag == 0 {
         i
     } else {
-        s.prim(PrimOp::WordSub, vec![i, raw(fx.tag)])
+        s.prim(PrimOp::WordSub, vec![i, raw(fx.tag as i64)])
     };
     let idx = s.prim(PrimOp::WordShr, vec![detag, raw(fx.shift as i64)]);
     s.prim(PrimOp::WordShl, vec![idx, raw(3)])
 }
 
-fn project_fixnum(s: &mut Seq<'_>, fx: Imm, a: Atom) -> Atom {
+fn project_fixnum(s: &mut Seq<'_>, fx: ImmediateRole, a: Atom) -> Atom {
     s.prim(PrimOp::WordShr, vec![a, raw(fx.shift as i64)])
 }
 
-fn inject_fixnum(s: &mut Seq<'_>, fx: Imm, a: Atom) -> Atom {
+fn inject_fixnum(s: &mut Seq<'_>, fx: ImmediateRole, a: Atom) -> Atom {
     let shifted = s.prim(PrimOp::WordShl, vec![a, raw(fx.shift as i64)]);
     if fx.tag == 0 {
         shifted
     } else {
-        s.prim(PrimOp::WordOr, vec![shifted, raw(fx.tag)])
+        s.prim(PrimOp::WordOr, vec![shifted, raw(fx.tag as i64)])
     }
 }
 
@@ -283,7 +244,7 @@ fn expand(i: Intrinsic, args: &[Atom], ctx: &Ctx, s: &mut Seq<'_>) -> Atom {
             if fx.tag == 0 {
                 sum
             } else {
-                s.prim(PrimOp::WordSub, vec![sum, raw(fx.tag)])
+                s.prim(PrimOp::WordSub, vec![sum, raw(fx.tag as i64)])
             }
         }
         FxSub => {
@@ -291,7 +252,7 @@ fn expand(i: Intrinsic, args: &[Atom], ctx: &Ctx, s: &mut Seq<'_>) -> Atom {
             if fx.tag == 0 {
                 diff
             } else {
-                s.prim(PrimOp::WordAdd, vec![diff, raw(fx.tag)])
+                s.prim(PrimOp::WordAdd, vec![diff, raw(fx.tag as i64)])
             }
         }
         FxMul => {
@@ -389,7 +350,7 @@ fn expand(i: Intrinsic, args: &[Atom], ctx: &Ctx, s: &mut Seq<'_>) -> Atom {
                 return if ch.tag == 0 {
                     t
                 } else {
-                    s.prim(PrimOp::WordOr, vec![t, raw(ch.tag)])
+                    s.prim(PrimOp::WordOr, vec![t, raw(ch.tag as i64)])
                 };
             }
             let p = project_fixnum(s, fx, args[0].clone());
@@ -397,7 +358,7 @@ fn expand(i: Intrinsic, args: &[Atom], ctx: &Ctx, s: &mut Seq<'_>) -> Atom {
             if ch.tag == 0 {
                 t
             } else {
-                s.prim(PrimOp::WordOr, vec![t, raw(ch.tag)])
+                s.prim(PrimOp::WordOr, vec![t, raw(ch.tag as i64)])
             }
         }
         SymbolToString => s.prim(

@@ -2,7 +2,6 @@
 //! evaluation.
 
 use sxr_opt::OptOptions;
-use sxr_vm::FaultPlan;
 
 /// How the primitive layer is provided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,11 +30,6 @@ pub struct PipelineConfig {
     /// closure-converted module is checked either way.  Defaults on in debug
     /// builds and tests, off in release builds.
     pub verify_passes: bool,
-    /// Deterministic fault-injection schedule for machine runs (defaults to
-    /// none).  See [`FaultPlan`]; the chaos battery runs the whole corpus
-    /// under adversarial schedules and requires results identical to a
-    /// fault-free run or a structured out-of-memory error.
-    pub fault: FaultPlan,
 }
 
 impl PipelineConfig {
@@ -47,7 +41,6 @@ impl PipelineConfig {
             heap_words: 1 << 21,
             instruction_limit: None,
             verify_passes: cfg!(debug_assertions),
-            fault: FaultPlan::default(),
         }
     }
 
@@ -60,7 +53,6 @@ impl PipelineConfig {
             heap_words: 1 << 21,
             instruction_limit: None,
             verify_passes: cfg!(debug_assertions),
-            fault: FaultPlan::default(),
         }
     }
 
@@ -72,7 +64,6 @@ impl PipelineConfig {
             heap_words: 1 << 21,
             instruction_limit: None,
             verify_passes: cfg!(debug_assertions),
-            fault: FaultPlan::default(),
         }
     }
 
@@ -109,13 +100,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Installs a fault-injection schedule for machine runs (see
-    /// [`FaultPlan`]).
-    pub fn with_fault(mut self, fault: FaultPlan) -> PipelineConfig {
-        self.fault = fault;
-        self
-    }
-
     /// A short label for reports.
     pub fn label(&self) -> &'static str {
         match (self.mode, self.opt.rounds) {
@@ -145,14 +129,6 @@ mod tests {
         let cfg = PipelineConfig::ablated("repspec");
         assert!(!cfg.opt.repspec);
         assert!(cfg.opt.inline);
-    }
-
-    #[test]
-    fn fault_builder() {
-        let cfg = PipelineConfig::abstract_optimized();
-        assert!(cfg.fault.is_none(), "default config injects nothing");
-        let chaotic = cfg.with_fault(FaultPlan::none().with_gc_every_alloc());
-        assert!(chaotic.fault.gc_every_alloc);
     }
 
     #[test]

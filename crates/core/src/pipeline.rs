@@ -169,7 +169,6 @@ impl Compiler {
             opt_report,
             heap_words: self.config.heap_words,
             instruction_limit: self.config.instruction_limit,
-            fault: self.config.fault.clone(),
         })
     }
 }
@@ -190,7 +189,6 @@ pub struct Compiled {
     pub rep_globals: HashMap<GlobalId, RepId>,
     heap_words: usize,
     instruction_limit: Option<u64>,
-    fault: FaultPlan,
 }
 
 /// The observable result of running a program.
@@ -206,8 +204,8 @@ pub struct Outcome {
 }
 
 impl Compiled {
-    /// Creates a fresh machine loaded with this program, under the fault
-    /// plan the pipeline configuration installed (none by default).
+    /// Creates a fresh machine loaded with this program, with no faults
+    /// injected.
     ///
     /// The load-time bytecode verifier (`sxr-analysis::bcverify`) runs
     /// before the first instruction as an admission gate: a rejected
@@ -217,18 +215,18 @@ impl Compiled {
     ///
     /// Returns a [`VmError`] if the program's registry is incomplete, the
     /// verifier rejects the code, or a structured out-of-memory error when
-    /// the plan's heap cap cannot hold the constant pool.
+    /// the heap cannot hold the constant pool.
     pub fn machine(&self) -> Result<Machine, VmError> {
-        self.machine_with_fault(self.fault.clone())
+        self.machine_with_fault(FaultPlan::none())
     }
 
-    /// Creates a fresh machine under an explicit fault plan, overriding the
-    /// configuration's (chaos harnesses use this to sweep many schedules
-    /// over one compilation).
+    /// Creates a fresh machine under a fault plan (chaos harnesses use
+    /// this to sweep many schedules over one compilation).
     ///
     /// # Errors
     ///
-    /// As for [`Compiled::machine`].
+    /// As for [`Compiled::machine`], where a structured out-of-memory error
+    /// may also come from the plan's heap cap.
     pub fn machine_with_fault(&self, fault: FaultPlan) -> Result<Machine, VmError> {
         Machine::new(
             self.code.clone(),
@@ -247,7 +245,7 @@ impl Compiled {
     ///
     /// Returns a [`VmError`] raised during loading or execution.
     pub fn run(&self) -> Result<Outcome, VmError> {
-        self.run_with_fault(self.fault.clone())
+        self.run_with_fault(FaultPlan::none())
     }
 
     /// Runs the program on a fresh machine under an explicit fault plan.

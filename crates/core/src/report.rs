@@ -116,9 +116,6 @@ pub fn run_resumable_with(
                 suspensions += 1;
                 step = m.resume(next_slice().max(1))?;
             }
-            StepResult::Suspended(SuspendReason::HostCall) => {
-                step = m.resume(0)?;
-            }
         }
     }
 }

@@ -9,6 +9,17 @@
 //! (`"boolean"`, `"closure"`, …) that the library volunteers via
 //! `%provide-rep!` — this is the paper's inversion: representation policy
 //! lives in library code, the compiler merely looks it up.
+//!
+//! **The role-kind contract.** Each role in [`roles`] has a fixed kind:
+//! [`roles::IMMEDIATE`] roles must be filled by an immediate
+//! representation, [`roles::POINTER`] roles by a pointer representation.
+//! [`RepRegistry::provide_role`] refuses a representation of the wrong
+//! kind, and it is the only way a role is filled — at compile time and at
+//! run time alike — so a consumer that finds a role may trust its kind.
+//! The typed lookups [`RepRegistry::role_word`],
+//! [`RepRegistry::immediate_role`] and [`RepRegistry::pointer_role`] read a
+//! role's encoding without re-checking it; each consumer only reports a
+//! *missing* role, in its own error type.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -74,6 +85,30 @@ impl RepInfo {
             RepKind::Immediate { tag, .. } | RepKind::Pointer { tag, .. } => tag,
         }
     }
+}
+
+/// An immediate role's representation and its encoding
+/// (`(payload << shift) | tag`); see [`RepRegistry::immediate_role`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImmediateRole {
+    /// The representation filling the role.
+    pub id: RepId,
+    /// Number of low bits holding the tag.
+    pub tag_bits: u32,
+    /// The tag pattern.
+    pub tag: u64,
+    /// Left shift applied to the payload.
+    pub shift: u32,
+}
+
+/// A pointer role's representation and its low-bit tag; see
+/// [`RepRegistry::pointer_role`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PointerRole {
+    /// The representation filling the role.
+    pub id: RepId,
+    /// The low-bit tag of its pointers.
+    pub tag: u64,
 }
 
 /// Errors raised while registering representation types.
@@ -144,12 +179,68 @@ impl RepRegistry {
         self.roles.get(role).copied()
     }
 
-    /// Registers `rep` as filling compiler `role`.
+    /// The immediate representation filling `role`, with its encoding, or
+    /// `None` when no immediate representation fills it.  For a role in
+    /// [`roles::IMMEDIATE`] that means the library did not provide it.
+    pub fn immediate_role(&self, role: &str) -> Option<ImmediateRole> {
+        let id = self.role(role)?;
+        match self.info(id).kind {
+            RepKind::Immediate {
+                tag_bits,
+                tag,
+                shift,
+            } => Some(ImmediateRole {
+                id,
+                tag_bits,
+                tag,
+                shift,
+            }),
+            RepKind::Pointer { .. } => None,
+        }
+    }
+
+    /// The pointer representation filling `role`, with its tag, or `None`
+    /// when no pointer representation fills it.  For a role in
+    /// [`roles::POINTER`] that means the library did not provide it.
+    pub fn pointer_role(&self, role: &str) -> Option<PointerRole> {
+        let id = self.role(role)?;
+        match self.info(id).kind {
+            RepKind::Pointer { tag, .. } => Some(PointerRole { id, tag }),
+            RepKind::Immediate { .. } => None,
+        }
+    }
+
+    /// The word encoding `payload` in the immediate representation filling
+    /// `role` (see [`RepRegistry::immediate_role`]).
+    pub fn role_word(&self, role: &str, payload: i64) -> Option<i64> {
+        let r = self.immediate_role(role)?;
+        Some(self.encode_immediate(r.id, payload))
+    }
+
+    /// Registers `rep` as filling compiler `role`.  This is the only way a
+    /// role is filled, so it is where the role-kind contract (see the
+    /// module documentation) is enforced.
     ///
     /// # Errors
     ///
-    /// Returns an error if the role is already filled by a *different* rep.
+    /// Returns an error naming the role if `rep` is unknown, if it is not
+    /// of the kind [`roles::IMMEDIATE`] / [`roles::POINTER`] demand, or if
+    /// the role is already filled by a *different* rep.
     pub fn provide_role(&mut self, role: &str, rep: RepId) -> Result<(), RepError> {
+        let Some(info) = self.reps.get(rep as usize) else {
+            return Err(RepError(format!(
+                "role `{role}` provided with unknown representation id {rep}"
+            )));
+        };
+        if let Some(pointer) = roles::required_kind(role) {
+            if info.is_pointer() != pointer {
+                let kind = if pointer { "a pointer" } else { "an immediate" };
+                return Err(RepError(format!(
+                    "role `{role}` must be filled by {kind} representation, not `{}`",
+                    info.name
+                )));
+            }
+        }
         match self.roles.get(role) {
             Some(&existing) if existing != rep => Err(RepError(format!(
                 "role `{role}` already provided by `{}`",
@@ -378,9 +469,9 @@ impl RepRegistry {
     }
 }
 
-/// The role names the compiler and VM may consult. The *library* decides
-/// which rep fills each role; this list only documents what the machine
-/// layer will ask for.
+/// The role names the compiler and VM may consult, and the kind each must
+/// have. The *library* decides which rep fills each role; this list only
+/// states what the machine layer will ask for.
 pub mod roles {
     /// Fixnum literals and VM-internal small integers.
     pub const FIXNUM: &str = "fixnum";
@@ -404,6 +495,28 @@ pub mod roles {
     pub const SYMBOL: &str = "symbol";
     /// Closures created by the code generator.
     pub const CLOSURE: &str = "closure";
+    /// First-class representation-type objects.
+    pub const REP_TYPE: &str = "rep-type";
+    /// The condition records delivered to trap handlers.
+    pub const CONDITION: &str = "condition";
+
+    /// The roles an immediate representation must fill.
+    pub const IMMEDIATE: [&str; 6] = [FIXNUM, BOOLEAN, CHAR, NULL, UNSPECIFIED, EOF];
+    /// The roles a pointer representation must fill.
+    pub const POINTER: [&str; 7] = [PAIR, VECTOR, STRING, SYMBOL, CLOSURE, REP_TYPE, CONDITION];
+
+    /// Whether `role` must be filled by a pointer (`Some(true)`) or an
+    /// immediate (`Some(false)`) representation; `None` for a role the
+    /// compiler and VM never read, which may have either kind.
+    pub(super) fn required_kind(role: &str) -> Option<bool> {
+        if IMMEDIATE.contains(&role) {
+            Some(false)
+        } else if POINTER.contains(&role) {
+            Some(true)
+        } else {
+            None
+        }
+    }
 }
 
 #[cfg(test)]
@@ -487,6 +600,51 @@ mod tests {
         // Re-providing the same rep is fine; a different one is not.
         reg.provide_role("fixnum", fx).unwrap();
         assert!(reg.provide_role("fixnum", pair).is_err());
+    }
+
+    #[test]
+    fn roles_refuse_the_wrong_kind() {
+        let mut reg = RepRegistry::new();
+        let imm = reg.intern_immediate("some-immediate", 3, 0, 3).unwrap();
+        let ptr = reg.intern_pointer("some-pointer", 1, false).unwrap();
+        let table = roles::IMMEDIATE
+            .iter()
+            .map(|r| (r, imm, ptr))
+            .chain(roles::POINTER.iter().map(|r| (r, ptr, imm)));
+        for (role, right, wrong) in table {
+            let err = reg.provide_role(role, wrong).unwrap_err();
+            assert!(err.0.contains(&format!("`{role}`")), "{err}");
+            assert_eq!(reg.role(role), None, "{role} filled by a refused rep");
+            reg.provide_role(role, right).unwrap();
+            assert_eq!(reg.role(role), Some(right));
+        }
+        // A role the machine layer never reads may have either kind.
+        reg.provide_role("user-role", ptr).unwrap();
+        assert_eq!(reg.immediate_role("user-role"), None);
+        assert_eq!(reg.pointer_role("user-role").map(|r| r.tag), Some(1));
+    }
+
+    #[test]
+    fn typed_role_lookups() {
+        let (mut reg, fx, pair) = classic();
+        assert_eq!(reg.role_word(roles::FIXNUM, 5), None);
+        reg.provide_role(roles::FIXNUM, fx).unwrap();
+        reg.provide_role(roles::PAIR, pair).unwrap();
+        assert_eq!(reg.role_word(roles::FIXNUM, 5), Some(40));
+        assert_eq!(
+            reg.immediate_role(roles::FIXNUM),
+            Some(ImmediateRole {
+                id: fx,
+                tag_bits: 3,
+                tag: 0,
+                shift: 3
+            })
+        );
+        assert_eq!(
+            reg.pointer_role(roles::PAIR),
+            Some(PointerRole { id: pair, tag: 1 })
+        );
+        assert_eq!(reg.pointer_role(roles::VECTOR), None);
     }
 
     #[test]

@@ -34,17 +34,9 @@ use sxr_ir::rep::{roles, RepKind, RepRegistry};
 /// Runs the pass. Returns the rewritten program and a change count.
 pub fn bits(e: Expr, registry: &RepRegistry, assumptions: &Assumptions) -> (Expr, usize) {
     let bool_pattern = registry
-        .role(roles::BOOLEAN)
-        .and_then(|id| match registry.info(id).kind {
-            RepKind::Immediate { tag, shift, .. } => Some((tag as i64, shift as i64)),
-            RepKind::Pointer { .. } => None,
-        });
-    let false_word = registry
-        .role(roles::BOOLEAN)
-        .and_then(|id| match registry.info(id).kind {
-            RepKind::Immediate { .. } => Some(registry.encode_immediate(id, 0)),
-            RepKind::Pointer { .. } => None,
-        });
+        .immediate_role(roles::BOOLEAN)
+        .map(|b| (b.tag as i64, b.shift as i64));
+    let false_word = registry.role_word(roles::BOOLEAN, 0);
     let mut st = Bits {
         registry,
         assumptions,

@@ -9,12 +9,12 @@
 //! claim with teeth.
 
 use crate::globals::GlobalInfo;
+use crate::scan::{const_symbol, fold_rep_type};
 use crate::util::{lit_word, truthiness};
 use std::collections::HashMap;
 use sxr_ir::anf::{Atom, Bound, Expr, GlobalId, Literal, Test, VarId};
 use sxr_ir::prim::PrimOp;
 use sxr_ir::rep::{RepKind, RepRegistry};
-use sxr_sexp::Datum;
 
 /// A folding error (malformed representation declarations).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,21 +66,6 @@ impl Folder<'_> {
         atoms.iter().map(|a| self.resolve(a)).collect()
     }
 
-    fn const_sym(a: &Atom) -> Option<String> {
-        match a {
-            Atom::Lit(Literal::Datum(Datum::Symbol(s))) => Some(s.clone()),
-            _ => None,
-        }
-    }
-
-    fn const_int(a: &Atom) -> Option<i64> {
-        match a {
-            Atom::Lit(Literal::Datum(Datum::Fixnum(n))) => Some(*n),
-            Atom::Lit(Literal::Raw(n)) => Some(*n),
-            _ => None,
-        }
-    }
-
     fn word_of(&self, a: &Atom) -> Option<i64> {
         match a {
             Atom::Lit(l) => lit_word(l, self.registry),
@@ -127,38 +112,11 @@ impl Folder<'_> {
                     a.wrapping_rem(b)
                 }))
             }
-            MakeImmType => {
-                let (Some(name), Some(tb), Some(tag), Some(shift)) = (
-                    Self::const_sym(&args[0]),
-                    Self::const_int(&args[1]),
-                    Self::const_int(&args[2]),
-                    Self::const_int(&args[3]),
-                ) else {
-                    return Ok(None);
-                };
-                let rid = self
-                    .registry
-                    .intern_immediate(&name, tb as u32, tag as u64, shift as u32)
-                    .map_err(|e| FoldError(e.0))?;
-                Some(Literal::Rep(rid))
-            }
-            MakePtrType => {
-                let (Some(name), Some(tag), Some(Atom::Lit(Literal::Datum(Datum::Bool(d))))) = (
-                    Self::const_sym(&args[0]),
-                    Self::const_int(&args[1]),
-                    Some(&args[2]),
-                ) else {
-                    return Ok(None);
-                };
-                let rid = self
-                    .registry
-                    .intern_pointer(&name, tag as u64, *d)
-                    .map_err(|e| FoldError(e.0))?;
-                Some(Literal::Rep(rid))
-            }
+            MakeImmType | MakePtrType => fold_rep_type(op, args, self.registry)
+                .map_err(|e| FoldError(e.0))?
+                .map(Literal::Rep),
             ProvideRep => {
-                let (Some(role), Atom::Lit(Literal::Rep(rid))) =
-                    (Self::const_sym(&args[0]), &args[1])
+                let (Some(role), Atom::Lit(Literal::Rep(rid))) = (const_symbol(&args[0]), &args[1])
                 else {
                     return Ok(None);
                 };
@@ -303,7 +261,7 @@ mod tests {
     use super::*;
     use sxr_ast::{convert_assignments, Expander};
     use sxr_ir::lower_program;
-    use sxr_sexp::parse_all;
+    use sxr_sexp::{parse_all, Datum};
 
     fn fold_src(src: &str) -> (Expr, RepRegistry) {
         let mut ex = Expander::new();

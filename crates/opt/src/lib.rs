@@ -12,9 +12,12 @@
 //! | common-subexpression elimination | [`cse`] | purity |
 //! | dead-code elimination / cleanup | [`cleanup`] | effect-freeness |
 //!
-//! The pass manager ([`optimize`]) runs them in rounds to a fixpoint. Every
-//! pass can be disabled individually — the ablation experiment (Table 3)
-//! measures exactly how much each one matters.
+//! The pass manager ([`optimize`]) runs each enabled pass once per round, in
+//! the order above, and repeats rounds until one changes nothing (or the
+//! round limit is reached): whatever a later pass exposes — constants from
+//! bit rewrites, dead bindings after cleanup — the next round picks up.
+//! Every pass can be disabled individually — the ablation experiment
+//! (Table 3) measures exactly how much each one matters.
 
 #![forbid(unsafe_code)]
 
@@ -227,14 +230,6 @@ pub fn optimize(
             if options.verify {
                 verify_pass("bits", &e, registry)?;
             }
-            if options.constfold {
-                // Bit rewrites expose constants (e.g. folded type tests).
-                let ginfo = analyze_globals(&e, rep_globals);
-                e = constfold(e, &ginfo, registry).map_err(|err| OptError(err.0))?;
-                if options.verify {
-                    verify_pass("constfold", &e, registry)?;
-                }
-            }
         }
         if options.cse {
             let (e2, n) = cse(e);
@@ -246,15 +241,10 @@ pub fn optimize(
             }
         }
         if options.dce {
-            loop {
-                let (e2, n) = cleanup(e);
-                e = e2;
-                report.cleaned += n;
-                round_changed += n;
-                if n == 0 {
-                    break;
-                }
-            }
+            let (e2, n) = cleanup(e);
+            e = e2;
+            report.cleaned += n;
+            round_changed += n;
             if options.verify {
                 verify_pass("dce", &e, registry)?;
             }

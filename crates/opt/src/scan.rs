@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::fmt;
 use sxr_ir::anf::{Atom, Bound, Expr, GlobalId, Literal, VarId};
 use sxr_ir::prim::PrimOp;
-use sxr_ir::rep::{RepId, RepRegistry};
+use sxr_ir::rep::{RepError, RepId, RepRegistry};
 use sxr_sexp::Datum;
 
 /// A problem in the library's representation declarations.
@@ -50,13 +50,8 @@ pub fn scan_representations(
     // Walk the straight top-level binding spine.
     while let Expr::Let(v, b, body) = e {
         match b {
-            Bound::Prim(PrimOp::MakeImmType, args) => {
-                if let Some(rid) = fold_make_imm(args, registry)? {
-                    vars.insert(*v, rid);
-                }
-            }
-            Bound::Prim(PrimOp::MakePtrType, args) => {
-                if let Some(rid) = fold_make_ptr(args, registry)? {
+            Bound::Prim(op @ (PrimOp::MakeImmType | PrimOp::MakePtrType), args) => {
+                if let Some(rid) = fold_rep_type(*op, args, registry).map_err(|e| ScanError(e.0))? {
                     vars.insert(*v, rid);
                 }
             }
@@ -106,7 +101,8 @@ pub fn scan_representations(
     Ok(globals)
 }
 
-fn const_symbol(a: &Atom) -> Option<String> {
+/// The name a quoted-symbol operand carries.
+pub(crate) fn const_symbol(a: &Atom) -> Option<String> {
     match a {
         Atom::Lit(Literal::Datum(Datum::Symbol(s))) => Some(s.clone()),
         _ => None,
@@ -140,37 +136,42 @@ fn rep_of_atom(
     }
 }
 
-/// Folds `%make-immediate-type` with constant arguments. Returns `None` when
-/// arguments are not constants (a run-time type creation, legal anywhere
-/// but not a top-level declaration).
-fn fold_make_imm(args: &[Atom], registry: &mut RepRegistry) -> Result<Option<RepId>, ScanError> {
-    let (Some(name), Some(tag_bits), Some(tag), Some(shift)) = (
-        const_symbol(&args[0]),
-        const_fixnum(&args[1]),
-        const_fixnum(&args[2]),
-        const_fixnum(&args[3]),
-    ) else {
-        return Ok(None);
+/// Registers the type a `%make-immediate-type` / `%make-pointer-type`
+/// application declares, when all its arguments are constants — the one
+/// folder for constant declarations, shared by the scan and by constant
+/// folding. Returns `None` for any other `op`, and for non-constant
+/// arguments (a run-time type creation, legal anywhere but not a
+/// top-level declaration).
+pub(crate) fn fold_rep_type(
+    op: PrimOp,
+    args: &[Atom],
+    registry: &mut RepRegistry,
+) -> Result<Option<RepId>, RepError> {
+    let interned = match op {
+        PrimOp::MakeImmType => {
+            let (Some(name), Some(tag_bits), Some(tag), Some(shift)) = (
+                const_symbol(&args[0]),
+                const_fixnum(&args[1]),
+                const_fixnum(&args[2]),
+                const_fixnum(&args[3]),
+            ) else {
+                return Ok(None);
+            };
+            registry.intern_immediate(&name, tag_bits as u32, tag as u64, shift as u32)
+        }
+        PrimOp::MakePtrType => {
+            let (Some(name), Some(tag), Some(disc)) = (
+                const_symbol(&args[0]),
+                const_fixnum(&args[1]),
+                const_bool(&args[2]),
+            ) else {
+                return Ok(None);
+            };
+            registry.intern_pointer(&name, tag as u64, disc)
+        }
+        _ => return Ok(None),
     };
-    registry
-        .intern_immediate(&name, tag_bits as u32, tag as u64, shift as u32)
-        .map(Some)
-        .map_err(|e| ScanError(e.0))
-}
-
-/// Folds `%make-pointer-type` with constant arguments.
-fn fold_make_ptr(args: &[Atom], registry: &mut RepRegistry) -> Result<Option<RepId>, ScanError> {
-    let (Some(name), Some(tag), Some(disc)) = (
-        const_symbol(&args[0]),
-        const_fixnum(&args[1]),
-        const_bool(&args[2]),
-    ) else {
-        return Ok(None);
-    };
-    registry
-        .intern_pointer(&name, tag as u64, disc)
-        .map(Some)
-        .map_err(|e| ScanError(e.0))
+    interned.map(Some)
 }
 
 #[cfg(test)]

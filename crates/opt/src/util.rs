@@ -1,19 +1,13 @@
 //! Shared helpers for the optimizer passes.
 
 use sxr_ir::anf::{Atom, Bound, Expr, Literal, NameSupply, VarId};
-use sxr_ir::rep::{roles, RepKind, RepRegistry};
+use sxr_ir::rep::{roles, RepRegistry};
 use sxr_sexp::Datum;
 
 /// The machine word a literal encodes to, when that is statically known
 /// without a heap (immediates only).
 pub fn lit_word(lit: &Literal, reg: &RepRegistry) -> Option<i64> {
-    let enc = |role: &str, payload: i64| -> Option<i64> {
-        let id = reg.role(role)?;
-        match reg.info(id).kind {
-            RepKind::Immediate { .. } => Some(reg.encode_immediate(id, payload)),
-            RepKind::Pointer { .. } => None,
-        }
-    };
+    let enc = |role, payload| reg.role_word(role, payload);
     match lit {
         Literal::Raw(w) => Some(*w),
         Literal::Unspecified => enc(roles::UNSPECIFIED, 0),
@@ -33,13 +27,7 @@ pub fn truthiness(lit: &Literal, reg: &RepRegistry) -> Option<bool> {
     match lit {
         Literal::Datum(Datum::Bool(b)) => Some(*b),
         Literal::Datum(_) | Literal::Rep(_) | Literal::Unspecified => Some(true),
-        Literal::Raw(w) => {
-            let id = reg.role(roles::BOOLEAN)?;
-            match reg.info(id).kind {
-                RepKind::Immediate { .. } => Some(*w != reg.encode_immediate(id, 0)),
-                RepKind::Pointer { .. } => None,
-            }
-        }
+        Literal::Raw(w) => Some(*w != reg.role_word(roles::BOOLEAN, 0)?),
     }
 }
 

@@ -8,7 +8,7 @@
 use crate::error::{VmError, VmErrorKind};
 use crate::heap::{header_len, header_type, Word};
 use crate::machine::Machine;
-use sxr_ir::rep::{roles, RepKind};
+use sxr_ir::rep::{roles, PointerRole};
 use sxr_sexp::Datum;
 
 /// Upper bound on heap words needed to encode `d` (used to pre-reserve so
@@ -27,31 +27,35 @@ pub fn words_needed(d: &Datum) -> usize {
     }
 }
 
+fn missing_role(role: &str, what: &str) -> VmError {
+    VmError::new(
+        VmErrorKind::BadProgram,
+        format!("program contains {what} but the library provided no `{role}` representation"),
+    )
+}
+
 fn need_role(m: &Machine, role: &str, what: &str) -> Result<u32, VmError> {
-    m.registry.role(role).ok_or_else(|| {
-        VmError::new(
-            VmErrorKind::BadProgram,
-            format!("program contains {what} but the library provided no `{role}` representation"),
-        )
-    })
+    m.registry
+        .role(role)
+        .ok_or_else(|| missing_role(role, what))
+}
+
+fn need_pointer(m: &Machine, role: &str, what: &str) -> Result<PointerRole, VmError> {
+    m.registry
+        .pointer_role(role)
+        .ok_or_else(|| missing_role(role, what))
 }
 
 /// Encodes a string onto the heap (fields are char immediates).
 pub fn encode_string(m: &mut Machine, s: &str) -> Result<Word, VmError> {
-    let string = need_role(m, roles::STRING, "a string")?;
+    let string = need_pointer(m, roles::STRING, "a string")?;
     let char_rep = need_role(m, roles::CHAR, "a string")?;
-    let RepKind::Pointer { tag, .. } = m.registry.info(string).kind else {
-        return Err(VmError::new(
-            VmErrorKind::BadProgram,
-            "`string` role must be a pointer",
-        ));
-    };
     let chars: Vec<Word> = s
         .chars()
         .map(|c| m.registry.encode_immediate(char_rep, c as i64))
         .collect();
     let fill = m.registry.encode_immediate(char_rep, 0);
-    let w = m.alloc_object(chars.len(), string as u16, tag, fill)?;
+    let w = m.alloc_object(chars.len(), string.id as u16, string.tag, fill)?;
     let base = (w >> 3) as usize;
     for (i, cw) in chars.into_iter().enumerate() {
         m.heap_set_for_encode(base + 1 + i, cw)?;
@@ -100,19 +104,13 @@ pub fn encode_datum(m: &mut Machine, d: &Datum) -> Result<Word, VmError> {
             Ok(tail)
         }
         Datum::Vector(items) => {
-            let vec_rep = need_role(m, roles::VECTOR, "a vector literal")?;
-            let RepKind::Pointer { tag, .. } = m.registry.info(vec_rep).kind else {
-                return Err(VmError::new(
-                    VmErrorKind::BadProgram,
-                    "`vector` role must be a pointer",
-                ));
-            };
+            let vector = need_pointer(m, roles::VECTOR, "a vector literal")?;
             let words: Vec<Word> = items
                 .iter()
                 .map(|i| encode_datum(m, i))
                 .collect::<Result<_, _>>()?;
             let fill = m.registry.encode_immediate(m.role_fixnum(), 0);
-            let w = m.alloc_object(words.len(), vec_rep as u16, tag, fill)?;
+            let w = m.alloc_object(words.len(), vector.id as u16, vector.tag, fill)?;
             let base = (w >> 3) as usize;
             for (i, iw) in words.into_iter().enumerate() {
                 m.heap_set_for_encode(base + 1 + i, iw)?;
@@ -123,15 +121,9 @@ pub fn encode_datum(m: &mut Machine, d: &Datum) -> Result<Word, VmError> {
 }
 
 fn encode_pair(m: &mut Machine, car: &Datum, cdr: Word) -> Result<Word, VmError> {
-    let pair = need_role(m, roles::PAIR, "a pair literal")?;
-    let RepKind::Pointer { tag, .. } = m.registry.info(pair).kind else {
-        return Err(VmError::new(
-            VmErrorKind::BadProgram,
-            "`pair` role must be a pointer",
-        ));
-    };
+    let pair = need_pointer(m, roles::PAIR, "a pair literal")?;
     let car_w = encode_datum(m, car)?;
-    let w = m.alloc_object(2, pair as u16, tag, cdr)?;
+    let w = m.alloc_object(2, pair.id as u16, pair.tag, cdr)?;
     let base = (w >> 3) as usize;
     m.heap_set_for_encode(base + 1, car_w)?;
     m.heap_set_for_encode(base + 2, cdr)?;
@@ -244,7 +236,7 @@ pub fn describe(m: &Machine, w: Word, depth: usize) -> String {
         return "#<procedure>".to_string();
     }
     if reg
-        .role("rep-type")
+        .role(roles::REP_TYPE)
         .map(|c| reg.tag_matches(c, w) && header_type(header) == c as u16)
         .unwrap_or(false)
     {

@@ -23,7 +23,7 @@ use crate::inst::{BinOp, CmpOp, CodeProgram, Inst, PoolEntry, Reg, RegImm, RepVm
 use crate::structure::check_structure;
 use std::collections::HashMap;
 use std::rc::Rc;
-use sxr_ir::rep::{roles, RepId, RepKind, RepRegistry};
+use sxr_ir::rep::{roles, ImmediateRole, PointerRole, RepId, RepKind, RepRegistry};
 
 /// A load-time bytecode verifier: inspects the whole program and either
 /// admits it (`Ok`) or rejects it with a structured
@@ -104,11 +104,6 @@ pub enum SuspendReason {
     /// next [`Machine::resume`] re-fetches the instruction the budget
     /// refused.
     FuelExhausted,
-    /// The machine executed a host-visible effect (`%write-char` with
-    /// [`Machine::set_yield_on_output`] enabled) and is handing control to
-    /// the embedder.  The effect has already happened; resuming continues
-    /// at the next instruction.
-    HostCall,
 }
 
 /// What one slice of resumable execution produced.
@@ -132,17 +127,10 @@ enum Phase {
     Faulted,
 }
 
-/// Control flow out of one executed instruction.
-enum Exec {
-    Continue,
-    Suspend(SuspendReason),
-}
-
 #[derive(Debug, Clone, Copy)]
 struct RoleCache {
-    fixnum: RepId,
-    closure: RepId,
-    closure_tag: u64,
+    fixnum: ImmediateRole,
+    closure: PointerRole,
     false_word: Word,
     unspec_word: Word,
     reg_init: Word,
@@ -200,9 +188,6 @@ pub struct Machine {
     phase: Phase,
     /// The result word once the outermost frame returns.
     result: Word,
-    /// When set, `%write-char` yields [`SuspendReason::HostCall`] after
-    /// appending (resumable sessions only; [`Machine::run`] runs through).
-    host_yield_output: bool,
 }
 
 impl Machine {
@@ -219,22 +204,13 @@ impl Machine {
             return Err(VmError::new(VmErrorKind::BadProgram, m.to_string()));
         }
         let registry = program.registry.clone();
-        let role_id = |name: &str| registry.role(name).expect("boot role checked at load");
-        let fixnum = role_id(roles::FIXNUM);
-        let closure = role_id(roles::CLOSURE);
-        let RepKind::Pointer {
-            tag: closure_tag, ..
-        } = registry.info(closure).kind
-        else {
-            unreachable!("closure role checked as a pointer at load");
-        };
+        let boot = "boot role checked at load";
         let role = RoleCache {
-            fixnum,
-            closure,
-            closure_tag,
-            false_word: registry.encode_immediate(role_id(roles::BOOLEAN), 0),
-            unspec_word: registry.encode_immediate(role_id(roles::UNSPECIFIED), 0),
-            reg_init: registry.encode_immediate(fixnum, 0),
+            fixnum: registry.immediate_role(roles::FIXNUM).expect(boot),
+            closure: registry.pointer_role(roles::CLOSURE).expect(boot),
+            false_word: registry.role_word(roles::BOOLEAN, 0).expect(boot),
+            unspec_word: registry.role_word(roles::UNSPECIFIED, 0).expect(boot),
+            reg_init: registry.role_word(roles::FIXNUM, 0).expect(boot),
         };
         // The verifier sees the program the step loop executes; a rejected
         // program never starts.
@@ -271,7 +247,6 @@ impl Machine {
             pending_trap: None,
             phase: Phase::Ready,
             result: role.unspec_word,
-            host_yield_output: false,
         };
         m.build_pool()?;
         Ok(m)
@@ -343,7 +318,7 @@ impl Machine {
     }
 
     pub(crate) fn role_fixnum(&self) -> RepId {
-        self.role.fixnum
+        self.role.fixnum.id
     }
 
     /// Allocates, collecting or growing first if needed. `fill` must be a
@@ -474,12 +449,9 @@ impl Machine {
         self.result = self.heap.forward(&mut from, self.result, &pt)?;
         // Closures are mixed-representation objects: free slots the code
         // generator proved raw must not be treated as pointers.
-        let RepKind::Immediate { shift, .. } = self.registry.info(self.role.fixnum).kind else {
-            unreachable!("fixnum role validated as immediate at load");
-        };
         let cs = ClosureScan {
-            type_id: self.role.closure as u16,
-            code_shift: shift,
+            type_id: self.role.closure.id as u16,
+            code_shift: self.role.fixnum.shift,
             funs: &prog.funs,
         };
         self.heap.scan_from_precise(0, &mut from, &pt, Some(&cs))?;
@@ -623,20 +595,13 @@ impl Machine {
     fn rest_list(&mut self, args: &[Reg], arity: usize) -> Result<Word, VmError> {
         // The load-time structural check proved both roles for every
         // variadic function, and a role is never rebound.
-        let role = |name| {
-            self.registry
-                .role(name)
-                .expect("variadic role checked at load")
-        };
-        let (pair, null) = (role(roles::PAIR), role(roles::NULL));
-        let RepKind::Pointer { tag: pair_tag, .. } = self.registry.info(pair).kind else {
-            unreachable!("pair role checked as a pointer at load");
-        };
+        let checked = "variadic role checked at load";
+        let pair = self.registry.pointer_role(roles::PAIR).expect(checked);
+        let mut rest = self.registry.role_word(roles::NULL, 0).expect(checked);
         self.ensure_space(3 * (args.len() - arity) + 1)?;
-        let mut rest = self.registry.encode_immediate(null, 0);
         for &a in args[arity..].iter().rev() {
             let car = self.r(a);
-            let p = self.alloc_object(2, pair as u16, pair_tag, rest)?;
+            let p = self.alloc_object(2, pair.id as u16, pair.tag, rest)?;
             let base = (p >> 3) as usize;
             self.heap.set(base + 1, car)?;
             rest = p;
@@ -661,7 +626,7 @@ impl Machine {
     }
 
     fn closure_target(&self, fval: Word) -> Result<u32, VmError> {
-        if !self.registry.tag_matches(self.role.closure, fval) {
+        if !self.registry.tag_matches(self.role.closure.id, fval) {
             return Err(VmError::new(
                 VmErrorKind::NotAProcedure,
                 format!("call of non-procedure {}", self.describe(fval)),
@@ -669,7 +634,7 @@ impl Machine {
         }
         let base = (fval >> 3) as usize;
         let code = self.heap.get(base + 1)?;
-        let fnid = self.registry.decode_immediate(self.role.fixnum, code) as u32;
+        let fnid = self.registry.decode_immediate(self.role.fixnum.id, code) as u32;
         // The code word lives on the heap, where a sufficiently adversarial
         // guest (a `%rep-set!` through a representation sharing the closure
         // tag) can overwrite it; such an object is simply not a callable
@@ -713,27 +678,22 @@ impl Machine {
     /// out).
     pub fn run(&mut self) -> Result<Word, VmError> {
         self.begin()?;
-        loop {
-            match self.step_loop()? {
-                StepResult::Done(w) => return Ok(w),
-                StepResult::Suspended(SuspendReason::FuelExhausted) => {
-                    self.phase = Phase::Faulted;
-                    return Err(VmError::new(
-                        VmErrorKind::Timeout,
-                        "instruction budget exhausted",
-                    ));
-                }
-                // `run` owns the session: cooperative yield points are
-                // simply run through.
-                StepResult::Suspended(SuspendReason::HostCall) => {}
+        match self.step_loop()? {
+            StepResult::Done(w) => Ok(w),
+            StepResult::Suspended(SuspendReason::FuelExhausted) => {
+                self.phase = Phase::Faulted;
+                Err(VmError::new(
+                    VmErrorKind::Timeout,
+                    "instruction budget exhausted",
+                ))
             }
         }
     }
 
-    /// Begins a resumable session, executing until completion, fuel
-    /// exhaustion, or a host-call yield.  Unlike [`Machine::run`], an empty
-    /// instruction budget is not an error: the machine suspends with all
-    /// state intact and [`Machine::resume`] continues it.
+    /// Begins a resumable session, executing until completion or fuel
+    /// exhaustion.  Unlike [`Machine::run`], an empty instruction budget
+    /// is not an error: the machine suspends with all state intact and
+    /// [`Machine::resume`] continues it.
     ///
     /// # Errors
     ///
@@ -773,13 +733,6 @@ impl Machine {
         self.remaining = fuel;
     }
 
-    /// When enabled, `%write-char` suspends resumable sessions with
-    /// [`SuspendReason::HostCall`] after appending the character
-    /// ([`Machine::run`] is unaffected — it runs through yield points).
-    pub fn set_yield_on_output(&mut self, yield_on_output: bool) {
-        self.host_yield_output = yield_on_output;
-    }
-
     /// Shared entry: pushes the `main` frame and moves to `Running`.
     fn begin(&mut self) -> Result<(), VmError> {
         if self.phase != Phase::Ready {
@@ -798,8 +751,8 @@ impl Machine {
     }
 
     /// The fetch/execute loop.  Returns `Done` when the outermost frame
-    /// has returned, `Suspended` when the budget ran dry or a host call
-    /// yielded; terminal errors move the machine to `Faulted`.
+    /// has returned, `Suspended` when the budget ran dry; terminal errors
+    /// move the machine to `Faulted`.
     fn step_loop(&mut self) -> Result<StepResult, VmError> {
         // The code never changes once loaded.  One handle per slice lets
         // each instruction be borrowed while the machine state changes.
@@ -841,16 +794,10 @@ impl Machine {
                 continue;
             }
             self.counters.count(inst.class());
-            match self.exec_inst(inst) {
-                Ok(Exec::Continue) => {}
-                Ok(Exec::Suspend(reason)) => {
-                    return Ok(StepResult::Suspended(reason));
-                }
-                Err(e) => {
-                    if let Err(fatal) = self.deliver_trap(e) {
-                        self.phase = Phase::Faulted;
-                        return Err(fatal);
-                    }
+            if let Err(e) = self.exec_inst(inst) {
+                if let Err(fatal) = self.deliver_trap(e) {
+                    self.phase = Phase::Faulted;
+                    return Err(fatal);
                 }
             }
         }
@@ -858,7 +805,7 @@ impl Machine {
 
     /// Executes one (already counted and budgeted) instruction.
     #[inline]
-    fn exec_inst(&mut self, inst: &Inst) -> Result<Exec, VmError> {
+    fn exec_inst(&mut self, inst: &Inst) -> Result<(), VmError> {
         match *inst {
             Inst::Const { d, imm } => {
                 self.set_r(d, imm);
@@ -945,8 +892,10 @@ impl Machine {
             Inst::MakeClosure { d, f, ref free } => {
                 let n = free.len();
                 self.ensure_space(n + 2)?;
-                let code = self.registry.encode_immediate(self.role.fixnum, f as i64);
-                let (rep, tag) = (self.role.closure as u16, self.role.closure_tag);
+                let code = self
+                    .registry
+                    .encode_immediate(self.role.fixnum.id, f as i64);
+                let (rep, tag) = (self.role.closure.id as u16, self.role.closure.tag);
                 let w = self.alloc_object(n + 1, rep, tag, code)?;
                 let base = (w >> 3) as usize;
                 for (i, &r) in free.iter().enumerate() {
@@ -1013,9 +962,6 @@ impl Machine {
                 })?;
                 let code = self.registry.decode_immediate(char_rep, w) as u32;
                 self.output.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                if self.host_yield_output {
-                    return Ok(Exec::Suspend(SuspendReason::HostCall));
-                }
             }
             Inst::ErrorOp { s } => {
                 let w = self.r(s);
@@ -1051,7 +997,7 @@ impl Machine {
             }
             Inst::ResetCounters => unreachable!("handled before counting"),
         }
-        Ok(Exec::Continue)
+        Ok(())
     }
 
     /// Attempts to deliver a trap to the innermost handler.
@@ -1133,18 +1079,15 @@ impl Machine {
     /// the quiet path, and `payload` rides in `trap_roots` across that
     /// reservation, so a collection here cannot lose it.
     fn build_condition(&mut self, e: &VmError, payload: Option<Word>) -> Result<Word, VmError> {
-        let cond_rep = self.registry.role("condition").ok_or_else(|| {
-            VmError::new(
-                VmErrorKind::BadProgram,
-                "library did not provide a `condition` representation role",
-            )
-        })?;
-        let RepKind::Pointer { tag, .. } = self.registry.info(cond_rep).kind else {
-            return Err(VmError::new(
-                VmErrorKind::BadProgram,
-                "`condition` role must be a pointer representation",
-            ));
-        };
+        let cond = self
+            .registry
+            .pointer_role(roles::CONDITION)
+            .ok_or_else(|| {
+                VmError::new(
+                    VmErrorKind::BadProgram,
+                    "library did not provide a `condition` representation role",
+                )
+            })?;
         let kind_label = e.kind.label();
         let phase_label = match e.kind {
             VmErrorKind::OutOfMemory { phase, .. } => Some(match phase {
@@ -1181,9 +1124,9 @@ impl Machine {
                 let psym = self.intern_loaded(phase_label.expect("oom phase"))?;
                 (
                     self.registry
-                        .encode_immediate(self.role.fixnum, requested as i64),
+                        .encode_immediate(self.role.fixnum.id, requested as i64),
                     self.registry
-                        .encode_immediate(self.role.fixnum, capacity as i64),
+                        .encode_immediate(self.role.fixnum.id, capacity as i64),
                     psym,
                 )
             }
@@ -1192,7 +1135,7 @@ impl Machine {
             }
             _ => (false_word, false_word, false_word),
         };
-        let w = self.alloc_object(4, cond_rep as u16, tag, false_word)?;
+        let w = self.alloc_object(4, cond.id as u16, cond.tag, false_word)?;
         let base = (w >> 3) as usize;
         self.heap.set(base + 1, ksym)?;
         self.heap.set(base + 2, p1)?;
@@ -1230,25 +1173,20 @@ impl Machine {
 
     /// Builds a first-class rep-type object for `rid`.
     pub(crate) fn make_rep_object(&mut self, rid: RepId) -> Result<Word, VmError> {
-        let reptype = self.registry.role("rep-type").ok_or_else(|| {
+        let reptype = self.registry.pointer_role(roles::REP_TYPE).ok_or_else(|| {
             VmError::new(
                 VmErrorKind::BadProgram,
                 "first-class representation objects require the `rep-type` role",
             )
         })?;
-        let RepKind::Pointer { tag, .. } = self.registry.info(reptype).kind else {
-            return Err(VmError::new(
-                VmErrorKind::BadProgram,
-                "`rep-type` role must be a pointer",
-            ));
-        };
-        let payload = self.registry.encode_immediate(self.role.fixnum, rid as i64);
-        let w = self.alloc_object(1, reptype as u16, tag, payload)?;
-        Ok(w)
+        let payload = self
+            .registry
+            .encode_immediate(self.role.fixnum.id, rid as i64);
+        self.alloc_object(1, reptype.id as u16, reptype.tag, payload)
     }
 
     fn rep_id_of(&self, w: Word) -> Result<RepId, VmError> {
-        let reptype = self.registry.role("rep-type").ok_or_else(|| {
+        let reptype = self.registry.role(roles::REP_TYPE).ok_or_else(|| {
             VmError::new(VmErrorKind::BadProgram, "no `rep-type` role registered")
         })?;
         if !self.registry.tag_matches(reptype, w) {
@@ -1265,17 +1203,17 @@ impl Machine {
             ));
         }
         let payload = self.heap.get(base + 1)?;
-        Ok(self.registry.decode_immediate(self.role.fixnum, payload) as RepId)
+        Ok(self.registry.decode_immediate(self.role.fixnum.id, payload) as RepId)
     }
 
     fn fixnum_arg(&self, w: Word, what: &str) -> Result<i64, VmError> {
-        if !self.registry.tag_matches(self.role.fixnum, w) {
+        if !self.registry.tag_matches(self.role.fixnum.id, w) {
             return Err(VmError::new(
                 VmErrorKind::BadRepOperation,
                 format!("{what} must be a fixnum, got {}", self.describe(w)),
             ));
         }
-        Ok(self.registry.decode_immediate(self.role.fixnum, w))
+        Ok(self.registry.decode_immediate(self.role.fixnum.id, w))
     }
 
     fn symbol_name(&self, w: Word) -> Result<String, VmError> {
@@ -1357,18 +1295,12 @@ impl Machine {
     /// Shared tail of the interning paths.  Space for the name string and
     /// the symbol cell must already be reserved.
     fn intern_reserved(&mut self, name: String) -> Result<Word, VmError> {
-        let symrep = self
+        let sym = self
             .registry
-            .role(roles::SYMBOL)
+            .pointer_role(roles::SYMBOL)
             .ok_or_else(|| VmError::new(VmErrorKind::BadProgram, "no `symbol` role"))?;
-        let RepKind::Pointer { tag, .. } = self.registry.info(symrep).kind else {
-            return Err(VmError::new(
-                VmErrorKind::BadProgram,
-                "`symbol` role must be a pointer",
-            ));
-        };
         let fresh = encode::encode_string(self, &name)?;
-        let w = self.alloc_object(1, symrep as u16, tag, fresh)?;
+        let w = self.alloc_object(1, sym.id as u16, sym.tag, fresh)?;
         self.interned.insert(name, w);
         Ok(w)
     }

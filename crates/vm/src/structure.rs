@@ -20,9 +20,9 @@ use sxr_ir::rep::{roles, RepRegistry};
 pub enum MalformedKind {
     /// The entry function id is out of range.
     Main,
-    /// A representation role the program needs is missing or of the wrong
-    /// kind: the boot roles, `rep-type` for a pooled representation
-    /// object, `pair`/`null` for a variadic function.
+    /// A representation role the program needs is missing: the boot
+    /// roles, `rep-type` for a pooled representation object, `pair`/`null`
+    /// for a variadic function.
     Role,
     /// A constant-pool entry names an unknown representation.
     PoolRep,
@@ -91,28 +91,21 @@ pub fn check_structure(program: &CodeProgram) -> Vec<Malformed> {
     out
 }
 
-/// The roles the machine boots from, and whether each must be a pointer
-/// representation.
-const BOOT_ROLES: [(&str, bool); 4] = [
-    (roles::FIXNUM, false),
-    (roles::BOOLEAN, false),
-    (roles::UNSPECIFIED, false),
-    (roles::CLOSURE, true),
+/// The roles the machine boots from.
+const BOOT_ROLES: [&str; 4] = [
+    roles::FIXNUM,
+    roles::BOOLEAN,
+    roles::UNSPECIFIED,
+    roles::CLOSURE,
 ];
 
-/// Why `role` cannot serve, if it cannot: it is missing, or it is not of
-/// the required kind.
-fn role_problem(registry: &RepRegistry, role: &str, pointer: bool) -> Option<String> {
-    match registry.role(role) {
-        None => Some(format!(
-            "library did not provide required representation role `{role}`"
-        )),
-        Some(id) if registry.info(id).is_pointer() != pointer => Some(format!(
-            "role `{role}` must be {} representation",
-            if pointer { "a pointer" } else { "an immediate" }
-        )),
-        Some(_) => None,
-    }
+/// Why `role` cannot serve, if it cannot: it is missing.  Its kind needs
+/// no check — the registry refuses a role of the wrong kind.
+fn role_problem(registry: &RepRegistry, role: &str) -> Option<String> {
+    registry
+        .role(role)
+        .is_none()
+        .then(|| format!("library did not provide required representation role `{role}`"))
 }
 
 fn check_program(program: &CodeProgram, out: &mut Vec<Malformed>) {
@@ -135,8 +128,8 @@ fn check_program(program: &CodeProgram, out: &mut Vec<Malformed>) {
             ),
         );
     }
-    for (role, pointer) in BOOT_ROLES {
-        if let Some(detail) = role_problem(registry, role, pointer) {
+    for role in BOOT_ROLES {
+        if let Some(detail) = role_problem(registry, role) {
             bad(MalformedKind::Role, detail);
         }
     }
@@ -147,7 +140,7 @@ fn check_program(program: &CodeProgram, out: &mut Vec<Malformed>) {
                     MalformedKind::PoolRep,
                     format!("pool entry {i} references unknown representation id {rid}"),
                 );
-            } else if let Some(detail) = role_problem(registry, "rep-type", true) {
+            } else if let Some(detail) = role_problem(registry, roles::REP_TYPE) {
                 bad(MalformedKind::Role, detail);
             }
         }
@@ -185,8 +178,8 @@ fn check_fun(program: &CodeProgram, fid: u32, fun: &CodeFun, out: &mut Vec<Malfo
         );
     }
     if fun.variadic {
-        for (role, pointer) in [(roles::PAIR, true), (roles::NULL, false)] {
-            if let Some(detail) = role_problem(registry, role, pointer) {
+        for role in [roles::PAIR, roles::NULL] {
+            if let Some(detail) = role_problem(registry, role) {
                 bad(0, MalformedKind::Role, format!("variadic entry: {detail}"));
             }
         }

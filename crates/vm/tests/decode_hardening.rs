@@ -172,12 +172,16 @@ fn frame_too_small_for_parameters() {
 
 #[test]
 fn variadic_entry_needs_an_immediate_null_role() {
-    // A rest list ends in the `null` role's immediate encoding.
+    // A rest list ends in the `null` role's immediate encoding.  A pointer
+    // `null` never reaches the loader: the registry refuses it.
     let mut reg = boot_registry();
     let pair = reg.intern_pointer("pair", 0b001, false).unwrap();
     let null = reg.intern_pointer("null", 0b011, false).unwrap();
     reg.provide_role("pair", pair).unwrap();
-    reg.provide_role("null", null).unwrap();
+    let err = reg.provide_role("null", null).unwrap_err();
+    assert!(err.0.contains("`null`"), "{err}");
+    assert_eq!(reg.role("null"), None);
+    // Without a `null` role the variadic entry is refused at load.
     let mut f = fun(2, vec![Inst::Ret { s: 1 }]);
     f.variadic = true;
     let mut prog = program(vec![f]);

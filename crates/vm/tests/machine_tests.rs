@@ -1431,9 +1431,6 @@ fn sliced_resumption_matches_uninterrupted_run() {
                 suspensions += 1;
                 step = m.resume(1).unwrap();
             }
-            StepResult::Suspended(SuspendReason::HostCall) => {
-                step = m.resume(0).unwrap();
-            }
         }
     };
     assert_eq!(w, ow, "identical result word");
@@ -1444,46 +1441,6 @@ fn sliced_resumption_matches_uninterrupted_run() {
         Some(0),
         "every slice unit was spent on an instruction"
     );
-}
-
-#[test]
-fn host_call_yield_on_output() {
-    let r = classic_registry();
-    let ch = r.reg.role("char").unwrap();
-    let enc_c = |c: char| r.reg.encode_immediate(ch, c as i64);
-    let main = fun(
-        "main",
-        0,
-        2,
-        vec![
-            Inst::Const {
-                d: 1,
-                imm: enc_c('h'),
-            },
-            Inst::WriteChar { s: 1 },
-            Inst::Const {
-                d: 1,
-                imm: enc_c('i'),
-            },
-            Inst::WriteChar { s: 1 },
-            Inst::Ret { s: 1 },
-        ],
-    );
-    let prog = one_fun_program(r.reg, main, vec![]);
-    let mut m = Machine::new(prog, MachineConfig::default()).unwrap();
-    m.set_yield_on_output(true);
-    // First yield: the character is already in the buffer when the host
-    // regains control (write-then-yield, so output is never lost).
-    let step = m.start().unwrap();
-    assert_eq!(step, StepResult::Suspended(SuspendReason::HostCall));
-    assert_eq!(m.output(), "h");
-    let step = m.resume(0).unwrap();
-    assert_eq!(step, StepResult::Suspended(SuspendReason::HostCall));
-    assert_eq!(m.output(), "hi");
-    let StepResult::Done(_) = m.resume(0).unwrap() else {
-        panic!("program completes after the last yield");
-    };
-    assert_eq!(m.output(), "hi");
 }
 
 #[test]

@@ -3,7 +3,10 @@
 //! independence — running the whole system under a *different* tagging
 //! scheme by swapping the representation library.
 
-use sxr::{Compiler, PipelineConfig, LIBRARY_SCM, PRIMS_ABSTRACT_SCM};
+use sxr::{
+    CompileError, Compiler, PipelineConfig, LIBRARY_SCM, PRIMS_ABSTRACT_SCM, PRIMS_TRADITIONAL_SCM,
+    REPS_SCM,
+};
 
 fn run(src: &str) -> sxr::Outcome {
     Compiler::new(PipelineConfig::abstract_optimized())
@@ -198,6 +201,31 @@ fn alternative_tagging_scheme_changes_nothing_observable() {
                 .unwrap_or_else(|e| panic!("alt-tagging run failed: {e}\n{src}"));
             assert_eq!(alt.output, standard, "alt tagging diverged on {src}");
         }
+    }
+}
+
+#[test]
+fn library_providing_a_pointer_char_is_refused_at_compile_time() {
+    // `char` must be an immediate role; a library that fills it with a
+    // pointer type is refused by the representation scan, in every
+    // configuration, before any consumer could misread the role.
+    let reps = REPS_SCM.replace(
+        "(%make-immediate-type 'char 8 18 8)",
+        "(%make-pointer-type 'char 4 #t)",
+    );
+    assert_ne!(reps, REPS_SCM, "the char declaration moved");
+    for (cfg, prims) in [
+        (PipelineConfig::abstract_optimized(), PRIMS_ABSTRACT_SCM),
+        (PipelineConfig::abstract_unoptimized(), PRIMS_ABSTRACT_SCM),
+        (PipelineConfig::traditional(), PRIMS_TRADITIONAL_SCM),
+    ] {
+        let label = cfg.label();
+        let err = Compiler::new(cfg)
+            .compile_with_prelude(&[&reps, prims, LIBRARY_SCM], "(display \"hi\")")
+            .map(|_| ())
+            .expect_err(label);
+        assert!(matches!(err, CompileError::Scan(_)), "{label}: {err}");
+        assert!(err.to_string().contains("`char`"), "{label}: {err}");
     }
 }
 
