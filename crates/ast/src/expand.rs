@@ -102,7 +102,7 @@ impl<'a> Env<'a> {
 /// One expander instance owns the global-name table and the alpha-renaming
 /// counter for a whole program; expand the prelude and the user program
 /// through the *same* expander, then call [`Expander::into_program`].
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Expander {
     global_names: Vec<String>,
     global_index: HashMap<String, GlobalId>,

@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use sxr_ir::anf::{Atom, Bound, Expr, FnId, Fun, Literal, Module, Test, VarId};
 use sxr_ir::prim::PrimOp;
 use sxr_ir::rep::{roles, RepKind, RepRegistry};
+use sxr_ir::IdMap;
 use sxr_vm::{BinOp, CmpOp, CodeFun, CodeProgram, Inst, PoolEntry, Reg, RegImm, RepVmOp};
 
 /// A code-generation failure (missing role, register overflow, or an IR
@@ -82,14 +83,14 @@ fn free_slot_kinds(module: &Module) -> Vec<Vec<Kind>> {
     loop {
         let mut changed = false;
         for (fid, f) in module.funs.iter().enumerate() {
-            let mut env: HashMap<VarId, Kind> = HashMap::new();
+            let mut env: IdMap<VarId, Kind> = IdMap::default();
             env.insert(f.self_var, Kind::Tagged);
             for p in f.params.iter().chain(f.rest.iter()) {
                 env.insert(*p, Kind::Tagged);
             }
             // Vars bound to `MakeClosure`, so `ClosurePatch` can attribute
             // its store to the right function's slot.
-            let mut closure_of: HashMap<VarId, FnId> = HashMap::new();
+            let mut closure_of: IdMap<VarId, FnId> = IdMap::default();
             slot_walk_expr(
                 &f.body,
                 fid as FnId,
@@ -106,7 +107,7 @@ fn free_slot_kinds(module: &Module) -> Vec<Vec<Kind>> {
     slots
 }
 
-fn slot_atom_kind(a: &Atom, env: &HashMap<VarId, Kind>) -> Kind {
+fn slot_atom_kind(a: &Atom, env: &IdMap<VarId, Kind>) -> Kind {
     match a {
         Atom::Var(v) => env.get(v).copied().unwrap_or(Kind::Tagged),
         Atom::Lit(Literal::Raw(_)) => Kind::Raw,
@@ -129,8 +130,8 @@ fn slot_join_into(slots: &mut [Vec<Kind>], fid: FnId, idx: usize, k: Kind, chang
 fn slot_walk_expr(
     e: &Expr,
     fid: FnId,
-    env: &mut HashMap<VarId, Kind>,
-    closure_of: &mut HashMap<VarId, FnId>,
+    env: &mut IdMap<VarId, Kind>,
+    closure_of: &mut IdMap<VarId, FnId>,
     slots: &mut Vec<Vec<Kind>>,
     changed: &mut bool,
 ) -> Kind {
@@ -156,8 +157,8 @@ fn slot_walk_bound(
     v: VarId,
     b: &Bound,
     fid: FnId,
-    env: &mut HashMap<VarId, Kind>,
-    closure_of: &mut HashMap<VarId, FnId>,
+    env: &mut IdMap<VarId, Kind>,
+    closure_of: &mut IdMap<VarId, FnId>,
     slots: &mut Vec<Vec<Kind>>,
     changed: &mut bool,
 ) -> Kind {
@@ -348,13 +349,13 @@ enum Enc {
 
 struct FnGen<'a, 'b> {
     shared: &'a mut Shared<'b>,
-    regs: HashMap<VarId, Reg>,
+    regs: IdMap<VarId, Reg>,
     kinds: Vec<Kind>,       // per register
     free_kinds: &'a [Kind], // per closure free slot (from `free_slot_kinds`)
     insts: Vec<Inst>,
     patches: Vec<(usize, u32)>, // (inst index, label)
     labels: Vec<Option<u32>>,
-    uses: HashMap<VarId, usize>,
+    uses: IdMap<VarId, usize>,
 }
 
 /// Where a sub-expression delivers its value.
@@ -374,13 +375,13 @@ impl<'a, 'b> FnGen<'a, 'b> {
     ) -> Result<CodeFun, CodegenError> {
         let mut g = FnGen {
             shared,
-            regs: HashMap::new(),
+            regs: IdMap::default(),
             kinds: Vec::new(),
             free_kinds,
             insts: Vec::new(),
             patches: Vec::new(),
             labels: Vec::new(),
-            uses: HashMap::new(),
+            uses: IdMap::default(),
         };
         f.body.use_counts(&mut g.uses);
         let r0 = g.fresh_reg(Kind::Tagged)?;

@@ -13,6 +13,7 @@
 //!   --counters                            print dynamic instruction counters
 //!   --dis <name>                          disassemble a procedure and exit
 //!   --heap <words>                        initial heap size in words
+//!   --fuel <n>                            stop with a timeout after n instructions
 //!   --verify-passes                       verify IR after every optimizer pass
 //! ```
 
@@ -21,7 +22,7 @@ use sxr::{lint_source, Compiler, OptOptions, PipelineConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: sxr [--mode abstract|traditional|noopt] [--ablate PASS] \
-         [--counters] [--dis NAME] [--heap WORDS] [--verify-passes] \
+         [--counters] [--dis NAME] [--heap WORDS] [--fuel N] [--verify-passes] \
          (FILE.scm | -e EXPR)\n       sxr lint [--bytecode] FILE.scm"
     );
     std::process::exit(2)
@@ -88,6 +89,7 @@ fn main() {
     let mut counters = false;
     let mut dis: Option<String> = None;
     let mut heap: Option<usize> = None;
+    let mut fuel: Option<u64> = None;
     let mut source: Option<String> = None;
     let mut verify_passes = false;
 
@@ -100,6 +102,13 @@ fn main() {
             "--dis" => dis = Some(args.next().unwrap_or_else(|| usage())),
             "--heap" => {
                 heap = Some(
+                    args.next()
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| usage()),
+                )
+            }
+            "--fuel" => {
+                fuel = Some(
                     args.next()
                         .and_then(|s| s.parse().ok())
                         .unwrap_or_else(|| usage()),
@@ -142,6 +151,9 @@ fn main() {
     }
     if let Some(words) = heap {
         cfg = cfg.with_heap_words(words);
+    }
+    if let Some(limit) = fuel {
+        cfg = cfg.with_instruction_limit(limit);
     }
     if verify_passes {
         cfg = cfg.with_verify_passes(true);

@@ -3,8 +3,9 @@
 use crate::config::{PipelineConfig, PrimitiveMode};
 use crate::error::CompileError;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 use sxr_analysis::Diagnostic;
-use sxr_ast::{convert_assignments, Expander};
+use sxr_ast::{convert_assignments, Expander, Unit};
 use sxr_codegen::{generate, lower_intrinsics_expr};
 use sxr_ir::anf::{GlobalId, Module};
 use sxr_ir::lower::Lowered;
@@ -60,15 +61,28 @@ impl Compiler {
     ///
     /// Returns a [`CompileError`] describing the first failing stage.
     pub fn compile(&self, source: &str) -> Result<Compiled, CompileError> {
+        self.compile_with_prelude(&self.prelude(), source)
+    }
+
+    /// The configured prelude sources, in expansion order.
+    fn prelude(&self) -> [&'static str; 3] {
         let prims = match self.config.mode {
             PrimitiveMode::Abstract => PRIMS_ABSTRACT_SCM,
             PrimitiveMode::Traditional => PRIMS_TRADITIONAL_SCM,
         };
-        self.compile_with_prelude(&[REPS_SCM, prims, LIBRARY_SCM], source)
+        [REPS_SCM, prims, LIBRARY_SCM]
     }
 
     /// Compiles with explicit prelude sources (used by the re-tagging tests
     /// and examples that substitute their own representation layer).
+    ///
+    /// The prelude sources are read and expanded once per process: the
+    /// expanded prelude is kept in a process-wide memo keyed by the full
+    /// source texts (compared for equality, not by hash), which holds the
+    /// four most recently used preludes. Each compile expands `source`
+    /// against a clone of the memoized expander state, so its output is
+    /// the same as expanding everything afresh. A prelude that fails to
+    /// read or expand is not memoized; every call returns its error again.
     ///
     /// The pipeline's tree walks recurse per top-level binding, so the work
     /// runs on a dedicated thread with a generous stack (the standard
@@ -86,36 +100,20 @@ impl Compiler {
         prelude_sources: &[&str],
         source: &str,
     ) -> Result<Compiled, CompileError> {
-        let config = self.config.clone();
-        let preludes: Vec<String> = prelude_sources.iter().map(|s| s.to_string()).collect();
-        let source = source.to_string();
-        std::thread::Builder::new()
-            .name("sxr-compile".to_string())
-            .stack_size(512 << 20)
-            .spawn(move || {
-                let refs: Vec<&str> = preludes.iter().map(String::as_str).collect();
-                Compiler { config }.compile_inner(&refs, &source)
-            })
-            .expect("spawn compile thread")
-            .join()
-            .unwrap_or_else(|p| std::panic::resume_unwind(p))
+        on_compile_thread(|| self.compile_inner(&*expanded_prelude(prelude_sources)?, source))
     }
 
     fn compile_inner(
         &self,
-        prelude_sources: &[&str],
+        prelude: &ExpandedPrelude,
         source: &str,
     ) -> Result<Compiled, CompileError> {
-        // 1. Read + expand everything through one expander so global ids
-        //    are shared.
-        let mut expander = Expander::new();
-        let mut units = Vec::new();
-        for src in prelude_sources {
-            let forms = parse_all(src)?;
-            units.push(expander.expand_unit(&forms)?);
-        }
+        // 1. Read + expand the user program through (a clone of) the
+        //    expander that expanded the prelude, so global ids are shared.
+        let mut expander = prelude.expander.clone();
         let user_forms = parse_all(source)?;
-        units.push(expander.expand_unit(&user_forms)?);
+        let user = expander.expand_unit(&user_forms)?;
+        let units = prelude.units.iter().cloned().chain([user]).collect();
         let mut program = expander.into_program(units);
 
         // 2. Assignment conversion (set! of lexicals -> library boxes).
@@ -171,6 +169,84 @@ impl Compiler {
             instruction_limit: self.config.instruction_limit,
         })
     }
+}
+
+/// Runs `work` on a thread with a generous stack: the pipeline's tree
+/// walks recurse per top-level binding.
+fn on_compile_thread<T: Send>(work: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .name("sxr-compile".to_string())
+            .stack_size(512 << 20)
+            .spawn_scoped(s, work)
+            .expect("spawn compile thread")
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p))
+    })
+}
+
+/// How many expanded preludes [`Compiler::compile_with_prelude`] keeps.
+/// The shipped configurations use two preludes (abstract and traditional
+/// primitives); the rest leaves room for substituted ones.
+const PRELUDE_MEMO_CAP: usize = 4;
+
+/// A prelude after reading and expansion: the expander's state (global
+/// table, renaming counter) and one [`Unit`] per source.
+struct ExpandedPrelude {
+    sources: Vec<String>,
+    expander: Expander,
+    units: Vec<Unit>,
+}
+
+impl ExpandedPrelude {
+    /// Reads and expands `sources` in order through one fresh expander.
+    fn expand(sources: &[&str]) -> Result<ExpandedPrelude, CompileError> {
+        let mut expander = Expander::new();
+        let mut units = Vec::with_capacity(sources.len());
+        for src in sources {
+            let forms = parse_all(src)?;
+            units.push(expander.expand_unit(&forms)?);
+        }
+        Ok(ExpandedPrelude {
+            sources: sources.iter().map(|s| s.to_string()).collect(),
+            expander,
+            units,
+        })
+    }
+}
+
+/// The expanded-prelude memo, least recently used first.
+static PRELUDES: Mutex<Vec<Arc<ExpandedPrelude>>> = Mutex::new(Vec::new());
+
+/// Returns the expanded form of `sources`, from the memo when an entry has
+/// exactly these texts. The lock is never held while expanding, and every
+/// update under it pushes or removes a whole entry, so a panic elsewhere
+/// cannot leave the memo half-updated and a poisoned lock is safe to use.
+fn expanded_prelude(sources: &[&str]) -> Result<Arc<ExpandedPrelude>, CompileError> {
+    let memo = || PRELUDES.lock().unwrap_or_else(PoisonError::into_inner);
+    let same = |p: &ExpandedPrelude| {
+        p.sources
+            .iter()
+            .map(String::as_str)
+            .eq(sources.iter().copied())
+    };
+    {
+        let mut entries = memo();
+        if let Some(i) = entries.iter().position(|p| same(p)) {
+            let hit = entries.remove(i);
+            entries.push(Arc::clone(&hit));
+            return Ok(hit);
+        }
+    }
+    let fresh = Arc::new(ExpandedPrelude::expand(sources)?);
+    let mut entries = memo();
+    if !entries.iter().any(|p| same(p)) {
+        entries.push(Arc::clone(&fresh));
+        if entries.len() > PRELUDE_MEMO_CAP {
+            entries.remove(0);
+        }
+    }
+    Ok(fresh)
 }
 
 /// A compiled program plus everything needed to run and inspect it.
@@ -336,5 +412,150 @@ impl Compiled {
             let _ = writeln!(out, "{i:4}  {inst:?}");
         }
         Some(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Compiles without the memo: the prelude is read and expanded afresh.
+    fn cold(compiler: &Compiler, prelude: &[&str], source: &str) -> Compiled {
+        on_compile_thread(|| {
+            let prelude = ExpandedPrelude::expand(prelude)?;
+            compiler.compile_inner(&prelude, source)
+        })
+        .unwrap_or_else(|e| panic!("{source}: {e}"))
+    }
+
+    fn assert_same_code(a: &Compiled, b: &Compiled, what: &str) {
+        assert_eq!(a.code.funs, b.code.funs, "{what}: funs");
+        assert_eq!(a.code.pool, b.code.pool, "{what}: pool");
+        assert_eq!(a.code.main, b.code.main, "{what}: main");
+        assert_eq!(a.code.nglobals, b.code.nglobals, "{what}: nglobals");
+        assert_eq!(a.opt_report, b.opt_report, "{what}: OptReport");
+    }
+
+    fn memoized(sources: &[&str]) -> bool {
+        PRELUDES.lock().expect("memo lock").iter().any(|p| {
+            p.sources
+                .iter()
+                .map(String::as_str)
+                .eq(sources.iter().copied())
+        })
+    }
+
+    /// Each defines globals of its own, so a compile that leaked its
+    /// global table into the memo would shift the next one's ids.
+    const PROGRAMS: [&str; 3] = [
+        "(define counter 0)
+         (define (tick!) (set! counter (fx+ counter 1)) counter)
+         (tick!) (tick!)",
+        "(define car (let ((c car)) (lambda (p) (c p))))
+         (define (second xs) (car (cdr xs)))
+         (second (list 1 2 3))",
+        "(define (fib n) (if (fx< n 2) n (fx+ (fib (fx- n 1)) (fib (fx- n 2)))))
+         (display (list3 (fib 15) '(a . b) \"strings too\"))",
+    ];
+
+    #[test]
+    fn warm_compiles_emit_what_cold_ones_do() {
+        for config in [
+            PipelineConfig::traditional(),
+            PipelineConfig::abstract_optimized(),
+            PipelineConfig::abstract_unoptimized(),
+        ] {
+            let label = config.label();
+            let compiler = Compiler::new(config);
+            for round in 0..2 {
+                for src in PROGRAMS {
+                    let what = format!("[{label}] round {round}: {src}");
+                    let warm = compiler.compile(src).unwrap();
+                    assert!(memoized(&compiler.prelude()), "{what}");
+                    let cold = cold(&compiler, &compiler.prelude(), src);
+                    assert_same_code(&warm, &cold, &what);
+                    assert_eq!(warm.run().unwrap(), cold.run().unwrap(), "{what}");
+                }
+            }
+        }
+    }
+
+    /// The retagging example's representation layer: the same roles with
+    /// different numbers everywhere.
+    const ALT_REPS: &str = "
+        (define fixnum-rep      (%make-immediate-type 'fixnum 3 0 4))
+        (define boolean-rep     (%make-immediate-type 'boolean 9 2 9))
+        (define char-rep        (%make-immediate-type 'char 9 10 9))
+        (define null-rep        (%make-immediate-type 'null 9 18 9))
+        (define unspecified-rep (%make-immediate-type 'unspecified 9 26 9))
+        (define eof-rep         (%make-immediate-type 'eof 9 34 9))
+        (define string-rep      (%make-pointer-type 'string 1 #f))
+        (define symbol-rep      (%make-pointer-type 'symbol 3 #f))
+        (define rep-type-rep    (%make-pointer-type 'rep-type 4 #t))
+        (define box-rep         (%make-pointer-type 'box 4 #t))
+        (define pair-rep        (%make-pointer-type 'pair 5 #f))
+        (define vector-rep      (%make-pointer-type 'vector 6 #f))
+        (define closure-rep     (%make-pointer-type 'closure 7 #f))
+        (define condition-rep   (%make-pointer-type 'condition 4 #t))
+        (%provide-rep! 'fixnum fixnum-rep)
+        (%provide-rep! 'boolean boolean-rep)
+        (%provide-rep! 'char char-rep)
+        (%provide-rep! 'null null-rep)
+        (%provide-rep! 'unspecified unspecified-rep)
+        (%provide-rep! 'eof eof-rep)
+        (%provide-rep! 'pair pair-rep)
+        (%provide-rep! 'vector vector-rep)
+        (%provide-rep! 'rep-type rep-type-rep)
+        (%provide-rep! 'box box-rep)
+        (%provide-rep! 'string string-rep)
+        (%provide-rep! 'symbol symbol-rep)
+        (%provide-rep! 'closure closure-rep)
+        (%provide-rep! 'condition condition-rep)";
+
+    #[test]
+    fn interleaved_preludes_each_get_their_own_entry() {
+        let compiler = Compiler::new(PipelineConfig::abstract_optimized());
+        let standard = compiler.prelude();
+        let retagged = [ALT_REPS, PRIMS_ABSTRACT_SCM, LIBRARY_SCM];
+        let src = PROGRAMS[2];
+        let want_standard = cold(&compiler, &standard, src);
+        let want_retagged = cold(&compiler, &retagged, src);
+        assert_ne!(
+            want_standard.code.funs, want_retagged.code.funs,
+            "the two preludes must emit different code for the test to mean anything"
+        );
+        for round in 0..3 {
+            let a = compiler.compile(src).unwrap();
+            let b = compiler.compile_with_prelude(&retagged, src).unwrap();
+            assert_same_code(&a, &want_standard, &format!("standard, round {round}"));
+            assert_same_code(&b, &want_retagged, &format!("retagged, round {round}"));
+            assert_eq!(a.run().unwrap().output, b.run().unwrap().output);
+            assert!(memoized(&standard) && memoized(&retagged), "round {round}");
+        }
+    }
+
+    #[test]
+    fn a_failing_prelude_is_never_memoized() {
+        let compiler = Compiler::new(PipelineConfig::abstract_optimized());
+        let unreadable = [REPS_SCM, "(define (broken", LIBRARY_SCM];
+        let unexpandable = [REPS_SCM, "(define)", LIBRARY_SCM];
+        for bad in [unreadable, unexpandable] {
+            let first = compiler.compile_with_prelude(&bad, "1").unwrap_err();
+            let again = compiler.compile_with_prelude(&bad, "1").unwrap_err();
+            assert_eq!(first, again);
+            assert!(!memoized(&bad), "{first}");
+        }
+        assert!(matches!(
+            compiler.compile_with_prelude(&unreadable, "1"),
+            Err(CompileError::Parse(_))
+        ));
+        assert!(matches!(
+            compiler.compile_with_prelude(&unexpandable, "1"),
+            Err(CompileError::Expand(_))
+        ));
+        // The memo is still usable afterwards.
+        assert!(!PRELUDES.is_poisoned());
+        let out = compiler.compile("(fx+ 20 22)").unwrap().run().unwrap();
+        assert_eq!(out.value, "42");
     }
 }

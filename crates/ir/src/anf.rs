@@ -13,6 +13,7 @@
 //! [`Expr::LetRec`]); afterwards the program is a flat [`Module`] of
 //! first-order functions and explicit [`Bound::MakeClosure`] allocations.
 
+use crate::idmap::IdMap;
 use crate::prim::PrimOp;
 use crate::rep::RepId;
 use sxr_sexp::Datum;
@@ -365,7 +366,7 @@ impl Expr {
     }
 
     /// Counts uses of each variable as an operand (definitions excluded).
-    pub fn use_counts(&self, out: &mut std::collections::HashMap<VarId, usize>) {
+    pub fn use_counts(&self, out: &mut IdMap<VarId, usize>) {
         self.for_each_atom(&mut |a| {
             if let Atom::Var(v) = a {
                 *out.entry(*v).or_insert(0) += 1;
@@ -377,15 +378,15 @@ impl Expr {
 /// Substitutes atoms for variables throughout `e` (including inside nested
 /// lambdas). Bound variable ids are globally unique, so no capture is
 /// possible.
-pub fn substitute(e: &mut Expr, map: &std::collections::HashMap<VarId, Atom>) {
-    fn subst_atom(a: &mut Atom, map: &std::collections::HashMap<VarId, Atom>) {
+pub fn substitute(e: &mut Expr, map: &IdMap<VarId, Atom>) {
+    fn subst_atom(a: &mut Atom, map: &IdMap<VarId, Atom>) {
         if let Atom::Var(v) = a {
             if let Some(rep) = map.get(v) {
                 *a = rep.clone();
             }
         }
     }
-    fn go_bound(b: &mut Bound, map: &std::collections::HashMap<VarId, Atom>) {
+    fn go_bound(b: &mut Bound, map: &IdMap<VarId, Atom>) {
         b.for_each_atom_shallow_mut(&mut |a| subst_atom(a, map));
         match b {
             Bound::Lambda(l) => substitute(&mut l.body, map),
@@ -429,33 +430,25 @@ pub fn substitute(e: &mut Expr, map: &std::collections::HashMap<VarId, Atom>) {
 /// `e` gets a fresh id; free variables are left alone. Used by the inliner
 /// to keep the single-assignment invariant.
 pub fn refresh(e: &Expr, supply: &mut NameSupply) -> Expr {
-    let mut map = std::collections::HashMap::new();
+    let mut map = IdMap::default();
     refresh_with(e, supply, &mut map)
 }
 
-fn refresh_var(
-    v: VarId,
-    supply: &mut NameSupply,
-    map: &mut std::collections::HashMap<VarId, VarId>,
-) -> VarId {
+fn refresh_var(v: VarId, supply: &mut NameSupply, map: &mut IdMap<VarId, VarId>) -> VarId {
     let name = supply.name(v).to_string();
     let fresh = supply.fresh(&name);
     map.insert(v, fresh);
     fresh
 }
 
-fn rename_atom(a: &Atom, map: &std::collections::HashMap<VarId, VarId>) -> Atom {
+fn rename_atom(a: &Atom, map: &IdMap<VarId, VarId>) -> Atom {
     match a {
         Atom::Var(v) => Atom::Var(*map.get(v).unwrap_or(v)),
         lit => lit.clone(),
     }
 }
 
-fn refresh_fundef(
-    l: &FunDef,
-    supply: &mut NameSupply,
-    map: &mut std::collections::HashMap<VarId, VarId>,
-) -> FunDef {
+fn refresh_fundef(l: &FunDef, supply: &mut NameSupply, map: &mut IdMap<VarId, VarId>) -> FunDef {
     let params = l
         .params
         .iter()
@@ -471,11 +464,7 @@ fn refresh_fundef(
     }
 }
 
-fn refresh_with(
-    e: &Expr,
-    supply: &mut NameSupply,
-    map: &mut std::collections::HashMap<VarId, VarId>,
-) -> Expr {
+fn refresh_with(e: &Expr, supply: &mut NameSupply, map: &mut IdMap<VarId, VarId>) -> Expr {
     match e {
         Expr::Let(v, b, body) => {
             let b = match b {
@@ -557,7 +546,6 @@ fn refresh_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     fn sample() -> Expr {
         // let a = %word+ x y in ret a
@@ -570,7 +558,7 @@ mod tests {
 
     #[test]
     fn use_counts() {
-        let mut counts = HashMap::new();
+        let mut counts = IdMap::default();
         sample().use_counts(&mut counts);
         assert_eq!(counts.get(&1), Some(&1));
         assert_eq!(counts.get(&10), Some(&1));
@@ -579,7 +567,7 @@ mod tests {
     #[test]
     fn substitution() {
         let mut e = sample();
-        let mut map = HashMap::new();
+        let mut map = IdMap::default();
         map.insert(1u32, Atom::raw(7));
         substitute(&mut e, &map);
         match e {

@@ -13,8 +13,9 @@
 //! it is control-flow knowledge, not data-representation knowledge.
 
 use crate::anf::{Atom, Bound, Expr, FnId, Fun, FunDef, Literal, Module, NameSupply, VarId};
+use crate::idmap::{IdMap, IdSet};
 use crate::lower::Lowered;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// Runs closure conversion over a lowered program.
 pub fn closure_convert(lowered: Lowered) -> Module {
@@ -26,7 +27,7 @@ pub fn closure_convert(lowered: Lowered) -> Module {
     let mut cc = Cc {
         funs: Vec::new(),
         supply,
-        known: HashMap::new(),
+        known: IdMap::default(),
     };
     // Reserve the main function slot first so `main` is id 0.
     cc.funs.push(Fun {
@@ -53,7 +54,7 @@ struct Cc {
     funs: Vec<Fun>,
     supply: NameSupply,
     /// Variables statically known to hold a closure of a given function.
-    known: HashMap<VarId, FnId>,
+    known: IdMap<VarId, FnId>,
 }
 
 impl Cc {
@@ -100,7 +101,7 @@ impl Cc {
         let free: Vec<VarId> = free.into_iter().collect();
 
         let self_var = self.supply.fresh("self");
-        let mut subs: HashMap<VarId, Atom> = HashMap::new();
+        let mut subs: IdMap<VarId, Atom> = IdMap::default();
         if let Some(sb) = self_binding {
             subs.insert(sb, Atom::Var(self_var));
             self.known.insert(self_var, fnid);
@@ -256,7 +257,7 @@ impl Cc {
 /// Variables referenced by `body` but not bound within it or by `params`.
 /// Returned in ascending order for determinism.
 pub fn free_vars(body: &Expr, params: &[VarId]) -> BTreeSet<VarId> {
-    let mut bound: HashSet<VarId> = params.iter().copied().collect();
+    let mut bound: IdSet<VarId> = params.iter().copied().collect();
     collect_bound(body, &mut bound);
     let mut free = BTreeSet::new();
     body.for_each_atom(&mut |a| {
@@ -269,7 +270,7 @@ pub fn free_vars(body: &Expr, params: &[VarId]) -> BTreeSet<VarId> {
     free
 }
 
-fn collect_bound(e: &Expr, out: &mut HashSet<VarId>) {
+fn collect_bound(e: &Expr, out: &mut IdSet<VarId>) {
     match e {
         Expr::Let(v, b, body) => {
             out.insert(*v);

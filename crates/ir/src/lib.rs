@@ -35,6 +35,7 @@
 
 pub mod anf;
 pub mod clconv;
+pub mod idmap;
 pub mod lower;
 pub mod pretty;
 pub mod prim;
@@ -45,6 +46,7 @@ pub use anf::{
     Atom, Bound, Expr, FnId, Fun, FunDef, GlobalId, Literal, Module, NameSupply, Test, VarId,
 };
 pub use clconv::{closure_convert, free_vars};
+pub use idmap::{IdMap, IdSet};
 pub use lower::{lower_expr, lower_program, LowerError, Lowered};
 pub use prim::{Intrinsic, PrimOp};
 pub use rep::{RepError, RepId, RepInfo, RepKind, RepRegistry};

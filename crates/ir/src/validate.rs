@@ -14,10 +14,11 @@
 //! pass that broke it", with an excerpt of the offending binding.
 
 use crate::anf::{Atom, Bound, Expr, FnId, Fun, FunDef, GlobalId, Literal, Module, VarId};
+use crate::idmap::IdSet;
 use crate::pretty::expr_to_string;
 use crate::prim::PrimOp;
 use crate::rep::{RepId, RepKind, RepRegistry};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::iter::once;
 
@@ -268,7 +269,7 @@ pub fn verify_expr(e: &Expr, registry: &RepRegistry) -> Result<(), ValidateError
     Checker {
         phase: Phase::Open,
         registry: Some(registry),
-        defined: HashSet::new(),
+        defined: IdSet::default(),
     }
     .expr(e, true)
 }
@@ -328,7 +329,7 @@ fn check_module(m: &Module, registry: Option<&RepRegistry>) -> Result<(), Valida
                 free_count: f.free_count,
             },
             registry,
-            defined: HashSet::new(),
+            defined: IdSet::default(),
         };
         c.params(Some(f.self_var), &f.params, f.rest)
             .and_then(|()| c.expr(&f.body, true))
@@ -369,7 +370,7 @@ enum Phase<'a> {
 struct Checker<'a> {
     phase: Phase<'a>,
     registry: Option<&'a RepRegistry>,
-    defined: HashSet<VarId>,
+    defined: IdSet<VarId>,
 }
 
 impl<'a> Checker<'a> {

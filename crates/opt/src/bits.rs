@@ -26,10 +26,13 @@
 //! argument was a symbol everywhere.)
 
 use crate::repspec::Assumptions;
-use std::collections::HashMap;
+use crate::util::ScopedMap;
+use std::hash::BuildHasherDefault;
 use sxr_ir::anf::{Atom, Bound, Expr, Literal, Test, VarId};
+use sxr_ir::idmap::IdHasher;
 use sxr_ir::prim::PrimOp;
 use sxr_ir::rep::{roles, RepKind, RepRegistry};
+use sxr_ir::IdMap;
 
 /// Runs the pass. Returns the rewritten program and a change count.
 pub fn bits(e: Expr, registry: &RepRegistry, assumptions: &Assumptions) -> (Expr, usize) {
@@ -40,12 +43,12 @@ pub fn bits(e: Expr, registry: &RepRegistry, assumptions: &Assumptions) -> (Expr
     let mut st = Bits {
         registry,
         assumptions,
-        defs: HashMap::new(),
+        defs: IdMap::default(),
         bool_pattern,
         false_word,
         changed: 0,
     };
-    let mut facts = Facts::new();
+    let mut facts = Facts::default();
     let out = st.walk(e, &mut facts);
     (out, st.changed)
 }
@@ -62,14 +65,15 @@ fn mask(k: u32) -> u64 {
 }
 
 /// Dominance-scoped facts: `var -> (k, t)` meaning the low `k` bits equal
-/// `t` on every path reaching the current program point.
-type Facts = HashMap<VarId, (u32, u64)>;
+/// `t` on every path reaching the current program point. A fact a branch
+/// strengthens is restored to its old value when the branch ends.
+type Facts = ScopedMap<VarId, (u32, u64), BuildHasherDefault<IdHasher>>;
 
 struct Bits<'a> {
     registry: &'a RepRegistry,
     assumptions: &'a Assumptions,
     /// Definitions of pure prim-bound variables (SSA-global).
-    defs: HashMap<VarId, (PrimOp, Vec<Atom>)>,
+    defs: IdMap<VarId, (PrimOp, Vec<Atom>)>,
     bool_pattern: Option<(i64, i64)>,
     false_word: Option<i64>,
     changed: usize,
@@ -483,47 +487,28 @@ impl Bits<'_> {
                 let b = match b {
                     Bound::Lambda(mut f) => {
                         // Dominance holds: the closure can only run after
-                        // this point. Use a copy so nothing leaks back.
-                        let mut inner = facts.clone();
-                        f.body = Box::new(self.walk(*f.body, &mut inner));
+                        // this point. Scoped so nothing leaks back.
+                        f.body = Box::new(self.walk_scoped(*f.body, facts));
                         Bound::Lambda(f)
                     }
                     Bound::If(t, x, y) => {
-                        let t = self.rewrite_test(t, facts);
-                        let mut fx = facts.clone();
-                        let mut fy = facts.clone();
-                        self.refine_from_test(&t, &mut fx);
-                        Bound::If(
-                            t,
-                            Box::new(self.walk(*x, &mut fx)),
-                            Box::new(self.walk(*y, &mut fy)),
-                        )
+                        let (t, x, y) = self.walk_branches(t, *x, *y, facts);
+                        Bound::If(t, Box::new(x), Box::new(y))
                     }
-                    Bound::Body(inner) => {
-                        let mut fi = facts.clone();
-                        Bound::Body(Box::new(self.walk(*inner, &mut fi)))
-                    }
+                    Bound::Body(inner) => Bound::Body(Box::new(self.walk_scoped(*inner, facts))),
                     other => other,
                 };
                 Expr::Let(v, b, Box::new(self.walk(*body, facts)))
             }
             Expr::If(t, x, y) => {
-                let t = self.rewrite_test(t, facts);
-                let mut fx = facts.clone();
-                let mut fy = facts.clone();
-                self.refine_from_test(&t, &mut fx);
-                Expr::If(
-                    t,
-                    Box::new(self.walk(*x, &mut fx)),
-                    Box::new(self.walk(*y, &mut fy)),
-                )
+                let (t, x, y) = self.walk_branches(t, *x, *y, facts);
+                Expr::If(t, Box::new(x), Box::new(y))
             }
             Expr::LetRec(binds, body) => Expr::LetRec(
                 binds
                     .into_iter()
                     .map(|(v, mut f)| {
-                        let mut inner = facts.clone();
-                        f.body = Box::new(self.walk(*f.body, &mut inner));
+                        f.body = Box::new(self.walk_scoped(*f.body, facts));
                         (v, f)
                     })
                     .collect(),
@@ -532,12 +517,39 @@ impl Bits<'_> {
             other => other,
         }
     }
+
+    /// Walks `e` in a scope of its own: the facts it adds end with it.
+    fn walk_scoped(&mut self, e: Expr, facts: &mut Facts) -> Expr {
+        let mark = facts.mark();
+        let out = self.walk(e, facts);
+        facts.unwind(mark);
+        out
+    }
+
+    /// Walks the two arms of a branch on `t`, each in its own scope; the
+    /// *then* arm also learns what passing the test proves.
+    fn walk_branches(
+        &mut self,
+        t: Test,
+        x: Expr,
+        y: Expr,
+        facts: &mut Facts,
+    ) -> (Test, Expr, Expr) {
+        let t = self.rewrite_test(t, facts);
+        let mark = facts.mark();
+        self.refine_from_test(&t, facts);
+        let x = self.walk(x, facts);
+        facts.unwind(mark);
+        let y = self.walk_scoped(y, facts);
+        (t, x, y)
+    }
 }
 
+/// Records that `v`'s low `k` bits are `t`, if that says more than what
+/// is already known.
 fn insert_fact(facts: &mut Facts, v: VarId, k: u32, t: u64) {
-    let entry = facts.entry(v).or_insert((0, 0));
-    if k > entry.0 {
-        *entry = (k, t & mask(k));
+    if k > facts.get(&v).map_or(0, |f| f.0) {
+        facts.insert(v, (k, t & mask(k)));
     }
 }
 
@@ -576,7 +588,7 @@ mod tests {
                 )),
             )),
         );
-        let mut assume = Assumptions::new();
+        let mut assume = Assumptions::default();
         assume.insert(10, (1, 3, 0));
         assume.insert(11, (2, 3, 0));
         (e, assume)
@@ -608,7 +620,7 @@ mod tests {
     fn without_assumptions_no_collapse() {
         let reg = fx_registry();
         let (e, _) = fxadd_shape();
-        let (out, _) = bits(e, &reg, &Assumptions::new());
+        let (out, _) = bits(e, &reg, &Assumptions::default());
         fn still_shifted(e: &Expr) -> bool {
             match e {
                 Expr::Let(13, Bound::Prim(PrimOp::WordShl, _), _) => true,
@@ -626,7 +638,7 @@ mod tests {
     fn cmp_of_projections_uses_tagged_values() {
         use PrimOp::*;
         let reg = fx_registry();
-        let mut assume = Assumptions::new();
+        let mut assume = Assumptions::default();
         assume.insert(10, (1, 3, 0));
         assume.insert(11, (2, 3, 0));
         let e = Expr::Let(
@@ -659,7 +671,7 @@ mod tests {
     fn cmp_projection_with_constant() {
         use PrimOp::*;
         let reg = fx_registry();
-        let mut assume = Assumptions::new();
+        let mut assume = Assumptions::default();
         assume.insert(10, (1, 3, 0));
         // (word=? (shr a 3) 0)  =>  (word=? a 0)
         let e = Expr::Let(
@@ -706,7 +718,7 @@ mod tests {
                 )),
             )),
         );
-        let (out, _) = bits(e, &reg, &Assumptions::new());
+        let (out, _) = bits(e, &reg, &Assumptions::default());
         fn find(e: &Expr) -> bool {
             match e {
                 Expr::If(Test::NonZero(Atom::Var(10)), _, _) => true,
@@ -721,7 +733,7 @@ mod tests {
     fn known_type_test_folds_only_when_dominated() {
         use PrimOp::*;
         let reg = fx_registry();
-        let mut assume = Assumptions::new();
+        let mut assume = Assumptions::default();
         // The projection at v9 justifies "v1 is a fixnum".
         assume.insert(9, (1, 3, 0));
         // project first, then test: folds.
@@ -749,7 +761,7 @@ mod tests {
     fn branch_facts_do_not_leak_to_siblings() {
         use PrimOp::*;
         let reg = fx_registry();
-        let mut assume = Assumptions::new();
+        let mut assume = Assumptions::default();
         assume.insert(20, (1, 3, 0)); // the then-branch projection
                                       // if c { v20 = shr(v1,3); ret v20 } else { v21 = and(v1,7); ret v21 }
                                       // The else branch's type test must NOT fold from the then branch's
@@ -780,7 +792,7 @@ mod tests {
     fn facts_do_not_survive_past_joins() {
         use PrimOp::*;
         let reg = fx_registry();
-        let mut assume = Assumptions::new();
+        let mut assume = Assumptions::default();
         assume.insert(20, (1, 3, 0));
         // v5 = if c { v20 = shr(v1,3); ret v20 } else { ret raw 0 }
         // then: v22 = and(v1, 7)  -- must NOT fold
@@ -812,11 +824,80 @@ mod tests {
         assert!(survived(&out), "join must clear branch facts");
     }
 
+    /// The binding of `id` anywhere in `e`.
+    fn bound_of(e: &Expr, id: VarId) -> Option<&Bound> {
+        match e {
+            Expr::Let(v, b, _) if *v == id => Some(b),
+            Expr::Let(_, b, body) => {
+                let inner = match b {
+                    Bound::If(_, x, y) => bound_of(x, id).or_else(|| bound_of(y, id)),
+                    Bound::Body(x) => bound_of(x, id),
+                    Bound::Lambda(f) => bound_of(&f.body, id),
+                    _ => None,
+                };
+                inner.or_else(|| bound_of(body, id))
+            }
+            Expr::If(_, x, y) => bound_of(x, id).or_else(|| bound_of(y, id)),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_fact_strengthened_in_a_branch_is_restored_not_removed() {
+        use PrimOp::*;
+        let reg = fx_registry();
+        // v5's binding justifies "v1's low bit is 0" for all that follows.
+        let mut assume = Assumptions::default();
+        assume.insert(5, (1, 1, 0));
+        let and = |v, x, m| (v, Bound::Prim(WordAnd, vec![Atom::Var(x), Atom::raw(m)]));
+        let chain = |binds: Vec<(VarId, Bound)>, last: Expr| {
+            binds
+                .into_iter()
+                .rev()
+                .fold(last, |body, (v, b)| Expr::Let(v, b, Box::new(body)))
+        };
+        // v5 = shr(v2, 1); v6 = v1 & 7; v7 = (v6 == 2)
+        // v8 = if nonzero(v7) { v10 = v1 & 7 }          ; learns 3 bits
+        //      else           { v11 = v1 & 7; v12 = v1 & 1 }
+        // v13 = v1 & 7; v14 = v1 & 1
+        let then = chain(vec![and(10, 1, 7)], Expr::Ret(Atom::Var(10)));
+        let els = chain(vec![and(11, 1, 7), and(12, 1, 1)], Expr::Ret(Atom::Var(12)));
+        let e = chain(
+            vec![
+                (5, Bound::Prim(WordShr, vec![Atom::Var(2), Atom::raw(1)])),
+                and(6, 1, 7),
+                (7, Bound::Prim(WordEq, vec![Atom::Var(6), Atom::raw(2)])),
+                (
+                    8,
+                    Bound::If(Test::NonZero(Atom::Var(7)), Box::new(then), Box::new(els)),
+                ),
+                and(13, 1, 7),
+                and(14, 1, 1),
+            ],
+            Expr::Ret(Atom::Var(14)),
+        );
+        let (out, _) = bits(e, &reg, &assume);
+        let shown = sxr_ir::pretty::expr_to_string(&out);
+        let folded_to = |id| match bound_of(&out, id) {
+            Some(Bound::Atom(Atom::Lit(Literal::Raw(w)))) => Some(*w),
+            Some(Bound::Prim(WordAnd, _)) => None,
+            other => panic!("v{id}: unexpected {other:?}\n{shown}"),
+        };
+        // The then branch knows three bits...
+        assert_eq!(folded_to(10), Some(2), "{shown}");
+        // ...its sibling and the code after the join know one bit again:
+        // not three (leaked) and not none (removed instead of restored).
+        for (three, one) in [(11, 12), (13, 14)] {
+            assert_eq!(folded_to(three), None, "v{three}\n{shown}");
+            assert_eq!(folded_to(one), Some(0), "v{one}\n{shown}");
+        }
+    }
+
     #[test]
     fn shift_combining_narrow() {
         use PrimOp::*;
         let reg = fx_registry();
-        let mut assume = Assumptions::new();
+        let mut assume = Assumptions::default();
         // v9 justifies: v1 has low 8 bits equal to the char tag 0b10010.
         assume.insert(9, (1, 8, 0b1_0010));
         // char->integer under classic tags: (v1 >> 8) << 3  ==>  v1 >> 5,
@@ -847,7 +928,7 @@ mod tests {
     fn shift_combining_widen() {
         use PrimOp::*;
         let reg = fx_registry();
-        let mut assume = Assumptions::new();
+        let mut assume = Assumptions::default();
         assume.insert(9, (1, 3, 0)); // fixnum
                                      // integer->char: (v1 >> 3) << 8  ==>  v1 << 5.
         let e = Expr::Let(
@@ -898,7 +979,7 @@ mod tests {
                 )),
             )),
         );
-        let (out, _) = bits(e, &reg, &Assumptions::new());
+        let (out, _) = bits(e, &reg, &Assumptions::default());
         fn then_folded(e: &Expr) -> (bool, bool) {
             fn find(e: &Expr, id: u32) -> Option<bool> {
                 match e {
@@ -924,7 +1005,7 @@ mod tests {
     fn truthy_of_known_non_false_folds() {
         use PrimOp::*;
         let reg = fx_registry();
-        let mut assume = Assumptions::new();
+        let mut assume = Assumptions::default();
         assume.insert(9, (1, 3, 0));
         let e = Expr::Let(
             9,

@@ -8,15 +8,15 @@
 //! another's operands dead).
 
 use crate::util::{bound_deletable, diverges, sink_value};
-use std::collections::HashMap;
 #[cfg(test)]
 use sxr_ir::anf::Atom;
 use sxr_ir::anf::{Bound, Expr, VarId};
+use sxr_ir::IdMap;
 
 /// One cleanup sweep; returns the new expression and how many rewrites
 /// happened.
 pub fn cleanup(e: Expr) -> (Expr, usize) {
-    let mut uses = HashMap::new();
+    let mut uses = IdMap::default();
     e.use_counts(&mut uses);
     let mut st = Clean { uses, changed: 0 };
     let out = st.walk(e);
@@ -24,7 +24,7 @@ pub fn cleanup(e: Expr) -> (Expr, usize) {
 }
 
 struct Clean {
-    uses: HashMap<VarId, usize>,
+    uses: IdMap<VarId, usize>,
     changed: usize,
 }
 

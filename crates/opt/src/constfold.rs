@@ -8,13 +8,12 @@
 //! types as optimizable as the library's own — the paper's first-classness
 //! claim with teeth.
 
-use crate::globals::GlobalInfo;
 use crate::scan::{const_symbol, fold_rep_type};
 use crate::util::{lit_word, truthiness};
-use std::collections::HashMap;
 use sxr_ir::anf::{Atom, Bound, Expr, GlobalId, Literal, Test, VarId};
 use sxr_ir::prim::PrimOp;
 use sxr_ir::rep::{RepKind, RepRegistry};
+use sxr_ir::IdMap;
 
 /// A folding error (malformed representation declarations).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,22 +35,22 @@ impl std::error::Error for FoldError {}
 /// (conflicting parameters, bad role).
 pub fn constfold(
     e: Expr,
-    globals: &HashMap<GlobalId, GlobalInfo>,
+    globals: &IdMap<GlobalId, Literal>,
     registry: &mut RepRegistry,
 ) -> Result<Expr, FoldError> {
     let mut st = Folder {
         globals,
         registry,
-        env: HashMap::new(),
+        env: IdMap::default(),
     };
     st.walk(e)
 }
 
 struct Folder<'a> {
-    globals: &'a HashMap<GlobalId, GlobalInfo>,
+    globals: &'a IdMap<GlobalId, Literal>,
     registry: &'a mut RepRegistry,
     /// Fully resolved replacement for a variable.
-    env: HashMap<VarId, Atom>,
+    env: IdMap<VarId, Atom>,
 }
 
 impl Folder<'_> {
@@ -230,8 +229,8 @@ impl Folder<'_> {
                 Bound::CallKnown(fid, self.resolve(&clo), self.resolve_all(&args))
             }
             Bound::GlobalGet(g) => match self.globals.get(&g) {
-                Some(GlobalInfo::Const(lit)) => Bound::Atom(Atom::Lit(lit.clone())),
-                _ => Bound::GlobalGet(g),
+                Some(lit) => Bound::Atom(Atom::Lit(lit.clone())),
+                None => Bound::GlobalGet(g),
             },
             Bound::GlobalSet(g, a) => Bound::GlobalSet(g, self.resolve(&a)),
             Bound::Lambda(mut f) => {
@@ -271,7 +270,7 @@ mod tests {
         let lowered = lower_program(p).unwrap();
         let mut reg = RepRegistry::new();
         let rep_globals = crate::scan::scan_representations(&lowered.main_body, &mut reg).unwrap();
-        let globals = crate::globals::analyze_globals(&lowered.main_body, &rep_globals);
+        let globals = crate::globals::global_constants(&lowered.main_body, &rep_globals);
         let mut e = constfold(lowered.main_body, &globals, &mut reg).unwrap();
         // Folding is interleaved with cleanup in the real pipeline; do the
         // same here so folded branches splice through.
@@ -345,7 +344,7 @@ mod tests {
                 Box::new(Expr::Ret(Atom::Var(2))),
             )),
         );
-        let e = constfold(e, &HashMap::new(), &mut reg).unwrap();
+        let e = constfold(e, &IdMap::default(), &mut reg).unwrap();
         match final_ret(&e) {
             Expr::Ret(Atom::Lit(Literal::Raw(7))) => {}
             other => panic!("expected 7, got {other:?}"),

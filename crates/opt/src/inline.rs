@@ -4,11 +4,11 @@
 //! specialization can see the constant, and the algebraic passes can cancel
 //! the tag traffic.
 
-use crate::globals::GlobalInfo;
+use crate::globals::GlobalFun;
 use crate::util::{convert_tails, try_splice};
-use std::collections::HashMap;
 use std::rc::Rc;
 use sxr_ir::anf::{refresh, substitute, Atom, Bound, Expr, FunDef, GlobalId, NameSupply, VarId};
+use sxr_ir::IdMap;
 
 /// Safety valve on total inlines per pass run.
 const MAX_PER_ROUND: usize = 20_000;
@@ -27,14 +27,14 @@ pub struct InlineReport {
 /// nodes. Returns the rewritten program and what the pass did.
 pub fn inline(
     e: Expr,
-    globals: &HashMap<GlobalId, GlobalInfo>,
+    globals: &IdMap<GlobalId, GlobalFun>,
     supply: &mut NameSupply,
     threshold: usize,
 ) -> (Expr, InlineReport) {
     let mut st = Inliner {
         globals,
         supply,
-        env: HashMap::new(),
+        env: IdMap::default(),
         threshold,
         report: InlineReport::default(),
     };
@@ -43,10 +43,10 @@ pub fn inline(
 }
 
 struct Inliner<'a> {
-    globals: &'a HashMap<GlobalId, GlobalInfo>,
+    globals: &'a IdMap<GlobalId, GlobalFun>,
     supply: &'a mut NameSupply,
     /// Variables statically bound to a known function definition.
-    env: HashMap<VarId, Rc<FunDef>>,
+    env: IdMap<VarId, Rc<FunDef>>,
     /// Maximum callee body size (IR nodes) to inline.
     threshold: usize,
     report: InlineReport,
@@ -76,7 +76,7 @@ impl Inliner<'_> {
         let mut body = refresh(&def.body, self.supply);
         // `refresh` renames bound variables but leaves the (free) parameters
         // alone, so params can be substituted directly.
-        let map: HashMap<VarId, Atom> = def
+        let map: IdMap<VarId, Atom> = def
             .params
             .iter()
             .copied()
@@ -99,11 +99,7 @@ impl Inliner<'_> {
                 Expr::Let(v, Bound::Lambda(f), Box::new(self.walk(*body)))
             }
             Expr::Let(v, Bound::GlobalGet(g), body) => {
-                if let Some(GlobalInfo::Fun {
-                    def,
-                    recursive: false,
-                }) = self.globals.get(&g)
-                {
+                if let Some(GlobalFun { def: Some(def), .. }) = self.globals.get(&g) {
                     self.env.insert(v, Rc::clone(def));
                 }
                 Expr::Let(v, Bound::GlobalGet(g), Box::new(self.walk(*body)))
@@ -184,9 +180,9 @@ mod tests {
         let mut p = ex.into_program(vec![unit]);
         convert_assignments(&mut p).unwrap();
         let lowered = lower_program(p).unwrap();
-        let globals = analyze_globals(&lowered.main_body, &HashMap::new());
-        let mut supply = lowered.supply;
         let threshold = crate::OptOptions::default().inline_threshold;
+        let globals = analyze_globals(&lowered.main_body, &Default::default(), threshold);
+        let mut supply = lowered.supply;
         let (e, report) = inline(lowered.main_body, &globals, &mut supply, threshold);
         (e, report.inlined)
     }

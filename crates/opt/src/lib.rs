@@ -35,7 +35,7 @@ pub use bits::bits;
 pub use cleanup::cleanup;
 pub use constfold::{constfold, FoldError};
 pub use cse::cse;
-pub use globals::{analyze_globals, GlobalInfo};
+pub use globals::{analyze_globals, global_constants, GlobalFun};
 pub use inline::{inline, InlineReport};
 pub use repspec::{repspec, Assumptions};
 pub use scan::{scan_representations, ScanError};
@@ -186,7 +186,7 @@ pub fn optimize(
     options: &OptOptions,
 ) -> Result<(Expr, OptReport), OptError> {
     let mut report = OptReport::default();
-    let mut assumptions = Assumptions::new();
+    let mut assumptions = Assumptions::default();
     if options.verify {
         // Check the input first so pre-existing damage is not pinned on
         // the first pass of the round.
@@ -197,8 +197,8 @@ pub fn optimize(
         let mut round_changed = 0usize;
 
         if options.inline {
-            let ginfo = analyze_globals(&e, rep_globals);
-            let (e2, r) = inline(e, &ginfo, supply, options.inline_threshold);
+            let funs = analyze_globals(&e, rep_globals, options.inline_threshold);
+            let (e2, r) = inline(e, &funs, supply, options.inline_threshold);
             e = e2;
             report.inlined += r.inlined;
             report.inline_visits += r.visits;
@@ -208,8 +208,8 @@ pub fn optimize(
             }
         }
         if options.constfold {
-            let ginfo = analyze_globals(&e, rep_globals);
-            e = constfold(e, &ginfo, registry).map_err(|err| OptError(err.0))?;
+            let consts = global_constants(&e, rep_globals);
+            e = constfold(e, &consts, registry).map_err(|err| OptError(err.0))?;
             if options.verify {
                 verify_pass("constfold", &e, registry)?;
             }

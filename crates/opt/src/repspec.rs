@@ -16,12 +16,12 @@
 //! field access is specialized through [`PrimOp::SpecRef`]/[`PrimOp::SpecSet`],
 //! which keep the base pointer tagged.)
 
-use std::collections::HashMap;
 use sxr_ir::anf::{Atom, Bound, Expr, Literal, NameSupply, Test, VarId};
 use sxr_ir::prim::PrimOp;
 #[cfg(test)]
 use sxr_ir::rep::RepId;
 use sxr_ir::rep::{RepKind, RepRegistry};
+use sxr_ir::IdMap;
 
 /// Type assumptions gathered from specialized operations, keyed by the
 /// *binding* whose execution justifies them: when the binding for the key
@@ -29,7 +29,7 @@ use sxr_ir::rep::{RepKind, RepRegistry};
 /// `tag`.  The algebraic pass activates each fact only for code dominated
 /// by that binding — facts from one branch never leak into another (see the
 /// `display` dispatch regression test).
-pub type Assumptions = HashMap<VarId, (VarId, u32, u64)>;
+pub type Assumptions = IdMap<VarId, (VarId, u32, u64)>;
 
 /// Runs representation specialization. Returns the rewritten program and
 /// the gathered assumptions.
@@ -37,7 +37,7 @@ pub fn repspec(e: Expr, registry: &RepRegistry, supply: &mut NameSupply) -> (Exp
     let mut st = Spec {
         registry,
         supply,
-        assume: HashMap::new(),
+        assume: IdMap::default(),
         pending: None,
     };
     let out = st.walk(e);

@@ -18,6 +18,7 @@ use std::fmt;
 use sxr_ir::anf::{Atom, Bound, Expr, GlobalId, Literal, VarId};
 use sxr_ir::prim::PrimOp;
 use sxr_ir::rep::{RepError, RepId, RepRegistry};
+use sxr_ir::IdMap;
 use sxr_sexp::Datum;
 
 /// A problem in the library's representation declarations.
@@ -44,7 +45,7 @@ pub fn scan_representations(
     main_body: &Expr,
     registry: &mut RepRegistry,
 ) -> Result<HashMap<GlobalId, RepId>, ScanError> {
-    let mut vars: HashMap<VarId, RepId> = HashMap::new();
+    let mut vars: IdMap<VarId, RepId> = IdMap::default();
     let mut globals: HashMap<GlobalId, RepId> = HashMap::new();
     let mut e = main_body;
     // Walk the straight top-level binding spine.
@@ -126,7 +127,7 @@ fn const_bool(a: &Atom) -> Option<bool> {
 
 fn rep_of_atom(
     a: &Atom,
-    vars: &HashMap<VarId, RepId>,
+    vars: &IdMap<VarId, RepId>,
     _globals: &HashMap<GlobalId, RepId>,
 ) -> Option<RepId> {
     match a {

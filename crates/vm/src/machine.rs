@@ -1202,8 +1202,24 @@ impl Machine {
                 "not a representation type (wrong record type)",
             ));
         }
+        // The payload is an ordinary field: `%rep-set!` through the
+        // first-class `rep-type` representation can overwrite it, so it
+        // is checked like any other input before it indexes the registry.
         let payload = self.heap.get(base + 1)?;
-        Ok(self.registry.decode_immediate(self.role.fixnum.id, payload) as RepId)
+        let forged = |what: String| {
+            VmError::new(
+                VmErrorKind::BadRepOperation,
+                format!("not a representation type ({what})"),
+            )
+        };
+        if !self.registry.tag_matches(self.role.fixnum.id, payload) {
+            return Err(forged(format!("id field holds {}", self.describe(payload))));
+        }
+        let id = self.registry.decode_immediate(self.role.fixnum.id, payload);
+        RepId::try_from(id)
+            .ok()
+            .filter(|&id| (id as usize) < self.registry.len())
+            .ok_or_else(|| forged(format!("unknown representation id {id}")))
     }
 
     fn fixnum_arg(&self, w: Word, what: &str) -> Result<i64, VmError> {

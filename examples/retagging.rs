@@ -22,6 +22,7 @@ const ALT_REPS: &str = r#"
 (define pair-rep        (%make-pointer-type 'pair 5 #f))
 (define vector-rep      (%make-pointer-type 'vector 6 #f))
 (define closure-rep     (%make-pointer-type 'closure 7 #f))
+(define condition-rep   (%make-pointer-type 'condition 4 #t))
 (%provide-rep! 'fixnum fixnum-rep)
 (%provide-rep! 'boolean boolean-rep)
 (%provide-rep! 'char char-rep)
@@ -35,6 +36,7 @@ const ALT_REPS: &str = r#"
 (%provide-rep! 'string string-rep)
 (%provide-rep! 'symbol symbol-rep)
 (%provide-rep! 'closure closure-rep)
+(%provide-rep! 'condition condition-rep)
 "#;
 
 const PROGRAM: &str = r#"

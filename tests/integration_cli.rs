@@ -29,3 +29,39 @@ fn ablate_rejects_an_unknown_pass_and_runs_a_known_one() {
     );
     assert_eq!(String::from_utf8_lossy(&out.stdout), "42\n");
 }
+
+#[test]
+fn fuel_bounds_a_runaway_program_with_a_timeout() {
+    let out = sxr(&["--fuel", "100000", "-e", "(define (f) (f)) (f)"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("instruction budget exhausted"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // Enough fuel: the program runs to its value.
+    let out = sxr(&["--fuel", "100000", "-e", "(fx+ 20 22)"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "42\n");
+
+    let out = sxr(&["--fuel", "lots", "-e", "1"]);
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn a_forged_rep_id_is_a_bad_rep_operation_not_a_panic() {
+    let out = sxr(&[
+        "--mode",
+        "noopt",
+        "-e",
+        "(%rep-set! rep-type-rep fixnum-rep 0 (%rep-inject fixnum-rep 99999)) \
+         (%rep-inject fixnum-rep 1)",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("unknown representation id"), "{stderr}");
+}

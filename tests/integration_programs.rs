@@ -339,3 +339,26 @@ fn letrec_fallback_agrees_across_configurations() {
         }
     }
 }
+
+#[test]
+fn a_rep_type_whose_id_was_overwritten_is_refused_at_use() {
+    // `rep-type-rep` is first-class, so a program can overwrite the id a
+    // rep-type object carries. The generic operations must refuse an id
+    // the registry does not know (large, negative or not a fixnum at all)
+    // instead of indexing the registry with it.
+    let compiler = Compiler::new(PipelineConfig::abstract_unoptimized());
+    for forged in [
+        "(%rep-inject fixnum-rep 99999)",
+        "(%rep-inject fixnum-rep -1)",
+        "(cons 1 2)",
+    ] {
+        let src =
+            format!("(%rep-set! rep-type-rep fixnum-rep 0 {forged}) (%rep-inject fixnum-rep 1)");
+        let err = compiler
+            .compile(&src)
+            .unwrap_or_else(|e| panic!("{src}: {e}"))
+            .run()
+            .expect_err(&src);
+        assert_eq!(err.kind, sxr::VmErrorKind::BadRepOperation, "{src}: {err}");
+    }
+}
