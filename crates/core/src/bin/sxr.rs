@@ -14,6 +14,7 @@
 //!   --dis <name>                          disassemble a procedure and exit
 //!   --heap <words>                        initial heap size in words
 //!   --fuel <n>                            stop with a timeout after n instructions
+//!   --max-depth <n>                       stop with a stack overflow past n frames
 //!   --verify-passes                       verify IR after every optimizer pass
 //! ```
 
@@ -22,7 +23,7 @@ use sxr::{lint_source, Compiler, OptOptions, PipelineConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: sxr [--mode abstract|traditional|noopt] [--ablate PASS] \
-         [--counters] [--dis NAME] [--heap WORDS] [--fuel N] [--verify-passes] \
+         [--counters] [--dis NAME] [--heap WORDS] [--fuel N] [--max-depth N] [--verify-passes] \
          (FILE.scm | -e EXPR)\n       sxr lint [--bytecode] FILE.scm"
     );
     std::process::exit(2)
@@ -90,6 +91,7 @@ fn main() {
     let mut dis: Option<String> = None;
     let mut heap: Option<usize> = None;
     let mut fuel: Option<u64> = None;
+    let mut max_depth: Option<usize> = None;
     let mut source: Option<String> = None;
     let mut verify_passes = false;
 
@@ -109,6 +111,13 @@ fn main() {
             }
             "--fuel" => {
                 fuel = Some(
+                    args.next()
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| usage()),
+                )
+            }
+            "--max-depth" => {
+                max_depth = Some(
                     args.next()
                         .and_then(|s| s.parse().ok())
                         .unwrap_or_else(|| usage()),
@@ -154,6 +163,9 @@ fn main() {
     }
     if let Some(limit) = fuel {
         cfg = cfg.with_instruction_limit(limit);
+    }
+    if let Some(frames) = max_depth {
+        cfg = cfg.with_max_depth(frames);
     }
     if verify_passes {
         cfg = cfg.with_verify_passes(true);

@@ -2,6 +2,7 @@
 //! evaluation.
 
 use sxr_opt::OptOptions;
+use sxr_vm::DEFAULT_MAX_DEPTH;
 
 /// How the primitive layer is provided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,6 +26,9 @@ pub struct PipelineConfig {
     pub heap_words: usize,
     /// Optional instruction budget for runs.
     pub instruction_limit: Option<u64>,
+    /// The most frames a run's stack may hold (see
+    /// [`sxr_vm::MachineConfig::max_depth`]).
+    pub max_depth: usize,
     /// Re-check the IR ([`sxr_ir::verify_expr`]) after every optimizer pass,
     /// attributing any broken invariant to the pass that introduced it.  The
     /// closure-converted module is checked either way.  Defaults on in debug
@@ -40,6 +44,7 @@ impl PipelineConfig {
             opt: OptOptions::default(),
             heap_words: 1 << 21,
             instruction_limit: None,
+            max_depth: DEFAULT_MAX_DEPTH,
             verify_passes: cfg!(debug_assertions),
         }
     }
@@ -52,6 +57,7 @@ impl PipelineConfig {
             opt: OptOptions::none(),
             heap_words: 1 << 21,
             instruction_limit: None,
+            max_depth: DEFAULT_MAX_DEPTH,
             verify_passes: cfg!(debug_assertions),
         }
     }
@@ -63,6 +69,7 @@ impl PipelineConfig {
             opt: OptOptions::default(),
             heap_words: 1 << 21,
             instruction_limit: None,
+            max_depth: DEFAULT_MAX_DEPTH,
             verify_passes: cfg!(debug_assertions),
         }
     }
@@ -84,6 +91,12 @@ impl PipelineConfig {
     /// Sets the instruction budget.
     pub fn with_instruction_limit(mut self, limit: u64) -> PipelineConfig {
         self.instruction_limit = Some(limit);
+        self
+    }
+
+    /// Sets the frame-depth limit.
+    pub fn with_max_depth(mut self, frames: usize) -> PipelineConfig {
+        self.max_depth = frames;
         self
     }
 

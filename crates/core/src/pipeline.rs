@@ -167,6 +167,7 @@ impl Compiler {
             opt_report,
             heap_words: self.config.heap_words,
             instruction_limit: self.config.instruction_limit,
+            max_depth: self.config.max_depth,
         })
     }
 }
@@ -265,6 +266,7 @@ pub struct Compiled {
     pub rep_globals: HashMap<GlobalId, RepId>,
     heap_words: usize,
     instruction_limit: Option<u64>,
+    max_depth: usize,
 }
 
 /// The observable result of running a program.
@@ -311,6 +313,7 @@ impl Compiled {
                 instruction_limit: self.instruction_limit,
                 fault,
                 verifier: Some(sxr_analysis::verifier_hook),
+                max_depth: self.max_depth,
             },
         )
     }

@@ -101,6 +101,24 @@ pub struct ImmediateRole {
     pub shift: u32,
 }
 
+impl ImmediateRole {
+    /// The word encoding `payload` (as [`RepRegistry::encode_immediate`]).
+    pub fn encode(&self, payload: i64) -> i64 {
+        (payload << self.shift) | self.tag as i64
+    }
+
+    /// The payload of `value` (as [`RepRegistry::decode_immediate`]).
+    pub fn decode(&self, value: i64) -> i64 {
+        value >> self.shift
+    }
+
+    /// Whether `value` carries this role's tag (as
+    /// [`RepRegistry::tag_matches`]).
+    pub fn matches(&self, value: i64) -> bool {
+        value as u64 & ((1u64 << self.tag_bits) - 1) == self.tag
+    }
+}
+
 /// A pointer role's representation and its low-bit tag; see
 /// [`RepRegistry::pointer_role`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,6 +127,14 @@ pub struct PointerRole {
     pub id: RepId,
     /// The low-bit tag of its pointers.
     pub tag: u64,
+}
+
+impl PointerRole {
+    /// Whether `value` carries this role's tag (as
+    /// [`RepRegistry::tag_matches`]).
+    pub fn matches(&self, value: i64) -> bool {
+        value as u64 & ((1u64 << POINTER_TAG_BITS) - 1) == self.tag
+    }
 }
 
 /// Errors raised while registering representation types.
@@ -645,6 +671,39 @@ mod tests {
             Some(PointerRole { id: pair, tag: 1 })
         );
         assert_eq!(reg.pointer_role(roles::VECTOR), None);
+    }
+
+    #[test]
+    fn role_word_helpers_agree_with_the_registry() {
+        let (mut reg, fx, pair) = classic();
+        let ch = reg.intern_immediate("char", 8, 0b0001_0010, 8).unwrap();
+        for (role, id) in [(roles::FIXNUM, fx), (roles::CHAR, ch), (roles::PAIR, pair)] {
+            reg.provide_role(role, id).unwrap();
+        }
+        let words = [
+            0,
+            1,
+            40,
+            -8,
+            0b0001_0010,
+            (65 << 8) | 0b0001_0010,
+            0x1001,
+            -1,
+        ];
+        for role in [roles::FIXNUM, roles::CHAR] {
+            let r = reg.immediate_role(role).unwrap();
+            for p in [0, 1, -1, 65, 1 << 40] {
+                assert_eq!(r.encode(p), reg.encode_immediate(r.id, p), "{role} {p}");
+            }
+            for w in words {
+                assert_eq!(r.decode(w), reg.decode_immediate(r.id, w), "{role} {w}");
+                assert_eq!(r.matches(w), reg.tag_matches(r.id, w), "{role} {w}");
+            }
+        }
+        let p = reg.pointer_role(roles::PAIR).unwrap();
+        for w in words {
+            assert_eq!(p.matches(w), reg.tag_matches(pair, w), "pair {w}");
+        }
     }
 
     #[test]

@@ -46,6 +46,11 @@ pub enum VmErrorKind {
     /// The configured instruction budget was exhausted (used by tests to
     /// bound runaway programs).
     Timeout,
+    /// A call would nest deeper than the configured frame-depth limit, or
+    /// the host refused the memory for the callee's registers.
+    /// Recoverable: delivery unwinds to the handler's frame first, which
+    /// frees the stack the runaway recursion built.
+    StackOverflow,
     /// `(%raise v)` was evaluated with no handler installed; carries the
     /// description of `v`.
     UncaughtCondition,
@@ -95,6 +100,7 @@ impl VmErrorKind {
             VmErrorKind::SchemeError => "scheme-error",
             VmErrorKind::BadProgram => "bad-program",
             VmErrorKind::Timeout => "timeout",
+            VmErrorKind::StackOverflow => "stack-overflow",
             VmErrorKind::UncaughtCondition => "uncaught-condition",
             VmErrorKind::RejectedByVerifier { .. } => "rejected-by-verifier",
             VmErrorKind::OutOfMemory { .. } => "out-of-memory",
@@ -189,6 +195,7 @@ mod tests {
     #[test]
     fn kind_labels_are_stable() {
         assert_eq!(VmErrorKind::Timeout.label(), "timeout");
+        assert_eq!(VmErrorKind::StackOverflow.label(), "stack-overflow");
         assert_eq!(VmErrorKind::BadProgram.label(), "bad-program");
         assert_eq!(VmErrorKind::UncaughtCondition.label(), "uncaught-condition");
         assert!(!VmErrorKind::SchemeError.is_oom());

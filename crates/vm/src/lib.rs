@@ -69,5 +69,7 @@ pub use heap::{grow_target, header, header_len, header_type, ClosureScan, Heap, 
 pub use inst::{
     BinOp, CmpOp, CodeFun, CodeProgram, Inst, InstClass, PoolEntry, Reg, RegImm, RepVmOp,
 };
-pub use machine::{Machine, MachineConfig, StepResult, SuspendReason, VerifierHook};
+pub use machine::{
+    Machine, MachineConfig, StepResult, SuspendReason, VerifierHook, DEFAULT_MAX_DEPTH,
+};
 pub use structure::{check_structure, Malformed, MalformedKind};

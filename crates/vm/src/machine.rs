@@ -50,7 +50,15 @@ pub struct MachineConfig {
     /// bounds-checked loop, which tolerates any structurally sound input.
     /// `None` (the default) admits every structurally sound program.
     pub verifier: Option<VerifierHook>,
+    /// The frame-depth limit: a call made while the stack already holds
+    /// this many frames (`main`'s included) raises
+    /// [`VmErrorKind::StackOverflow`], and so does one whose frame or
+    /// registers the host refuses to back.
+    pub max_depth: usize,
 }
+
+/// The default [`MachineConfig::max_depth`].
+pub const DEFAULT_MAX_DEPTH: usize = 1_000_000;
 
 impl Default for MachineConfig {
     fn default() -> MachineConfig {
@@ -59,6 +67,7 @@ impl Default for MachineConfig {
             instruction_limit: None,
             fault: FaultPlan::default(),
             verifier: None,
+            max_depth: DEFAULT_MAX_DEPTH,
         }
     }
 }
@@ -127,6 +136,13 @@ enum Phase {
     Faulted,
 }
 
+/// The role facts the step loop reads, resolved once so that no
+/// instruction looks a role up by name.  The boot roles are checked at
+/// load.  The optional ones are `None` until the library provides them:
+/// at load, or at run time by the `%provide-rep!` that first provides the
+/// role.  A filled entry never goes stale, because `provide_role` refuses
+/// to rebind a role and the machine's registry changes only through the
+/// representation instructions.
 #[derive(Debug, Clone, Copy)]
 struct RoleCache {
     fixnum: ImmediateRole,
@@ -134,6 +150,45 @@ struct RoleCache {
     false_word: Word,
     unspec_word: Word,
     reg_init: Word,
+    rep_type: Option<PointerRole>,
+    char: Option<ImmediateRole>,
+    string: Option<PointerRole>,
+    symbol: Option<PointerRole>,
+    pair: Option<PointerRole>,
+    null_word: Option<Word>,
+}
+
+impl RoleCache {
+    /// Resolves every role `registry` provides.  The boot roles must be
+    /// there ([`check_structure`] refuses a program without them).
+    fn new(registry: &RepRegistry) -> RoleCache {
+        let boot = "boot role checked at load";
+        let mut cache = RoleCache {
+            fixnum: registry.immediate_role(roles::FIXNUM).expect(boot),
+            closure: registry.pointer_role(roles::CLOSURE).expect(boot),
+            false_word: registry.role_word(roles::BOOLEAN, 0).expect(boot),
+            unspec_word: registry.role_word(roles::UNSPECIFIED, 0).expect(boot),
+            reg_init: registry.role_word(roles::FIXNUM, 0).expect(boot),
+            rep_type: None,
+            char: None,
+            string: None,
+            symbol: None,
+            pair: None,
+            null_word: None,
+        };
+        cache.fill(registry);
+        cache
+    }
+
+    /// Fills the optional roles `registry` now provides.
+    fn fill(&mut self, registry: &RepRegistry) {
+        self.rep_type = registry.pointer_role(roles::REP_TYPE);
+        self.char = registry.immediate_role(roles::CHAR);
+        self.string = registry.pointer_role(roles::STRING);
+        self.symbol = registry.pointer_role(roles::SYMBOL);
+        self.pair = registry.pointer_role(roles::PAIR);
+        self.null_word = registry.role_word(roles::NULL, 0);
+    }
 }
 
 /// A loaded program plus all mutable run-time state.
@@ -146,8 +201,9 @@ struct RoleCache {
 pub struct Machine {
     program: Rc<CodeProgram>,
     /// The run-time representation registry (starts as the compile-time
-    /// registry; extended by run-time `%make-*-type`).
-    pub registry: RepRegistry,
+    /// registry; extended by run-time `%make-*-type` and `%provide-rep!`,
+    /// which keep [`RoleCache`] in step with it).
+    pub(crate) registry: RepRegistry,
     heap: Heap,
     globals: Vec<Word>,
     pool: Vec<Word>,
@@ -163,6 +219,8 @@ pub struct Machine {
     output: String,
     ptr_table: [bool; 8],
     remaining: Option<u64>,
+    /// The frame-depth limit ([`MachineConfig::max_depth`]).
+    max_depth: usize,
     role: RoleCache,
     /// The fault-injection schedule in force for this machine.
     fault: FaultPlan,
@@ -204,14 +262,7 @@ impl Machine {
             return Err(VmError::new(VmErrorKind::BadProgram, m.to_string()));
         }
         let registry = program.registry.clone();
-        let boot = "boot role checked at load";
-        let role = RoleCache {
-            fixnum: registry.immediate_role(roles::FIXNUM).expect(boot),
-            closure: registry.pointer_role(roles::CLOSURE).expect(boot),
-            false_word: registry.role_word(roles::BOOLEAN, 0).expect(boot),
-            unspec_word: registry.role_word(roles::UNSPECIFIED, 0).expect(boot),
-            reg_init: registry.role_word(roles::FIXNUM, 0).expect(boot),
-        };
+        let role = RoleCache::new(&registry);
         // The verifier sees the program the step loop executes; a rejected
         // program never starts.
         if let Some(verify) = config.verifier {
@@ -236,6 +287,7 @@ impl Machine {
             output: String::new(),
             ptr_table,
             remaining: config.instruction_limit,
+            max_depth: config.max_depth,
             role,
             fault: config.fault,
             heap_cap,
@@ -281,6 +333,12 @@ impl Machine {
             self.pool.push(w);
         }
         Ok(())
+    }
+
+    /// The run-time representation registry: the compile-time registry
+    /// plus whatever the program's `%make-*-type` and `%provide-rep!` added.
+    pub fn registry(&self) -> &RepRegistry {
+        &self.registry
     }
 
     /// The accumulated `%write-char` output.
@@ -489,10 +547,21 @@ impl Machine {
     /// returns its base.  Every register starts as the library's
     /// register-init word, so nothing bleeds through from a frame that
     /// used the same words before.
-    fn push_window(&mut self, nregs: usize) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// [`VmErrorKind::StackOverflow`] when the host refuses the memory; the
+    /// stack is then unchanged.
+    fn push_window(&mut self, nregs: usize) -> Result<usize, VmError> {
         let base = self.regs.len();
+        if self.regs.try_reserve(nregs).is_err() {
+            return Err(VmError::new(
+                VmErrorKind::StackOverflow,
+                format!("stack overflow: the register stack cannot grow past {base} words"),
+            ));
+        }
         self.regs.resize(base + nregs, self.role.reg_init);
-        base
+        Ok(base)
     }
 
     /// Makes `frame` the top frame.  Its window must end the register
@@ -523,7 +592,7 @@ impl Machine {
             ));
         }
         let nregs = fun.nregs;
-        let base = self.push_window(nregs);
+        let base = self.push_window(nregs)?;
         self.regs[base] = self.role.unspec_word;
         Ok(Frame {
             fnid,
@@ -572,7 +641,7 @@ impl Machine {
             }
             None
         };
-        let base = self.push_window(nregs);
+        let base = self.push_window(nregs)?;
         self.regs[base] = self.r(clo_reg);
         for (i, &a) in args[..arity].iter().enumerate() {
             self.regs[base + 1 + i] = self.r(a);
@@ -596,8 +665,8 @@ impl Machine {
         // The load-time structural check proved both roles for every
         // variadic function, and a role is never rebound.
         let checked = "variadic role checked at load";
-        let pair = self.registry.pointer_role(roles::PAIR).expect(checked);
-        let mut rest = self.registry.role_word(roles::NULL, 0).expect(checked);
+        let pair = self.role.pair.expect(checked);
+        let mut rest = self.role.null_word.expect(checked);
         self.ensure_space(3 * (args.len() - arity) + 1)?;
         for &a in args[arity..].iter().rev() {
             let car = self.r(a);
@@ -607,6 +676,39 @@ impl Machine {
             rest = p;
         }
         Ok(rest)
+    }
+
+    /// Calls `fnid` in a new frame above the top one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::reserve_frame`] and [`Machine::build_frame`].
+    fn call(&mut self, fnid: u32, clo_reg: Reg, args: &[Reg], ret_dst: Reg) -> Result<(), VmError> {
+        self.reserve_frame()?;
+        let frame = self.build_frame(fnid, clo_reg, args, ret_dst)?;
+        self.push_frame(frame);
+        Ok(())
+    }
+
+    /// Makes room for one more frame.
+    ///
+    /// # Errors
+    ///
+    /// [`VmErrorKind::StackOverflow`] when the stack already holds
+    /// [`MachineConfig::max_depth`] frames or the host refuses the memory.
+    fn reserve_frame(&mut self) -> Result<(), VmError> {
+        let depth = self.frames.len();
+        let detail = if depth >= self.max_depth {
+            format!("a call would nest deeper than {} frames", self.max_depth)
+        } else if self.frames.try_reserve(1).is_err() {
+            format!("the frame stack cannot grow past {depth} frames")
+        } else {
+            return Ok(());
+        };
+        Err(VmError::new(
+            VmErrorKind::StackOverflow,
+            format!("stack overflow: {detail}"),
+        ))
     }
 
     /// Replaces the top frame with a call of `fnid`, keeping its return
@@ -626,15 +728,14 @@ impl Machine {
     }
 
     fn closure_target(&self, fval: Word) -> Result<u32, VmError> {
-        if !self.registry.tag_matches(self.role.closure.id, fval) {
+        if !self.role.closure.matches(fval) {
             return Err(VmError::new(
                 VmErrorKind::NotAProcedure,
                 format!("call of non-procedure {}", self.describe(fval)),
             ));
         }
-        let base = (fval >> 3) as usize;
-        let code = self.heap.get(base + 1)?;
-        let fnid = self.registry.decode_immediate(self.role.fixnum.id, code) as u32;
+        let code = self.heap.get(field_index(fval, 1))?;
+        let fnid = self.role.fixnum.decode(code) as u32;
         // The code word lives on the heap, where a sufficiently adversarial
         // guest (a `%rep-set!` through a representation sharing the closure
         // tag) can overwrite it; such an object is simply not a callable
@@ -750,254 +851,265 @@ impl Machine {
         Ok(())
     }
 
+    /// Writes the top frame's pc back from the step loop's local copy.
+    fn set_pc(&mut self, pc: usize) {
+        self.frames.last_mut().expect("frame").pc = pc;
+    }
+
     /// The fetch/execute loop.  Returns `Done` when the outermost frame
     /// has returned, `Suspended` when the budget ran dry; terminal errors
     /// move the machine to `Faulted`.
+    ///
+    /// Each pass of the outer loop enters the top frame: it reads the
+    /// frame's code and pc into locals, and the inner loop runs that code
+    /// until control leaves the frame.  Inside the inner loop the local pc
+    /// is the top frame's pc; `Frame::pc` is written back wherever the
+    /// frame outlives the inner loop — before a call, before trap delivery,
+    /// at suspension and on falling off the end — so it is current
+    /// whenever control is outside it.  A tail call or a return replaces
+    /// or drops the frame, so its pc is dead there.
     fn step_loop(&mut self) -> Result<StepResult, VmError> {
         // The code never changes once loaded.  One handle per slice lets
         // each instruction be borrowed while the machine state changes.
         let program = Rc::clone(&self.program);
-        loop {
-            let (fi, pc) = {
-                let Some(top) = self.frames.last_mut() else {
-                    self.phase = Phase::Done;
-                    return Ok(StepResult::Done(self.result));
-                };
-                let fi = top.fnid as usize;
-                let pc = top.pc;
-                top.pc += 1;
-                (fi, pc)
-            };
-            let fun = &program.funs[fi];
-            let Some(inst) = fun.insts.get(pc) else {
-                self.phase = Phase::Faulted;
-                return Err(VmError::new(
-                    VmErrorKind::BadProgram,
-                    format!("fell off the end of `{}`", fun.name),
-                ));
-            };
-            // The budget is charged before an instruction does anything —
-            // including `ResetCounters` — so a limit of N admits exactly N
-            // instructions and the counters never record a timed-out one.
-            // Suspension rewinds the pc: the refused instruction is
-            // re-fetched by the next `resume`, making the slice boundary
-            // invisible to the program.
-            if let Some(rem) = self.remaining.as_mut() {
-                if *rem == 0 {
-                    self.frames.last_mut().expect("frame").pc = pc;
-                    return Ok(StepResult::Suspended(SuspendReason::FuelExhausted));
+        // `?` for the inner loop: a failed operation leaves it with the
+        // error, which is then delivered as a trap.
+        macro_rules! or_trap {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => break e,
                 }
-                *rem -= 1;
-            }
-            if matches!(inst, Inst::ResetCounters) {
-                self.counters.reset();
-                continue;
-            }
-            self.counters.count(inst.class());
-            if let Err(e) = self.exec_inst(inst) {
-                if let Err(fatal) = self.deliver_trap(e) {
+            };
+        }
+        'frames: loop {
+            let Some(top) = self.frames.last() else {
+                self.phase = Phase::Done;
+                return Ok(StepResult::Done(self.result));
+            };
+            let fun = &program.funs[top.fnid as usize];
+            let insts = &fun.insts[..];
+            let mut pc = top.pc;
+            let trap = loop {
+                let Some(inst) = insts.get(pc) else {
+                    self.set_pc(pc);
                     self.phase = Phase::Faulted;
-                    return Err(fatal);
+                    return Err(VmError::new(
+                        VmErrorKind::BadProgram,
+                        format!("fell off the end of `{}`", fun.name),
+                    ));
+                };
+                // The budget is charged before an instruction does anything
+                // — including `ResetCounters` — so a limit of N admits
+                // exactly N instructions and the counters never record a
+                // timed-out one.  Suspension keeps the pc of the refused
+                // instruction, which the next `resume` re-fetches, making
+                // the slice boundary invisible to the program.
+                if let Some(rem) = self.remaining.as_mut() {
+                    if *rem == 0 {
+                        self.set_pc(pc);
+                        return Ok(StepResult::Suspended(SuspendReason::FuelExhausted));
+                    }
+                    *rem -= 1;
                 }
+                pc += 1;
+                // `ResetCounters` clears this count along with the rest.
+                self.counters.count(inst.class());
+                match *inst {
+                    Inst::Const { d, imm } => self.set_r(d, imm),
+                    Inst::Pool { d, idx } => self.set_r(d, self.pool[idx as usize]),
+                    Inst::Move { d, s } => self.set_r(d, self.r(s)),
+                    Inst::Bin { op, d, a, b } => {
+                        let v = or_trap!(self.binop(op, self.r(a), self.r(b)));
+                        self.set_r(d, v);
+                    }
+                    Inst::BinI { op, d, a, imm } => {
+                        let v = or_trap!(self.binop(op, self.r(a), imm as i64));
+                        self.set_r(d, v);
+                    }
+                    Inst::LoadD { d, p, disp } => {
+                        let addr = self.r(p).wrapping_add(disp as i64);
+                        let w = or_trap!(self.heap.get((addr >> 3) as usize));
+                        self.set_r(d, w);
+                    }
+                    Inst::LoadX { d, p, x, disp } => {
+                        let addr = self.r(p).wrapping_add(self.r(x)).wrapping_add(disp as i64);
+                        let w = or_trap!(self.heap.get((addr >> 3) as usize));
+                        self.set_r(d, w);
+                    }
+                    Inst::StoreD { p, disp, s } => {
+                        let addr = self.r(p).wrapping_add(disp as i64);
+                        or_trap!(self.heap.set((addr >> 3) as usize, self.r(s)));
+                    }
+                    Inst::StoreX { p, x, disp, s } => {
+                        let addr = self.r(p).wrapping_add(self.r(x)).wrapping_add(disp as i64);
+                        or_trap!(self.heap.set((addr >> 3) as usize, self.r(s)));
+                    }
+                    Inst::AllocFill { d, len, fill, rep } => {
+                        let w = or_trap!(self.alloc_fill(len, fill, rep));
+                        self.set_r(d, w);
+                    }
+                    Inst::Jump { t } => pc = t as usize,
+                    Inst::JumpCmp { op, a, b, t } => {
+                        let b = match b {
+                            RegImm::Reg(r) => self.r(r),
+                            RegImm::Imm(i) => i as i64,
+                        };
+                        if cmp_taken(op, self.r(a), b) {
+                            pc = t as usize;
+                        }
+                    }
+                    Inst::GlobalGet { d, g } => self.set_r(d, self.globals[g as usize]),
+                    Inst::GlobalSet { g, s } => self.globals[g as usize] = self.r(s),
+                    Inst::MakeClosure { d, f, ref free } => {
+                        let w = or_trap!(self.make_closure(f, free));
+                        self.set_r(d, w);
+                    }
+                    Inst::ClosureSet { clo, idx, val } => {
+                        let at = field_index(self.r(clo), 2 + idx as usize);
+                        or_trap!(self.heap.set(at, self.r(val)));
+                    }
+                    Inst::Call { d, f, ref args } => {
+                        let fnid = or_trap!(self.closure_target(self.r(f)));
+                        self.counters.calls += 1;
+                        self.set_pc(pc);
+                        or_trap!(self.call(fnid, f, args, d));
+                        continue 'frames;
+                    }
+                    Inst::CallKnown {
+                        d,
+                        f,
+                        clo,
+                        ref args,
+                    } => {
+                        self.counters.calls += 1;
+                        self.set_pc(pc);
+                        or_trap!(self.call(f, clo, args, d));
+                        continue 'frames;
+                    }
+                    Inst::TailCall { f, ref args } => {
+                        let fnid = or_trap!(self.closure_target(self.r(f)));
+                        self.counters.calls += 1;
+                        or_trap!(self.tail_call(fnid, f, args));
+                        continue 'frames;
+                    }
+                    Inst::TailCallKnown { f, clo, ref args } => {
+                        self.counters.calls += 1;
+                        or_trap!(self.tail_call(f, clo, args));
+                        continue 'frames;
+                    }
+                    Inst::Ret { s } => {
+                        let v = self.r(s);
+                        let frame = self.frames.pop().expect("frame");
+                        self.regs.truncate(frame.base);
+                        match self.frames.last() {
+                            Some(caller) => {
+                                self.top_base = caller.base;
+                                self.set_r(frame.ret_dst, v);
+                            }
+                            None => self.result = v,
+                        }
+                        continue 'frames;
+                    }
+                    Inst::Rep { op, d, ref args } => {
+                        let v = or_trap!(self.rep_generic(op, args));
+                        self.set_r(d, v);
+                    }
+                    Inst::Intern { d, s } => {
+                        let sym = or_trap!(self.intern_value(self.r(s)));
+                        self.set_r(d, sym);
+                    }
+                    Inst::WriteChar { s } => {
+                        let Some(char_role) = self.role.char else {
+                            break VmError::new(
+                                VmErrorKind::BadProgram,
+                                "no `char` representation role",
+                            );
+                        };
+                        let code = char_role.decode(self.r(s)) as u32;
+                        self.output.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                    }
+                    Inst::ErrorOp { s } => {
+                        let w = self.r(s);
+                        self.pending_trap = Some(PendingTrap::Payload(w));
+                        break VmError::new(
+                            VmErrorKind::SchemeError,
+                            format!("error: {}", self.describe(w)),
+                        );
+                    }
+                    Inst::PushHandler { h, d, t } => {
+                        self.handlers.push(Handler {
+                            depth: self.frames.len(),
+                            handler: self.r(h),
+                            dst: d,
+                            t,
+                        });
+                    }
+                    Inst::PopHandler => {
+                        if self.handlers.pop().is_none() {
+                            break VmError::new(
+                                VmErrorKind::BadProgram,
+                                "PopHandler with no handler installed",
+                            );
+                        }
+                    }
+                    Inst::RaiseOp { s } => {
+                        let w = self.r(s);
+                        self.pending_trap = Some(PendingTrap::Reraise(w));
+                        break VmError::new(
+                            VmErrorKind::UncaughtCondition,
+                            format!("uncaught condition: {}", self.describe(w)),
+                        );
+                    }
+                    Inst::ResetCounters => self.counters.reset(),
+                }
+            };
+            self.set_pc(pc);
+            if let Err(fatal) = self.deliver_trap(trap) {
+                self.phase = Phase::Faulted;
+                return Err(fatal);
             }
         }
     }
 
-    /// Executes one (already counted and budgeted) instruction.
-    #[inline]
-    fn exec_inst(&mut self, inst: &Inst) -> Result<(), VmError> {
-        match *inst {
-            Inst::Const { d, imm } => {
-                self.set_r(d, imm);
-            }
-            Inst::Pool { d, idx } => {
-                self.set_r(d, self.pool[idx as usize]);
-            }
-            Inst::Move { d, s } => {
-                let w = self.r(s);
-                self.set_r(d, w);
-            }
-            Inst::Bin { op, d, a, b } => {
-                let (a, b) = (self.r(a), self.r(b));
-                let v = self.binop(op, a, b)?;
-                self.set_r(d, v);
-            }
-            Inst::BinI { op, d, a, imm } => {
-                let a = self.r(a);
-                let v = self.binop(op, a, imm as i64)?;
-                self.set_r(d, v);
-            }
-            Inst::LoadD { d, p, disp } => {
-                let addr = self.r(p).wrapping_add(disp as i64);
-                let w = self.heap.get((addr >> 3) as usize)?;
-                self.set_r(d, w);
-            }
-            Inst::LoadX { d, p, x, disp } => {
-                let addr = self.r(p).wrapping_add(self.r(x)).wrapping_add(disp as i64);
-                let w = self.heap.get((addr >> 3) as usize)?;
-                self.set_r(d, w);
-            }
-            Inst::StoreD { p, disp, s } => {
-                let addr = self.r(p).wrapping_add(disp as i64);
-                let w = self.r(s);
-                self.heap.set((addr >> 3) as usize, w)?;
-            }
-            Inst::StoreX { p, x, disp, s } => {
-                let addr = self.r(p).wrapping_add(self.r(x)).wrapping_add(disp as i64);
-                let w = self.r(s);
-                self.heap.set((addr >> 3) as usize, w)?;
-            }
-            Inst::AllocFill { d, len, fill, rep } => {
-                let len = match len {
-                    // The structural check proved the immediate is not negative.
-                    RegImm::Imm(n) => n as usize,
-                    RegImm::Reg(r) => {
-                        let len = self.r(r);
-                        if !(0..=(1 << 40)).contains(&len) {
-                            return Err(VmError::new(
-                                VmErrorKind::BadRepOperation,
-                                format!("allocation of {len} fields"),
-                            ));
-                        }
-                        len as usize
-                    }
-                };
-                let RepKind::Pointer { tag, .. } = self.registry.info(rep).kind else {
-                    unreachable!("the structural check admits only pointer allocations");
-                };
-                self.ensure_space(len + 1)?;
-                let fill = self.r(fill); // after possible GC
-                let w = self.alloc_object(len, rep as u16, tag, fill)?;
-                self.set_r(d, w);
-            }
-            Inst::Jump { t } => {
-                self.frames.last_mut().expect("frame").pc = t as usize;
-            }
-            Inst::JumpCmp { op, a, b, t } => {
-                let a = self.r(a);
-                let b = match b {
-                    RegImm::Reg(r) => self.r(r),
-                    RegImm::Imm(i) => i as i64,
-                };
-                if cmp_taken(op, a, b) {
-                    self.frames.last_mut().expect("frame").pc = t as usize;
-                }
-            }
-            Inst::GlobalGet { d, g } => {
-                self.set_r(d, self.globals[g as usize]);
-            }
-            Inst::GlobalSet { g, s } => {
-                self.globals[g as usize] = self.r(s);
-            }
-            Inst::MakeClosure { d, f, ref free } => {
-                let n = free.len();
-                self.ensure_space(n + 2)?;
-                let code = self
-                    .registry
-                    .encode_immediate(self.role.fixnum.id, f as i64);
-                let (rep, tag) = (self.role.closure.id as u16, self.role.closure.tag);
-                let w = self.alloc_object(n + 1, rep, tag, code)?;
-                let base = (w >> 3) as usize;
-                for (i, &r) in free.iter().enumerate() {
-                    let v = self.r(r);
-                    self.heap.set(base + 2 + i, v)?;
-                }
-                self.set_r(d, w);
-            }
-            Inst::ClosureSet { clo, idx, val } => {
-                let base = (self.r(clo) >> 3) as usize;
-                let v = self.r(val);
-                self.heap.set(base + 2 + idx as usize, v)?;
-            }
-            Inst::Call { d, f, ref args } => {
-                let fnid = self.closure_target(self.r(f))?;
-                self.counters.calls += 1;
-                let frame = self.build_frame(fnid, f, args, d)?;
-                self.push_frame(frame);
-            }
-            Inst::CallKnown {
-                d,
-                f,
-                clo,
-                ref args,
-            } => {
-                self.counters.calls += 1;
-                let frame = self.build_frame(f, clo, args, d)?;
-                self.push_frame(frame);
-            }
-            Inst::TailCall { f, ref args } => {
-                let fnid = self.closure_target(self.r(f))?;
-                self.counters.calls += 1;
-                self.tail_call(fnid, f, args)?;
-            }
-            Inst::TailCallKnown { f, clo, ref args } => {
-                self.counters.calls += 1;
-                self.tail_call(f, clo, args)?;
-            }
-            Inst::Ret { s } => {
-                let v = self.r(s);
-                let frame = self.frames.pop().expect("frame");
-                self.regs.truncate(frame.base);
-                match self.frames.last() {
-                    Some(caller) => {
-                        self.top_base = caller.base;
-                        self.set_r(frame.ret_dst, v);
-                    }
-                    None => self.result = v,
-                }
-            }
-            Inst::Rep { op, d, ref args } => {
-                let v = self.rep_generic(op, args)?;
-                self.set_r(d, v);
-            }
-            Inst::Intern { d, s } => {
-                let sval = self.r(s);
-                let sym = self.intern_value(sval)?;
-                self.set_r(d, sym);
-            }
-            Inst::WriteChar { s } => {
-                let w = self.r(s);
-                let char_rep = self.registry.role(roles::CHAR).ok_or_else(|| {
-                    VmError::new(VmErrorKind::BadProgram, "no `char` representation role")
-                })?;
-                let code = self.registry.decode_immediate(char_rep, w) as u32;
-                self.output.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-            }
-            Inst::ErrorOp { s } => {
-                let w = self.r(s);
-                self.pending_trap = Some(PendingTrap::Payload(w));
-                return Err(VmError::new(
-                    VmErrorKind::SchemeError,
-                    format!("error: {}", self.describe(w)),
-                ));
-            }
-            Inst::PushHandler { h, d, t } => {
-                self.handlers.push(Handler {
-                    depth: self.frames.len(),
-                    handler: self.r(h),
-                    dst: d,
-                    t,
-                });
-            }
-            Inst::PopHandler => {
-                if self.handlers.pop().is_none() {
+    /// `AllocFill`: a fresh object of pointer representation `rep` with
+    /// `len` fields, each `fill`.
+    fn alloc_fill(&mut self, len: RegImm, fill: Reg, rep: RepId) -> Result<Word, VmError> {
+        let len = match len {
+            // The structural check proved the immediate is not negative.
+            RegImm::Imm(n) => n as usize,
+            RegImm::Reg(r) => {
+                let len = self.r(r);
+                if !(0..=(1 << 40)).contains(&len) {
                     return Err(VmError::new(
-                        VmErrorKind::BadProgram,
-                        "PopHandler with no handler installed",
+                        VmErrorKind::BadRepOperation,
+                        format!("allocation of {len} fields"),
                     ));
                 }
+                len as usize
             }
-            Inst::RaiseOp { s } => {
-                let w = self.r(s);
-                self.pending_trap = Some(PendingTrap::Reraise(w));
-                return Err(VmError::new(
-                    VmErrorKind::UncaughtCondition,
-                    format!("uncaught condition: {}", self.describe(w)),
-                ));
-            }
-            Inst::ResetCounters => unreachable!("handled before counting"),
+        };
+        let RepKind::Pointer { tag, .. } = self.registry.info(rep).kind else {
+            unreachable!("the structural check admits only pointer allocations");
+        };
+        self.ensure_space(len + 1)?;
+        let fill = self.r(fill); // after possible GC
+        self.alloc_object(len, rep as u16, tag, fill)
+    }
+
+    /// `MakeClosure`: a closure of function `f` capturing the registers
+    /// `free`.
+    fn make_closure(&mut self, f: u32, free: &[Reg]) -> Result<Word, VmError> {
+        let n = free.len();
+        self.ensure_space(n + 2)?;
+        let code = self.role.fixnum.encode(f as i64);
+        let (rep, tag) = (self.role.closure.id as u16, self.role.closure.tag);
+        let w = self.alloc_object(n + 1, rep, tag, code)?;
+        let base = (w >> 3) as usize;
+        for (i, &r) in free.iter().enumerate() {
+            self.heap.set(base + 2 + i, self.r(r))?;
         }
-        Ok(())
+        Ok(w)
     }
 
     /// Attempts to deliver a trap to the innermost handler.
@@ -1055,8 +1167,12 @@ impl Machine {
             return Err(self.arity_error(fnid, false, 1));
         }
         let nregs = fun.nregs;
+        // The handler is entered like any call; when the stack cannot hold
+        // its frame, the original error is terminal after all.
+        let Ok(base) = self.reserve_frame().and_then(|()| self.push_window(nregs)) else {
+            return Err(e);
+        };
         self.frames.last_mut().expect("installing frame").pc = h.t as usize;
-        let base = self.push_window(nregs);
         self.regs[base] = handler;
         self.regs[base + 1] = cond;
         self.counters.calls += 1;
@@ -1173,30 +1289,30 @@ impl Machine {
 
     /// Builds a first-class rep-type object for `rid`.
     pub(crate) fn make_rep_object(&mut self, rid: RepId) -> Result<Word, VmError> {
-        let reptype = self.registry.pointer_role(roles::REP_TYPE).ok_or_else(|| {
+        let reptype = self.role.rep_type.ok_or_else(|| {
             VmError::new(
                 VmErrorKind::BadProgram,
                 "first-class representation objects require the `rep-type` role",
             )
         })?;
-        let payload = self
-            .registry
-            .encode_immediate(self.role.fixnum.id, rid as i64);
+        let payload = self.role.fixnum.encode(rid as i64);
         self.alloc_object(1, reptype.id as u16, reptype.tag, payload)
     }
 
+    fn no_rep_type_role() -> VmError {
+        VmError::new(VmErrorKind::BadProgram, "no `rep-type` role registered")
+    }
+
     fn rep_id_of(&self, w: Word) -> Result<RepId, VmError> {
-        let reptype = self.registry.role(roles::REP_TYPE).ok_or_else(|| {
-            VmError::new(VmErrorKind::BadProgram, "no `rep-type` role registered")
-        })?;
-        if !self.registry.tag_matches(reptype, w) {
+        let reptype = self.role.rep_type.ok_or_else(Machine::no_rep_type_role)?;
+        if !reptype.matches(w) {
             return Err(VmError::new(
                 VmErrorKind::BadRepOperation,
                 format!("not a representation type: {}", self.describe(w)),
             ));
         }
         let base = (w >> 3) as usize;
-        if header_type(self.heap.get(base)?) != reptype as u16 {
+        if header_type(self.heap.get(base)?) != reptype.id as u16 {
             return Err(VmError::new(
                 VmErrorKind::BadRepOperation,
                 "not a representation type (wrong record type)",
@@ -1212,52 +1328,79 @@ impl Machine {
                 format!("not a representation type ({what})"),
             )
         };
-        if !self.registry.tag_matches(self.role.fixnum.id, payload) {
+        if !self.role.fixnum.matches(payload) {
             return Err(forged(format!("id field holds {}", self.describe(payload))));
         }
-        let id = self.registry.decode_immediate(self.role.fixnum.id, payload);
+        let id = self.role.fixnum.decode(payload);
         RepId::try_from(id)
             .ok()
             .filter(|&id| (id as usize) < self.registry.len())
             .ok_or_else(|| forged(format!("unknown representation id {id}")))
     }
 
+    /// The representation `w` names when it is offered as the first
+    /// `rep-type` role, which no [`Machine::rep_id_of`] can decode yet:
+    /// `w` must describe itself — a pointer tagged as representation `r`,
+    /// to a record whose header type and id field both name `r`.  That is
+    /// what `%make-pointer-type` builds for the representation of
+    /// representation types.
+    fn self_described_rep(&self, w: Word) -> Result<RepId, VmError> {
+        let base = (w >> 3) as usize;
+        if !self.ptr_table[(w & 0b111) as usize] {
+            return Err(Machine::no_rep_type_role());
+        }
+        let rid = header_type(self.heap.get(base)?) as RepId;
+        let payload = self.heap.get(base + 1)?;
+        let tagged_as = |r: RepId| match self.registry.info(r).kind {
+            RepKind::Pointer { tag, .. } => tag == (w & 0b111) as u64,
+            RepKind::Immediate { .. } => false,
+        };
+        let describes_itself = self.role.fixnum.matches(payload)
+            && self.role.fixnum.decode(payload) == rid as i64
+            && (rid as usize) < self.registry.len()
+            && tagged_as(rid);
+        if describes_itself {
+            Ok(rid)
+        } else {
+            Err(Machine::no_rep_type_role())
+        }
+    }
+
     fn fixnum_arg(&self, w: Word, what: &str) -> Result<i64, VmError> {
-        if !self.registry.tag_matches(self.role.fixnum.id, w) {
+        if !self.role.fixnum.matches(w) {
             return Err(VmError::new(
                 VmErrorKind::BadRepOperation,
                 format!("{what} must be a fixnum, got {}", self.describe(w)),
             ));
         }
-        Ok(self.registry.decode_immediate(self.role.fixnum.id, w))
+        Ok(self.role.fixnum.decode(w))
     }
 
     fn symbol_name(&self, w: Word) -> Result<String, VmError> {
         let sym = self
-            .registry
-            .role(roles::SYMBOL)
+            .role
+            .symbol
             .ok_or_else(|| VmError::new(VmErrorKind::BadProgram, "no `symbol` role"))?;
-        if !self.registry.tag_matches(sym, w) {
+        if !sym.matches(w) {
             return Err(VmError::new(
                 VmErrorKind::BadRepOperation,
                 format!("expected a symbol, got {}", self.describe(w)),
             ));
         }
-        let base = (w >> 3) as usize;
-        let str_ptr = self.heap.get(base + 1)?;
+        let str_ptr = self.heap.get(field_index(w, 1))?;
         self.string_content(str_ptr)
     }
 
     pub(crate) fn string_content(&self, w: Word) -> Result<String, VmError> {
         let string = self
-            .registry
-            .role(roles::STRING)
+            .role
+            .string
             .ok_or_else(|| VmError::new(VmErrorKind::BadProgram, "no `string` role"))?;
-        let char_rep = self
-            .registry
-            .role(roles::CHAR)
+        let char_role = self
+            .role
+            .char
             .ok_or_else(|| VmError::new(VmErrorKind::BadProgram, "no `char` role"))?;
-        if !self.registry.tag_matches(string, w) {
+        if !string.matches(w) {
             return Err(VmError::new(
                 VmErrorKind::BadRepOperation,
                 format!("expected a string, got {}", self.describe(w)),
@@ -1268,7 +1411,7 @@ impl Machine {
         let mut s = String::with_capacity(len);
         for i in 0..len {
             let cw = self.heap.get(base + 1 + i)?;
-            let code = self.registry.decode_immediate(char_rep, cw) as u32;
+            let code = char_role.decode(cw) as u32;
             s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
         }
         Ok(s)
@@ -1312,8 +1455,8 @@ impl Machine {
     /// the symbol cell must already be reserved.
     fn intern_reserved(&mut self, name: String) -> Result<Word, VmError> {
         let sym = self
-            .registry
-            .pointer_role(roles::SYMBOL)
+            .role
+            .symbol
             .ok_or_else(|| VmError::new(VmErrorKind::BadProgram, "no `symbol` role"))?;
         let fresh = encode::encode_string(self, &name)?;
         let w = self.alloc_object(1, sym.id as u16, sym.tag, fresh)?;
@@ -1347,10 +1490,15 @@ impl Machine {
             }
             RepVmOp::Provide => {
                 let role = self.symbol_name(self.r(args[0]))?;
-                let rid = self.rep_id_of(self.r(args[1]))?;
+                let rep = self.r(args[1]);
+                let rid = match self.role.rep_type {
+                    None if role == roles::REP_TYPE => self.self_described_rep(rep)?,
+                    _ => self.rep_id_of(rep)?,
+                };
                 self.registry
                     .provide_role(&role, rid)
                     .map_err(|e| VmError::new(VmErrorKind::BadRepOperation, e.0))?;
+                self.role.fill(&self.registry);
                 Ok(self.role.unspec_word)
             }
             RepVmOp::Inject => {
@@ -1445,6 +1593,13 @@ impl Machine {
             }
         }
     }
+}
+
+/// The heap index of word `i` of the object `w` points to.  An address
+/// past any heap stays past it instead of overflowing, so a wild pointer is
+/// a `BadMemoryAccess` in every build.
+fn field_index(w: Word, i: usize) -> usize {
+    ((w >> 3) as usize).saturating_add(i)
 }
 
 /// Whether a fused compare-and-branch is taken.

@@ -80,6 +80,7 @@ fn every_kind_is_constructible_with_stable_unique_labels() {
         VmErrorKind::SchemeError,
         VmErrorKind::BadProgram,
         VmErrorKind::Timeout,
+        VmErrorKind::StackOverflow,
         VmErrorKind::UncaughtCondition,
         VmErrorKind::OutOfMemory {
             requested: 16,
@@ -641,4 +642,66 @@ fn delivered_condition_carries_kind_and_payload() {
     assert!(desc.starts_with("#<condition "), "{desc}");
     assert!(desc.contains("scheme-error"), "{desc}");
     assert!(desc.contains("99"), "{desc}");
+}
+
+/// Function `fid`: it calls itself forever, not in tail position.
+fn recurse_forever(fid: u32) -> CodeFun {
+    fun(
+        "recurse",
+        0,
+        2,
+        vec![
+            Inst::CallKnown {
+                d: 1,
+                f: fid,
+                clo: 0,
+                args: vec![],
+            },
+            Inst::Ret { s: 1 },
+        ],
+    )
+}
+
+#[test]
+fn runaway_recursion_is_a_catchable_stack_overflow() {
+    let config = || MachineConfig {
+        max_depth: 100,
+        ..Default::default()
+    };
+    let call = |clo, d| {
+        [
+            Inst::MakeClosure {
+                d: clo,
+                f: 2,
+                free: vec![],
+            },
+            Inst::Call {
+                d,
+                f: clo,
+                args: vec![],
+            },
+        ]
+    };
+    // Unhandled: a structured error once the stack holds 100 frames.
+    let r = delivery_registry();
+    let main = fun(
+        "main",
+        0,
+        3,
+        [&call(1, 2)[..], &[Inst::Ret { s: 2 }]].concat(),
+    );
+    let unused = fun("unused", 0, 1, vec![Inst::Ret { s: 0 }]);
+    let prog = program(r.reg.clone(), vec![main, unused, recurse_forever(2)]);
+    let mut m = Machine::new(prog, config()).unwrap();
+    let e = m.run().expect_err("the recursion never ends");
+    assert_eq!(e.kind, VmErrorKind::StackOverflow);
+    assert_eq!(e.kind.label(), "stack-overflow");
+    assert_eq!(m.counters.calls, 100, "99 calls nest, the 100th is refused");
+
+    // Handled: delivery unwinds to the handler's frame, which then runs.
+    let mut funs = guarded(&r, call(3, 4).to_vec(), 5);
+    funs.push(recurse_forever(2));
+    let mut m = Machine::new(program(r.reg.clone(), funs), config()).unwrap();
+    let w = m.run().expect("the handler catches the overflow");
+    assert_eq!(m.describe(w), "7");
 }

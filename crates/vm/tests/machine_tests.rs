@@ -17,6 +17,11 @@ struct Reg {
 }
 
 fn classic_registry() -> Reg {
+    classic_registry_without(None)
+}
+
+/// The classic registry, with every role but `missing` provided.
+fn classic_registry_without(missing: Option<&str>) -> Reg {
     let mut reg = RepRegistry::new();
     let fx = reg.intern_immediate("fixnum", 3, 0, 3).unwrap();
     let bo = reg.intern_immediate("boolean", 8, 0b0000_0010, 8).unwrap();
@@ -44,7 +49,9 @@ fn classic_registry() -> Reg {
         ("closure", clo),
         ("rep-type", reptype),
     ] {
-        reg.provide_role(role, id).unwrap();
+        if Some(role) != missing {
+            reg.provide_role(role, id).unwrap();
+        }
     }
     Reg { reg, fx, pair }
 }
@@ -366,6 +373,7 @@ fn allocation_load_store_and_gc_survival() {
             instruction_limit: None,
             fault: Default::default(),
             verifier: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -446,7 +454,98 @@ fn generic_rep_ops_work_at_runtime() {
     );
     let (s, m) = run_program(prog);
     assert_eq!(s, "5");
-    assert!(m.registry.by_name("mytype").is_some());
+    assert!(m.registry().by_name("mytype").is_some());
+}
+
+/// A program whose `rep-type` role is absent at load.  `main` forges the
+/// object that describes the `rep-type` representation (a one-field record
+/// of that representation holding its own id), runs `body`, and returns
+/// r5 as a fixnum.  Registers: r2 the forged object, r3 `'rep-type`,
+/// r5 a raw result.
+fn without_rep_type_role(body: Vec<Inst>) -> CodeProgram {
+    let r = classic_registry_without(Some("rep-type"));
+    let rt = r.reg.by_name("rep-type").expect("registered, not provided");
+    let mut insts = vec![
+        Inst::Const {
+            d: 1,
+            imm: r.reg.encode_immediate(r.fx, rt as i64),
+        },
+        Inst::AllocFill {
+            d: 2,
+            len: RegImm::Imm(1),
+            fill: 1,
+            rep: rt,
+        },
+        Inst::Pool { d: 3, idx: 0 },
+    ];
+    insts.extend(body);
+    insts.push(Inst::BinI {
+        op: BinOp::Shl,
+        d: 5,
+        a: 5,
+        imm: 3,
+    });
+    insts.push(Inst::Ret { s: 5 });
+    let mut main = fun("main", 0, 9, insts);
+    main.ptr_map[5] = false;
+    let pool = ["rep-type", "other"].map(|s| PoolEntry::Datum(Datum::Symbol(s.into())));
+    one_fun_program(r.reg, main, pool.to_vec())
+}
+
+#[test]
+fn a_rep_type_role_missing_at_load_is_filled_by_its_first_provide() {
+    let provide = |rep| Inst::Rep {
+        op: RepVmOp::Provide,
+        d: 4,
+        args: vec![3, rep],
+    };
+    let test = Inst::Rep {
+        op: RepVmOp::Test,
+        d: 5,
+        args: vec![2, 2],
+    };
+    let run = |body| {
+        let mut m =
+            Machine::new(without_rep_type_role(body), MachineConfig::default()).expect("loads");
+        let outcome = m.run().map(|w| m.describe(w));
+        (outcome, m)
+    };
+
+    // Before the provide, a generic rep op finds no role.
+    let (e, _) = run(vec![test.clone()]);
+    let e = e.expect_err("no rep-type role yet");
+    assert_eq!(e.kind, VmErrorKind::BadProgram);
+    assert!(e.message.contains("no `rep-type` role"), "{e}");
+
+    // Only an object that describes itself can provide the first role.
+    let (e, _) = run(vec![provide(1)]);
+    assert_eq!(
+        e.expect_err("a fixnum names no rep").kind,
+        VmErrorKind::BadProgram
+    );
+
+    // After the provide, the same op succeeds: r2 is a rep-type.
+    let (value, m) = run(vec![provide(2), test.clone()]);
+    assert_eq!(value.expect("the role is provided"), "1");
+    let rt = m.registry().by_name("rep-type");
+    assert_eq!(m.registry().role("rep-type"), rt);
+
+    // Providing the role again with another representation is refused.
+    let other = vec![
+        Inst::Pool { d: 6, idx: 1 },
+        Inst::Const { d: 7, imm: 4 << 3 },
+        Inst::Rep {
+            op: RepVmOp::MakePtr,
+            d: 8,
+            args: vec![6, 7, 7],
+        },
+        provide(8),
+    ];
+    let (e, m) = run([vec![provide(2), test], other].concat());
+    let e = e.expect_err("the role is taken");
+    assert_eq!(e.kind, VmErrorKind::BadRepOperation);
+    assert!(e.message.contains("already provided"), "{e}");
+    assert_eq!(m.registry().role("rep-type"), rt);
 }
 
 #[test]
@@ -547,6 +646,40 @@ fn errors_are_reported() {
 }
 
 #[test]
+fn pointers_at_the_top_of_the_address_space_are_bad_memory_accesses() {
+    // -1, -2: all address bits set, with the closure and symbol tags.  The
+    // field address one word past them must not wrap around to word 0.
+    let r = classic_registry();
+    let run = |body: Vec<Inst>| {
+        let mut insts = vec![Inst::Const { d: 1, imm: -1 }, Inst::Const { d: 2, imm: -2 }];
+        insts.extend(body);
+        insts.push(Inst::Ret { s: 1 });
+        let prog = one_fun_program(r.reg.clone(), fun("main", 0, 4, insts), vec![]);
+        let mut m = Machine::new(prog, MachineConfig::default()).unwrap();
+        m.run().unwrap_err().kind
+    };
+    let call = Inst::Call {
+        d: 3,
+        f: 1,
+        args: vec![],
+    };
+    let closure_set = Inst::ClosureSet {
+        clo: 1,
+        idx: 0,
+        val: 2,
+    };
+    let make_imm = Inst::Rep {
+        op: RepVmOp::MakeImm,
+        d: 3,
+        args: vec![2, 2, 2, 2],
+    };
+    for body in [call, closure_set, make_imm] {
+        let what = format!("{body:?}");
+        assert_eq!(run(vec![body]), VmErrorKind::BadMemoryAccess, "{what}");
+    }
+}
+
+#[test]
 fn arity_mismatch() {
     let r = classic_registry();
     let id = fun("id", 1, 2, vec![Inst::Ret { s: 1 }]);
@@ -626,6 +759,7 @@ fn instruction_limit_timeout() {
             instruction_limit: Some(10_000),
             fault: Default::default(),
             verifier: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -946,6 +1080,7 @@ fn timeout_at_exact_budget() {
             instruction_limit: Some(3),
             fault: Default::default(),
             verifier: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -964,6 +1099,7 @@ fn timeout_at_exact_budget() {
             instruction_limit: Some(2),
             fault: Default::default(),
             verifier: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -990,6 +1126,7 @@ fn reset_counters_consumes_budget() {
             instruction_limit: Some(3),
             fault: Default::default(),
             verifier: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -1006,6 +1143,7 @@ fn reset_counters_consumes_budget() {
             instruction_limit: Some(2),
             fault: Default::default(),
             verifier: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -1097,6 +1235,7 @@ fn gc_grow_policy_does_not_thrash_at_high_residency() {
             instruction_limit: None,
             fault: Default::default(),
             verifier: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -1224,6 +1363,7 @@ fn gc_stress_deep_live_list_survives_churn() {
             instruction_limit: None,
             fault: Default::default(),
             verifier: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -1298,6 +1438,7 @@ fn heap_grows_transparently() {
             instruction_limit: None,
             fault: Default::default(),
             verifier: None,
+            ..Default::default()
         },
     )
     .unwrap();

@@ -12,7 +12,7 @@
 //! the full sweep here.
 
 use std::sync::OnceLock;
-use sxr::report::{run_resumable, ChaosOutcome};
+use sxr::report::{run_resumable, run_resumable_with, ChaosOutcome};
 use sxr::{Compiler, FaultPlan, OomPhase, PipelineConfig, VmErrorKind};
 use sxr_bench::{chaos_targets, run_chaos, ChaosTarget};
 use sxr_vm::{Machine, MachineConfig};
@@ -363,6 +363,95 @@ fn resumption_composes_with_fault_plans() {
                 sxr::StepResult::Suspended(_) => step = m.resume(4_096).expect("resume"),
             }
         }
+    }
+}
+
+/// Reaches every place the step loop writes the top frame's pc back from
+/// its local copy or replaces the frame: jumps to a join point, compare
+/// branches taken and not taken, unknown and known calls and tail calls,
+/// returns, and a trap that a handler catches.
+const PC_WRITE_BACK_SRC: &str = r#"
+(define (pcwb-twice f x) (f (f x)))
+(define (pcwb-sum n)
+  (let pcwb-loop ((i 0) (acc 0))
+    (if (fx< i n) (pcwb-loop (fx+ i 1) (fx+ acc i)) acc)))
+(define (pcwb-depth n)
+  (letrec ((pcwb-down (lambda (k) (if (fx= k 0) 0 (fx+ 1 (pcwb-down (fx- k 1)))))))
+    (pcwb-down n)))
+(define (pcwb-abs+1 x) (fx+ 1 (if (fx< x 0) (fx- 0 x) x)))
+(define (pcwb-quotient a b) (guard (c (#t (condition-kind c))) (fxquotient a b)))
+(display (pcwb-twice (lambda (y) (fx* y 3)) 2))
+(write-char #\space)
+(display (pcwb-sum 10))
+(write-char #\space)
+(display (pcwb-depth 7))
+(write-char #\space)
+(display (pcwb-abs+1 -4))
+(write-char #\space)
+(display (pcwb-quotient 7 0))
+(write-char #\space)
+(pcwb-quotient 7 2)
+"#;
+
+#[test]
+fn one_instruction_slices_are_invisible_at_every_pc_write_back() {
+    for (name, cfg) in three_configs() {
+        // A pc written back wrong can loop forever; the budget ends that.
+        let compiled = Compiler::new(cfg.with_instruction_limit(1_000_000))
+            .compile(PC_WRITE_BACK_SRC)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let oracle = compiled.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            (oracle.value.as_str(), oracle.output.as_str()),
+            ("3", "18 45 7 5 divide-by-zero "),
+            "{name}"
+        );
+        let mut slices = 0;
+        let one = || {
+            slices += 1;
+            assert!(
+                slices <= oracle.counters.total,
+                "{name}: the sliced run overran"
+            );
+            1
+        };
+        let (sliced, suspensions) =
+            run_resumable_with(&compiled, one).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(sliced, oracle, "{name}");
+        assert_eq!(
+            suspensions + 1,
+            oracle.counters.total,
+            "{name}: the run suspended before every instruction but the first"
+        );
+    }
+    // Without the optimizer every function above keeps its own code, so
+    // the program holds each instruction the write-back points serve.
+    let compiled = Compiler::new(PipelineConfig::abstract_unoptimized())
+        .compile(PC_WRITE_BACK_SRC)
+        .expect("compiles");
+    let mut kinds = std::collections::BTreeSet::new();
+    for f in compiled
+        .code
+        .funs
+        .iter()
+        .filter(|f| f.name.starts_with("pcwb-"))
+    {
+        for inst in &f.insts {
+            let text = format!("{inst:?}");
+            kinds.insert(text.split([' ', '{']).next().unwrap_or("").to_string());
+        }
+    }
+    for kind in [
+        "Jump",
+        "JumpCmp",
+        "Call",
+        "CallKnown",
+        "TailCall",
+        "TailCallKnown",
+        "Ret",
+        "PushHandler",
+    ] {
+        assert!(kinds.contains(kind), "no `{kind}` in {kinds:?}");
     }
 }
 

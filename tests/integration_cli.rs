@@ -52,6 +52,32 @@ fn fuel_bounds_a_runaway_program_with_a_timeout() {
 }
 
 #[test]
+fn runaway_recursion_is_a_stack_overflow_not_a_host_abort() {
+    // At the default depth limit.
+    let out = sxr(&["-e", "(define (f n) (fx+ 1 (f n))) (f 0)"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("stack overflow"), "{stderr}");
+
+    // `guard` catches it; `--max-depth` moves the limit.
+    let depth = "(define (d n) (if (fx= n 0) 0 (fx+ 1 (d (fx- n 1)))))";
+    let probe = format!("{depth} (display (guard (c (#t (condition-kind c))) (d 50)))");
+    for (limit, expect) in [("10", "stack-overflow"), ("100", "50")] {
+        let out = sxr(&["--max-depth", limit, "-e", &probe]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            expect,
+            "limit {limit}"
+        );
+    }
+
+    let out = sxr(&["--max-depth", "deep", "-e", "1"]);
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
 fn a_forged_rep_id_is_a_bad_rep_operation_not_a_panic() {
     let out = sxr(&[
         "--mode",

@@ -5,7 +5,9 @@
 //! abstract register words it copied or joined.  Each is divided by the
 //! instructions of the generated code, which grow linearly with every
 //! scaling shape's size (`sxr_bench::ScaleShape`), and must stay under a
-//! fixed constant at every size.
+//! fixed constant at every size.  A second test keeps the deterministic
+//! columns of the checked-in `BENCH_scale.json` equal to what the code
+//! produces.
 
 use sxr::{Compiler, PipelineConfig};
 use sxr_bench::ScaleShape;
@@ -58,6 +60,62 @@ fn compile_and_load_work_is_linear_in_program_size() {
             assert!(
                 words <= MAX_WORDS_PER_INST,
                 "{} n={n}: {words:.2} verifier state words per instruction",
+                shape.name()
+            );
+        }
+    }
+}
+
+/// The field `key` of the one-line JSON object `row`, as written by
+/// `bench_scale` (`"key":value`, strings quoted).
+fn field<'a>(row: &'a str, key: &str) -> &'a str {
+    let start = row
+        .find(&format!("\"{key}\":"))
+        .unwrap_or_else(|| panic!("no `{key}` in {row}"))
+        + key.len()
+        + 3;
+    let rest = &row[start..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim_matches('"')
+}
+
+#[test]
+fn checked_in_bench_scale_matches_the_code() {
+    // The deterministic columns of each shape's smallest size in
+    // BENCH_scale.json; regenerate the file with `bench_scale` when the
+    // compiler or verifier changes them.
+    let doc = include_str!("../BENCH_scale.json");
+    let compiler = Compiler::new(PipelineConfig::abstract_optimized());
+    for shape in ScaleShape::ALL {
+        let section = doc
+            .split(&format!("{{\"shape\":\"{}\"", shape.name()))
+            .nth(1)
+            .unwrap_or_else(|| panic!("no `{}` shape in BENCH_scale.json", shape.name()));
+        let row = section
+            .lines()
+            .find(|l| l.trim_start().starts_with("{\"n\":"))
+            .expect("a row");
+        let n: usize = field(row, "n").parse().expect("a size");
+        let compiled = compiler.compile(&shape.source(n)).unwrap();
+        let verify = compiled.verify_bytecode();
+        let nregs: usize = compiled.code.funs.iter().map(|f| f.nregs).sum();
+        let value = compiled.run().unwrap().value;
+        let fresh = [
+            (
+                "inline_visits",
+                compiled.opt_report.inline_visits.to_string(),
+            ),
+            ("verify_steps", verify.steps.to_string()),
+            ("verify_words", verify.state_words.to_string()),
+            ("insts", verify.insts.to_string()),
+            ("nregs", nregs.to_string()),
+            ("value", value),
+        ];
+        for (key, got) in fresh {
+            assert_eq!(
+                field(row, key),
+                got,
+                "{} n={n}: `{key}` in BENCH_scale.json is stale",
                 shape.name()
             );
         }
