@@ -40,9 +40,11 @@
 //!
 //! Only *leaders* — pc 0 and every `Jump`/`JumpCmp`/`PushHandler` target
 //! — store an abstract state; every other pc has exactly one predecessor,
-//! its fall-through.  The worklist pops a leader, clones its state once,
-//! and steps that one state in place down the straight-line run, joining
-//! in place at each edge into a leader.  Memory is O(insts + leaders ×
+//! its fall-through.  The worklist pops the lowest pending leader, clones
+//! its state once, and steps that one state in place down the
+//! straight-line run, joining in place at each edge into a leader.  Lowest
+//! first means a leader is walked after every forward edge into it has
+//! joined, so code without loops is walked once.  Memory is O(insts + leaders ×
 //! nregs) per function, and so is one pass over it, where a state at
 //! every pc costs O(insts × nregs): the per-pc register files, not the
 //! register count alone, made large straight-line functions expensive.
@@ -65,6 +67,7 @@
 //! so a wrong proof surfaces as a structured error, never as memory
 //! unsafety.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::lattice::TagSet;
@@ -451,9 +454,10 @@ impl<'a> FnVerifier<'a> {
     /// The worklist fixpoint.  States live only at leaders; a popped
     /// leader's state is cloned once and stepped in place down its
     /// straight-line run, joining into every leader it reaches.  The
-    /// order is a DFS that queues side edges and continues on the
-    /// fall-through, so the first violation found is the same one a
-    /// per-pc walk finds.  Adds its work to `report`'s `steps` and
+    /// worklist pops the lowest pending leader, so every forward edge
+    /// into a leader is joined before that leader is walked: code without
+    /// back edges is walked once, and only a loop sends the walk back to
+    /// a leader it has passed.  Adds its work to `report`'s `steps` and
     /// `state_words`.
     fn dataflow(&self, report: &mut VerifyReport) -> Result<(), Rejection> {
         let fun = self.fun;
@@ -472,10 +476,10 @@ impl<'a> FnVerifier<'a> {
         }
         let mut states: Vec<Option<AbsState>> = vec![None; len];
         states[0] = Some(entry);
-        let mut work = vec![0usize];
+        let mut work = BTreeSet::from([0usize]);
         let words = &mut report.state_words;
 
-        while let Some(start) = work.pop() {
+        while let Some(start) = work.pop_first() {
             let mut st = states[start].clone().expect("queued leader has a state");
             *words += fun.nregs;
             let mut pc = start;
@@ -528,7 +532,7 @@ impl<'a> FnVerifier<'a> {
     fn join_into(
         &self,
         states: &mut [Option<AbsState>],
-        work: &mut Vec<usize>,
+        work: &mut BTreeSet<usize>,
         words: &mut usize,
         pc: usize,
         st: &AbsState,
@@ -560,7 +564,7 @@ impl<'a> FnVerifier<'a> {
             }
         };
         if changed {
-            work.push(pc);
+            work.insert(pc);
         }
         Ok(())
     }

@@ -216,36 +216,56 @@ impl NameSupply {
 }
 
 // ---------------------------------------------------------------------------
-// Traversal utilities
+// Traversal
 // ---------------------------------------------------------------------------
+//
+// This section is the one place that knows the shape of ANF. Two facts make
+// that shape: `Let` and `LetRec` continue in their body (a chain of them is
+// a *spine*, ended by a *tail*), and `Bound::Lambda`, `Bound::If`,
+// `Bound::Body`, `Expr::If` and `Expr::LetRec` own nested expressions.
+// [`Expr::visit`] keeps its own work stack, and the spine helpers loop, so
+// no walk here recurses once per binding: a straight-line program of any
+// length costs no stack.
+
+/// What [`Expr::visit`] does after showing a node to its visitor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk<B = ()> {
+    /// Go on into the node's sub-expressions.
+    Enter,
+    /// Go on into the node's sub-expressions except lambda bodies (those of
+    /// a `let`-bound lambda or of a `letrec` group), which the visitor
+    /// handles itself.
+    SkipLambdas,
+    /// End the walk with this value.
+    Stop(B),
+}
+
+/// One binding of a spine. Its scope is the rest of the spine.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Link {
+    /// `let v = bound`.
+    Let(VarId, Bound),
+    /// A `letrec` group.
+    LetRec(Vec<(VarId, FunDef)>),
+}
 
 impl Bound {
-    /// Visits every atom operand.
-    pub fn for_each_atom(&self, f: &mut impl FnMut(&Atom)) {
+    /// Visits every *directly owned* atom operand (not atoms inside nested
+    /// expressions or lambdas).
+    pub fn for_each_atom_shallow(&self, f: &mut impl FnMut(&Atom)) {
         match self {
-            Bound::Atom(a) => f(a),
+            Bound::Atom(a) | Bound::GlobalSet(_, a) => f(a),
             Bound::Prim(_, atoms) | Bound::MakeClosure(_, atoms) => atoms.iter().for_each(f),
-            Bound::Call(callee, args) => {
+            Bound::Call(callee, args) | Bound::CallKnown(_, callee, args) => {
                 f(callee);
                 args.iter().for_each(f);
             }
-            Bound::CallKnown(_, clo, args) => {
-                f(clo);
-                args.iter().for_each(f);
-            }
-            Bound::GlobalGet(_) | Bound::ClosureRef(_) => {}
-            Bound::GlobalSet(_, a) => f(a),
-            Bound::Lambda(_) => {}
             Bound::ClosurePatch(c, _, v) => {
                 f(c);
                 f(v);
             }
-            Bound::If(t, then, els) => {
-                f(t.atom());
-                then.for_each_atom(f);
-                els.for_each_atom(f);
-            }
-            Bound::Body(e) => e.for_each_atom(f),
+            Bound::If(t, _, _) => f(t.atom()),
+            Bound::GlobalGet(_) | Bound::ClosureRef(_) | Bound::Lambda(_) | Bound::Body(_) => {}
         }
     }
 
@@ -253,116 +273,230 @@ impl Bound {
     /// nested expressions or lambdas).
     pub fn for_each_atom_shallow_mut(&mut self, f: &mut impl FnMut(&mut Atom)) {
         match self {
-            Bound::Atom(a) => f(a),
+            Bound::Atom(a) | Bound::GlobalSet(_, a) => f(a),
             Bound::Prim(_, atoms) | Bound::MakeClosure(_, atoms) => atoms.iter_mut().for_each(f),
-            Bound::Call(callee, args) => {
+            Bound::Call(callee, args) | Bound::CallKnown(_, callee, args) => {
                 f(callee);
                 args.iter_mut().for_each(f);
             }
-            Bound::CallKnown(_, clo, args) => {
-                f(clo);
-                args.iter_mut().for_each(f);
-            }
-            Bound::GlobalGet(_) | Bound::ClosureRef(_) => {}
-            Bound::GlobalSet(_, a) => f(a),
-            Bound::Lambda(_) => {}
             Bound::ClosurePatch(c, _, v) => {
                 f(c);
                 f(v);
             }
             Bound::If(t, _, _) => f(t.atom_mut()),
-            Bound::Body(_) => {}
+            Bound::GlobalGet(_) | Bound::ClosureRef(_) | Bound::Lambda(_) | Bound::Body(_) => {}
         }
     }
 }
 
 impl Expr {
-    /// Visits every atom in the expression, including inside nested lambdas.
-    pub fn for_each_atom(&self, f: &mut impl FnMut(&Atom)) {
-        match self {
-            Expr::Let(_, b, body) => {
-                b.for_each_atom(f);
-                if let Bound::Lambda(l) = b {
-                    l.body.for_each_atom(f);
+    /// Shows every expression node of `self` to `f` in pre-order: a `let`
+    /// or `letrec` node, then the expressions its binding owns, then the
+    /// rest of its spine; an `if`, then its arms. `if` arms and
+    /// [`Bound::Body`] are always covered, lambda bodies unless `f`
+    /// answers [`Walk::SkipLambdas`] for the node that binds them. Returns
+    /// the value `f` stopped with, if any.
+    pub fn visit<B>(&self, mut f: impl FnMut(&Expr) -> Walk<B>) -> Option<B> {
+        let mut stack = vec![self];
+        while let Some(e) = stack.pop() {
+            let lambdas = match f(e) {
+                Walk::Enter => true,
+                Walk::SkipLambdas => false,
+                Walk::Stop(b) => return Some(b),
+            };
+            // Pushed last-first, so they are visited in source order.
+            match e {
+                Expr::Let(_, b, body) => {
+                    stack.push(body);
+                    match b {
+                        Bound::Lambda(l) if lambdas => stack.push(&l.body),
+                        Bound::If(_, t, e) => stack.extend([&**e, &**t]),
+                        Bound::Body(inner) => stack.push(inner),
+                        _ => {}
+                    }
                 }
-                body.for_each_atom(f);
+                Expr::If(_, t, e) => stack.extend([&**e, &**t]),
+                Expr::LetRec(binds, body) => {
+                    stack.push(body);
+                    if lambdas {
+                        stack.extend(binds.iter().rev().map(|(_, l)| &*l.body));
+                    }
+                }
+                Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => {}
             }
-            Expr::If(t, then, els) => {
-                f(t.atom());
-                then.for_each_atom(f);
-                els.for_each_atom(f);
+        }
+        None
+    }
+
+    /// [`Expr::visit`] with mutable access: `f` may rewrite a node's atoms
+    /// (or the node itself), and the walk goes on into what it left.
+    pub fn visit_mut<B>(&mut self, mut f: impl FnMut(&mut Expr) -> Walk<B>) -> Option<B> {
+        let mut stack = vec![self];
+        while let Some(e) = stack.pop() {
+            let lambdas = match f(e) {
+                Walk::Enter => true,
+                Walk::SkipLambdas => false,
+                Walk::Stop(b) => return Some(b),
+            };
+            match e {
+                Expr::Let(_, b, body) => {
+                    stack.push(body);
+                    match b {
+                        Bound::Lambda(l) if lambdas => stack.push(&mut l.body),
+                        Bound::If(_, t, e) => stack.extend([&mut **e, &mut **t]),
+                        Bound::Body(inner) => stack.push(inner),
+                        _ => {}
+                    }
+                }
+                Expr::If(_, t, e) => stack.extend([&mut **e, &mut **t]),
+                Expr::LetRec(binds, body) => {
+                    stack.push(body);
+                    if lambdas {
+                        stack.extend(binds.iter_mut().rev().map(|(_, l)| &mut *l.body));
+                    }
+                }
+                Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => {}
             }
+        }
+        None
+    }
+
+    /// Visits the atoms this node holds itself: a `let`'s operands, an
+    /// `if`'s test, a tail's operands. Not those of nested expressions or
+    /// of the rest of the spine.
+    pub fn for_each_atom_shallow(&self, f: &mut impl FnMut(&Atom)) {
+        match self {
+            Expr::Let(_, b, _) => b.for_each_atom_shallow(f),
+            Expr::If(t, _, _) => f(t.atom()),
             Expr::Ret(a) => f(a),
-            Expr::TailCall(callee, args) => {
+            Expr::TailCall(callee, args) | Expr::TailCallKnown(_, callee, args) => {
                 f(callee);
                 args.iter().for_each(f);
             }
-            Expr::TailCallKnown(_, clo, args) => {
-                f(clo);
-                args.iter().for_each(f);
+            Expr::LetRec(..) => {}
+        }
+    }
+
+    /// Mutable twin of [`Expr::for_each_atom_shallow`].
+    pub fn for_each_atom_shallow_mut(&mut self, f: &mut impl FnMut(&mut Atom)) {
+        match self {
+            Expr::Let(_, b, _) => b.for_each_atom_shallow_mut(f),
+            Expr::If(t, _, _) => f(t.atom_mut()),
+            Expr::Ret(a) => f(a),
+            Expr::TailCall(callee, args) | Expr::TailCallKnown(_, callee, args) => {
+                f(callee);
+                args.iter_mut().for_each(f);
             }
-            Expr::LetRec(binds, body) => {
-                for (_, l) in binds {
-                    l.body.for_each_atom(f);
+            Expr::LetRec(..) => {}
+        }
+    }
+
+    /// Takes the spine at the head of `self` apart: its bindings in order,
+    /// and the tail that ends it (neither `Let` nor `LetRec`).
+    pub fn into_spine(self) -> (Vec<Link>, Expr) {
+        let mut links = Vec::new();
+        let mut e = self;
+        loop {
+            match e {
+                Expr::Let(v, b, body) => {
+                    links.push(Link::Let(v, b));
+                    e = *body;
                 }
-                body.for_each_atom(f);
+                Expr::LetRec(binds, body) => {
+                    links.push(Link::LetRec(binds));
+                    e = *body;
+                }
+                tail => return (links, tail),
             }
         }
     }
 
-    /// Approximate node count (inlining heuristics, tests).
-    pub fn size(&self) -> usize {
-        match self {
-            Expr::Let(_, b, body) => {
-                let bsize = match b {
-                    Bound::Lambda(l) => 1 + l.body.size(),
-                    Bound::If(_, t, e) => 1 + t.size() + e.size(),
-                    Bound::Body(e) => 1 + e.size(),
-                    _ => 1,
-                };
-                bsize + body.size()
+    /// Puts a spine back together: `links`, in order, in front of `tail`.
+    /// The inverse of [`Expr::into_spine`].
+    pub fn from_spine(links: Vec<Link>, tail: Expr) -> Expr {
+        links.into_iter().rev().fold(tail, |body, link| match link {
+            Link::Let(v, b) => Expr::Let(v, b, Box::new(body)),
+            Link::LetRec(binds) => Expr::LetRec(binds, Box::new(body)),
+        })
+    }
+
+    /// The `let` bindings of the spine at the head of `self`, in order
+    /// (`letrec` groups are passed over).
+    pub fn lets(&self) -> impl Iterator<Item = (VarId, &Bound)> {
+        let mut e = self;
+        std::iter::from_fn(move || loop {
+            match e {
+                Expr::Let(v, b, body) => {
+                    e = body;
+                    return Some((*v, b));
+                }
+                Expr::LetRec(_, body) => e = body,
+                _ => return None,
             }
-            Expr::If(_, t, e) => 1 + t.size() + e.size(),
-            Expr::Ret(_) => 1,
-            Expr::TailCall(..) | Expr::TailCallKnown(..) => 1,
-            Expr::LetRec(binds, body) => {
-                1 + binds.iter().map(|(_, l)| 1 + l.body.size()).sum::<usize>() + body.size()
+        })
+    }
+
+    /// The tail that ends the spine at the head of `self`.
+    pub fn tail(&self) -> &Expr {
+        let mut e = self;
+        while let Expr::Let(_, _, body) | Expr::LetRec(_, body) = e {
+            e = body;
+        }
+        e
+    }
+
+    /// Mutable access to the tail that ends the spine at the head of
+    /// `self`.
+    pub fn tail_mut(&mut self) -> &mut Expr {
+        let mut e = self;
+        loop {
+            match e {
+                Expr::Let(_, _, body) | Expr::LetRec(_, body) => e = body,
+                tail => return tail,
             }
         }
+    }
+
+    /// Visits every atom in the expression, including inside nested lambdas.
+    pub fn for_each_atom(&self, f: &mut impl FnMut(&Atom)) {
+        self.visit::<()>(|e| {
+            e.for_each_atom_shallow(f);
+            Walk::Enter
+        });
+    }
+
+    /// Approximate node count (inlining heuristics, tests): one per
+    /// expression node, plus one per `letrec` binding.
+    pub fn size(&self) -> usize {
+        let mut n = 0;
+        self.visit::<()>(|e| {
+            n += e.weight();
+            Walk::Enter
+        });
+        n
     }
 
     /// Whether [`Expr::size`] exceeds `limit`, counting only until it
     /// does: O(`limit`) however large the expression is.
     pub fn size_exceeds(&self, limit: usize) -> bool {
-        /// Counts one node; true once the count passes the limit.
-        fn spend(left: &mut usize) -> bool {
-            let over = *left == 0;
-            *left = left.saturating_sub(1);
-            over
+        let mut n = 0;
+        self.visit(|e| {
+            n += e.weight();
+            if n > limit {
+                Walk::Stop(())
+            } else {
+                Walk::Enter
+            }
+        })
+        .is_some()
+    }
+
+    /// What this node adds to [`Expr::size`].
+    fn weight(&self) -> usize {
+        match self {
+            Expr::LetRec(binds, _) => 1 + binds.len(),
+            _ => 1,
         }
-        fn over(e: &Expr, left: &mut usize) -> bool {
-            spend(left)
-                || match e {
-                    Expr::Let(_, b, body) => {
-                        (match b {
-                            Bound::Lambda(l) => over(&l.body, left),
-                            Bound::If(_, t, e) => over(t, left) || over(e, left),
-                            Bound::Body(e) => over(e, left),
-                            _ => false,
-                        }) || over(body, left)
-                    }
-                    Expr::If(_, t, e) => over(t, left) || over(e, left),
-                    Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => false,
-                    Expr::LetRec(binds, body) => {
-                        binds
-                            .iter()
-                            .any(|(_, l)| spend(left) || over(&l.body, left))
-                            || over(body, left)
-                    }
-                }
-        }
-        let mut left = limit;
-        over(self, &mut left)
     }
 
     /// Counts uses of each variable as an operand (definitions excluded).
@@ -375,172 +509,82 @@ impl Expr {
     }
 }
 
+/// Replaces `a` by its entry in `map`, if it is a variable that has one.
+fn rename(a: &mut Atom, map: &IdMap<VarId, Atom>) {
+    if let Some(new) = a.as_var().and_then(|v| map.get(&v)) {
+        *a = new.clone();
+    }
+}
+
 /// Substitutes atoms for variables throughout `e` (including inside nested
 /// lambdas). Bound variable ids are globally unique, so no capture is
 /// possible.
 pub fn substitute(e: &mut Expr, map: &IdMap<VarId, Atom>) {
-    fn subst_atom(a: &mut Atom, map: &IdMap<VarId, Atom>) {
-        if let Atom::Var(v) = a {
-            if let Some(rep) = map.get(v) {
-                *a = rep.clone();
-            }
-        }
-    }
-    fn go_bound(b: &mut Bound, map: &IdMap<VarId, Atom>) {
-        b.for_each_atom_shallow_mut(&mut |a| subst_atom(a, map));
-        match b {
-            Bound::Lambda(l) => substitute(&mut l.body, map),
-            Bound::If(_, then, els) => {
-                substitute(then, map);
-                substitute(els, map);
-            }
-            Bound::Body(e) => substitute(e, map),
-            _ => {}
-        }
-    }
-    match e {
-        Expr::Let(_, b, body) => {
-            go_bound(b, map);
-            substitute(body, map);
-        }
-        Expr::If(t, then, els) => {
-            subst_atom(t.atom_mut(), map);
-            substitute(then, map);
-            substitute(els, map);
-        }
-        Expr::Ret(a) => subst_atom(a, map),
-        Expr::TailCall(callee, args) => {
-            subst_atom(callee, map);
-            args.iter_mut().for_each(|a| subst_atom(a, map));
-        }
-        Expr::TailCallKnown(_, clo, args) => {
-            subst_atom(clo, map);
-            args.iter_mut().for_each(|a| subst_atom(a, map));
-        }
-        Expr::LetRec(binds, body) => {
-            for (_, l) in binds.iter_mut() {
-                substitute(&mut l.body, map);
-            }
-            substitute(body, map);
-        }
-    }
+    e.visit_mut::<()>(|node| {
+        node.for_each_atom_shallow_mut(&mut |a| rename(a, map));
+        Walk::Enter
+    });
 }
 
 /// Produces an alpha-converted copy of `e`: every variable *bound inside*
-/// `e` gets a fresh id; free variables are left alone. Used by the inliner
-/// to keep the single-assignment invariant.
-pub fn refresh(e: &Expr, supply: &mut NameSupply) -> Expr {
-    let mut map = IdMap::default();
-    refresh_with(e, supply, &mut map)
-}
-
-fn refresh_var(v: VarId, supply: &mut NameSupply, map: &mut IdMap<VarId, VarId>) -> VarId {
-    let name = supply.name(v).to_string();
-    let fresh = supply.fresh(&name);
-    map.insert(v, fresh);
-    fresh
-}
-
-fn rename_atom(a: &Atom, map: &IdMap<VarId, VarId>) -> Atom {
-    match a {
-        Atom::Var(v) => Atom::Var(*map.get(v).unwrap_or(v)),
-        lit => lit.clone(),
+/// `e` gets a fresh id, and each free variable that `map` names is replaced
+/// by its atom. `map` gains an entry for every renamed binder. Fresh ids are
+/// drawn in binding order: a `let`'s nested expressions before its
+/// variable, a lambda's parameters before its body, a `letrec`'s variables
+/// before its lambdas. The inliner copies a callee body with `map` starting
+/// as parameters → arguments.
+pub fn refresh(e: &Expr, map: &mut IdMap<VarId, Atom>, supply: &mut NameSupply) -> Expr {
+    fn fresh(v: VarId, map: &mut IdMap<VarId, Atom>, supply: &mut NameSupply) -> VarId {
+        let name = supply.name(v).to_string();
+        let w = supply.fresh(&name);
+        map.insert(v, Atom::Var(w));
+        w
     }
-}
-
-fn refresh_fundef(l: &FunDef, supply: &mut NameSupply, map: &mut IdMap<VarId, VarId>) -> FunDef {
-    let params = l
-        .params
-        .iter()
-        .map(|p| refresh_var(*p, supply, map))
-        .collect();
-    let rest = l.rest.map(|r| refresh_var(r, supply, map));
-    let body = Box::new(refresh_with(&l.body, supply, map));
-    FunDef {
-        params,
-        rest,
-        body,
-        name: l.name.clone(),
-    }
-}
-
-fn refresh_with(e: &Expr, supply: &mut NameSupply, map: &mut IdMap<VarId, VarId>) -> Expr {
-    match e {
-        Expr::Let(v, b, body) => {
-            let b = match b {
-                Bound::Atom(a) => Bound::Atom(rename_atom(a, map)),
-                Bound::Prim(op, atoms) => {
-                    Bound::Prim(*op, atoms.iter().map(|a| rename_atom(a, map)).collect())
-                }
-                Bound::Call(callee, args) => Bound::Call(
-                    rename_atom(callee, map),
-                    args.iter().map(|a| rename_atom(a, map)).collect(),
-                ),
-                Bound::CallKnown(f, clo, args) => Bound::CallKnown(
-                    *f,
-                    rename_atom(clo, map),
-                    args.iter().map(|a| rename_atom(a, map)).collect(),
-                ),
-                Bound::GlobalGet(g) => Bound::GlobalGet(*g),
-                Bound::ClosureRef(i) => Bound::ClosureRef(*i),
-                Bound::GlobalSet(g, a) => Bound::GlobalSet(*g, rename_atom(a, map)),
-                Bound::Lambda(l) => Bound::Lambda(refresh_fundef(l, supply, map)),
-                Bound::MakeClosure(f, atoms) => {
-                    Bound::MakeClosure(*f, atoms.iter().map(|a| rename_atom(a, map)).collect())
-                }
-                Bound::ClosurePatch(c, i, x) => {
-                    Bound::ClosurePatch(rename_atom(c, map), *i, rename_atom(x, map))
-                }
-                Bound::If(t, then, els) => {
-                    let t = match t {
-                        Test::Truthy(a) => Test::Truthy(rename_atom(a, map)),
-                        Test::NonZero(a) => Test::NonZero(rename_atom(a, map)),
-                    };
-                    let then = Box::new(refresh_with(then, supply, map));
-                    let els = Box::new(refresh_with(els, supply, map));
-                    Bound::If(t, then, els)
-                }
-                Bound::Body(e) => Bound::Body(Box::new(refresh_with(e, supply, map))),
-            };
-            let v2 = refresh_var(*v, supply, map);
-            let body = Box::new(refresh_with(body, supply, map));
-            Expr::Let(v2, b, body)
-        }
-        Expr::If(t, then, els) => {
-            let t = match t {
-                Test::Truthy(a) => Test::Truthy(rename_atom(a, map)),
-                Test::NonZero(a) => Test::NonZero(rename_atom(a, map)),
-            };
-            Expr::If(
-                t,
-                Box::new(refresh_with(then, supply, map)),
-                Box::new(refresh_with(els, supply, map)),
-            )
-        }
-        Expr::Ret(a) => Expr::Ret(rename_atom(a, map)),
-        Expr::TailCall(callee, args) => Expr::TailCall(
-            rename_atom(callee, map),
-            args.iter().map(|a| rename_atom(a, map)).collect(),
-        ),
-        Expr::TailCallKnown(f, clo, args) => Expr::TailCallKnown(
-            *f,
-            rename_atom(clo, map),
-            args.iter().map(|a| rename_atom(a, map)).collect(),
-        ),
-        Expr::LetRec(binds, body) => {
-            // Bind all names first (mutual recursion), then refresh bodies.
-            let vars: Vec<VarId> = binds
-                .iter()
-                .map(|(v, _)| refresh_var(*v, supply, map))
-                .collect();
-            let binds = vars
-                .into_iter()
-                .zip(binds.iter())
-                .map(|(v2, (_, l))| (v2, refresh_fundef(l, supply, map)))
-                .collect();
-            Expr::LetRec(binds, Box::new(refresh_with(body, supply, map)))
+    fn fun(l: &FunDef, map: &mut IdMap<VarId, Atom>, supply: &mut NameSupply) -> FunDef {
+        FunDef {
+            params: l.params.iter().map(|&p| fresh(p, map, supply)).collect(),
+            rest: l.rest.map(|r| fresh(r, map, supply)),
+            body: Box::new(refresh(&l.body, map, supply)),
+            name: l.name.clone(),
         }
     }
+    let mut links = Vec::new();
+    let mut e = e;
+    let mut tail = loop {
+        match e {
+            Expr::Let(v, b, body) => {
+                let mut b = match b {
+                    Bound::Lambda(l) => Bound::Lambda(fun(l, map, supply)),
+                    Bound::If(t, x, y) => {
+                        let x = Box::new(refresh(x, map, supply));
+                        Bound::If(t.clone(), x, Box::new(refresh(y, map, supply)))
+                    }
+                    Bound::Body(x) => Bound::Body(Box::new(refresh(x, map, supply))),
+                    other => other.clone(),
+                };
+                b.for_each_atom_shallow_mut(&mut |a| rename(a, map));
+                links.push(Link::Let(fresh(*v, map, supply), b));
+                e = body;
+            }
+            Expr::LetRec(binds, body) => {
+                let vars: Vec<VarId> = binds.iter().map(|(v, _)| fresh(*v, map, supply)).collect();
+                let binds = vars
+                    .into_iter()
+                    .zip(binds)
+                    .map(|(v, (_, l))| (v, fun(l, map, supply)))
+                    .collect();
+                links.push(Link::LetRec(binds));
+                e = body;
+            }
+            Expr::If(t, x, y) => {
+                let x = Box::new(refresh(x, map, supply));
+                break Expr::If(t.clone(), x, Box::new(refresh(y, map, supply)));
+            }
+            other => break other.clone(),
+        }
+    };
+    tail.for_each_atom_shallow_mut(&mut |a| rename(a, map));
+    Expr::from_spine(links, tail)
 }
 
 #[cfg(test)]
@@ -583,7 +627,7 @@ mod tests {
     fn refresh_renames_bound_not_free() {
         let mut supply = NameSupply::from_names(vec!["x".into(); 11]);
         let e = sample();
-        let e2 = refresh(&e, &mut supply);
+        let e2 = refresh(&e, &mut IdMap::default(), &mut supply);
         match e2 {
             Expr::Let(v, Bound::Prim(_, atoms), body) => {
                 assert_ne!(v, 10, "bound var renamed");
@@ -610,7 +654,7 @@ mod tests {
         };
         let e = Expr::LetRec(vec![(20, f), (21, g)], Box::new(Expr::Ret(Atom::Var(20))));
         let mut supply = NameSupply::from_names(vec!["v".into(); 22]);
-        let e2 = refresh(&e, &mut supply);
+        let e2 = refresh(&e, &mut IdMap::default(), &mut supply);
         let Expr::LetRec(binds, body) = e2 else {
             panic!()
         };

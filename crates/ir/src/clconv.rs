@@ -12,10 +12,11 @@
 //! load at each call site. Both pipeline configurations get this equally —
 //! it is control-flow knowledge, not data-representation knowledge.
 
-use crate::anf::{Atom, Bound, Expr, FnId, Fun, FunDef, Literal, Module, NameSupply, VarId};
+use crate::anf::{
+    Atom, Bound, Expr, FnId, Fun, FunDef, Link, Literal, Module, NameSupply, VarId, Walk,
+};
 use crate::idmap::{IdMap, IdSet};
 use crate::lower::Lowered;
-use std::collections::BTreeSet;
 
 /// Runs closure conversion over a lowered program.
 pub fn closure_convert(lowered: Lowered) -> Module {
@@ -28,16 +29,11 @@ pub fn closure_convert(lowered: Lowered) -> Module {
         funs: Vec::new(),
         supply,
         known: IdMap::default(),
+        captures: captures(&main_body),
+        rename: IdMap::default(),
     };
     // Reserve the main function slot first so `main` is id 0.
-    cc.funs.push(Fun {
-        name: Some("main".to_string()),
-        self_var: 0,
-        params: Vec::new(),
-        rest: None,
-        free_count: 0,
-        body: Expr::Ret(Atom::Lit(Literal::Unspecified)),
-    });
+    cc.funs.push(placeholder(Some("main".to_string())));
     let self_var = cc.supply.fresh("main-self");
     let body = cc.convert(main_body);
     cc.funs[0].self_var = self_var;
@@ -50,75 +46,149 @@ pub fn closure_convert(lowered: Lowered) -> Module {
     }
 }
 
+/// The outer variables each lambda in `e` captures, keyed by the variable
+/// the lambda is bound to (by `let` or `letrec`), in ascending order. A
+/// `letrec` lambda's own variable is not a capture: inside its body it
+/// names the function's own closure. One post-order pass: a lambda's free
+/// set is what its body uses, plus what the lambdas nested in it capture,
+/// minus what its body and parameters bind.
+pub fn captures(e: &Expr) -> IdMap<VarId, Vec<VarId>> {
+    let mut out = IdMap::default();
+    free_in(e, &[], &mut out);
+    out
+}
+
+/// The variables `e` uses but neither binds nor gets from `params`,
+/// ascending, recording in `out` the captures of every lambda in `e`. A
+/// pre-order walk meets every binding before the uses it scopes over, so a
+/// use of a variable not bound yet is free.
+fn free_in(e: &Expr, params: &[VarId], out: &mut IdMap<VarId, Vec<VarId>>) -> Vec<VarId> {
+    let mut bound: IdSet<VarId> = params.iter().copied().collect();
+    let mut free = Vec::new();
+    e.visit::<()>(|node| {
+        node.for_each_atom_shallow(&mut |a| {
+            free.extend(a.as_var().filter(|x| !bound.contains(x)));
+        });
+        let mut lambda = |v: VarId, f: &FunDef, bound: &IdSet<VarId>| {
+            let params: Vec<VarId> = f.params.iter().chain(&f.rest).copied().collect();
+            let inner = free_in(&f.body, &params, out);
+            free.extend(inner.iter().filter(|x| !bound.contains(x)));
+            out.insert(v, inner.into_iter().filter(|&x| x != v).collect());
+        };
+        match node {
+            Expr::Let(v, b, _) => {
+                bound.insert(*v);
+                if let Bound::Lambda(f) = b {
+                    lambda(*v, f, &bound);
+                }
+            }
+            Expr::LetRec(binds, _) => {
+                bound.extend(binds.iter().map(|(v, _)| *v));
+                for (v, f) in binds {
+                    lambda(*v, f, &bound);
+                }
+            }
+            _ => {}
+        }
+        Walk::SkipLambdas
+    });
+    free.sort_unstable();
+    free.dedup();
+    free
+}
+
+/// A function slot whose contents are filled in once converted.
+fn placeholder(name: Option<String>) -> Fun {
+    Fun {
+        name,
+        self_var: 0,
+        params: Vec::new(),
+        rest: None,
+        free_count: 0,
+        body: Expr::Ret(Atom::Lit(Literal::Unspecified)),
+    }
+}
+
 struct Cc {
     funs: Vec<Fun>,
     supply: NameSupply,
     /// Variables statically known to hold a closure of a given function.
     known: IdMap<VarId, FnId>,
+    /// Every lambda's captures, from [`captures`].
+    captures: IdMap<VarId, Vec<VarId>>,
+    /// Inside the function being converted: each variable it captures (and
+    /// its `letrec` self variable) to the variable that holds it there.
+    rename: IdMap<VarId, VarId>,
+}
+
+/// A converted spine binding, waiting for the spine to be rebuilt.
+enum Out {
+    Let(VarId, Bound),
+    /// A `letrec` group: its variables, function ids and captures (the
+    /// allocations and knot-tying patches are emitted on rebuild).
+    LetRec(Vec<VarId>, Vec<FnId>, Vec<Vec<VarId>>),
 }
 
 impl Cc {
-    /// Converts a function, returning its id and the (sorted) outer-scope
-    /// variables it captures.
-    ///
-    /// `self_binding` is the letrec variable naming this function inside its
-    /// own body (mapped to the closure register instead of a capture slot).
+    /// The variable holding `x` in the function being converted.
+    fn renamed(&self, x: VarId) -> VarId {
+        self.rename.get(&x).copied().unwrap_or(x)
+    }
+
+    fn rename_atom(&self, a: &mut Atom) {
+        if let Atom::Var(v) = a {
+            *v = self.renamed(*v);
+        }
+    }
+
+    /// The function id `a` is statically known to close over.
+    fn known_fn(&self, a: &Atom) -> Option<FnId> {
+        a.as_var().and_then(|v| self.known.get(&v).copied())
+    }
+
+    /// Converts the lambda bound to `binder` into function `fnid`,
+    /// returning the variables (of the current function) it captures, in
+    /// ascending order. `letrec` lambdas pass their own variable as
+    /// `self_binding`: inside the body it names the closure register.
     fn convert_fun(
         &mut self,
+        binder: VarId,
         fun: FunDef,
         self_binding: Option<VarId>,
-        reserved: Option<FnId>,
-    ) -> (FnId, Vec<VarId>) {
-        let fnid = match reserved {
-            Some(id) => id,
-            None => {
-                let id = self.funs.len() as FnId;
-                self.funs.push(Fun {
-                    name: fun.name.clone(),
-                    self_var: 0,
-                    params: Vec::new(),
-                    rest: None,
-                    free_count: 0,
-                    body: Expr::Ret(Atom::Lit(Literal::Unspecified)),
-                });
-                id
-            }
-        };
+        fnid: FnId,
+    ) -> Vec<VarId> {
         let FunDef {
             params,
             rest,
             body,
             name,
         } = fun;
-        let mut bound_params = params.clone();
-        if let Some(r) = rest {
-            bound_params.push(r);
-        }
-        let mut free = free_vars(&body, &bound_params);
-        if let Some(sb) = self_binding {
-            free.remove(&sb);
-        }
-        let free: Vec<VarId> = free.into_iter().collect();
+        // Captures sorted by the variable that holds them here.
+        let mut free: Vec<(VarId, VarId)> = self.captures[&binder]
+            .iter()
+            .map(|&x| (self.renamed(x), x))
+            .collect();
+        free.sort_unstable();
 
         let self_var = self.supply.fresh("self");
-        let mut subs: IdMap<VarId, Atom> = IdMap::default();
+        let mut inner: IdMap<VarId, VarId> = IdMap::default();
         if let Some(sb) = self_binding {
-            subs.insert(sb, Atom::Var(self_var));
+            inner.insert(sb, self_var);
             self.known.insert(self_var, fnid);
         }
         let mut inner_ids = Vec::with_capacity(free.len());
-        for &x in &free {
+        for &(x, orig) in &free {
             let name = self.supply.name(x).to_string();
             let x_in = self.supply.fresh(&name);
             if let Some(&kf) = self.known.get(&x) {
                 self.known.insert(x_in, kf);
             }
-            subs.insert(x, Atom::Var(x_in));
+            inner.insert(orig, x_in);
             inner_ids.push(x_in);
         }
-        let mut body = *body;
-        crate::anf::substitute(&mut body, &subs);
-        let mut body = self.convert(body);
+        let outer = std::mem::replace(&mut self.rename, inner);
+        let mut body = self.convert(*body);
+        self.rename = outer;
         // Prepend free-variable loads (in reverse so index 0 is outermost).
         for (i, x_in) in inner_ids.into_iter().enumerate().rev() {
             body = Expr::Let(x_in, Bound::ClosureRef(i), Box::new(body));
@@ -131,117 +201,121 @@ impl Cc {
             free_count: free.len(),
             body,
         };
-        (fnid, free)
+        free.into_iter().map(|(x, _)| x).collect()
     }
 
+    /// Converts one spine and everything nested in it: lambdas become
+    /// closure allocations, atoms are renamed through `rename`, and calls
+    /// through known closures become known calls.
     fn convert(&mut self, e: Expr) -> Expr {
-        match e {
-            Expr::Let(v, Bound::Lambda(f), body) => {
-                let variadic = f.rest.is_some();
-                let (fnid, free) = self.convert_fun(f, None, None);
-                if !variadic {
-                    self.known.insert(v, fnid);
-                }
-                let atoms = free.into_iter().map(Atom::Var).collect();
-                Expr::Let(
-                    v,
-                    Bound::MakeClosure(fnid, atoms),
-                    Box::new(self.convert(*body)),
-                )
-            }
-            Expr::LetRec(binds, body) => self.convert_letrec(binds, *body),
-            Expr::Let(v, Bound::If(t, then, els), body) => {
+        let (links, mut tail) = e.into_spine();
+        let out: Vec<Out> = links.into_iter().map(|l| self.convert_link(l)).collect();
+        tail.for_each_atom_shallow_mut(&mut |a| self.rename_atom(a));
+        let mut e = match tail {
+            Expr::If(t, then, els) => {
                 let then = Box::new(self.convert(*then));
-                let els = Box::new(self.convert(*els));
-                Expr::Let(v, Bound::If(t, then, els), Box::new(self.convert(*body)))
+                Expr::If(t, then, Box::new(self.convert(*els)))
             }
-            Expr::Let(v, Bound::Body(e), body) => {
-                let e = Box::new(self.convert(*e));
-                Expr::Let(v, Bound::Body(e), Box::new(self.convert(*body)))
+            Expr::TailCall(callee, args) => match self.known_fn(&callee) {
+                Some(fnid) => Expr::TailCallKnown(fnid, callee, args),
+                None => Expr::TailCall(callee, args),
+            },
+            tail => tail,
+        };
+        // Rebuild innermost first; the patches of a `letrec` draw their
+        // fresh variables here, after everything in their scope.
+        for o in out.into_iter().rev() {
+            e = match o {
+                Out::Let(v, b) => Expr::Let(v, b, Box::new(e)),
+                Out::LetRec(vars, ids, frees) => self.tie_letrec(&vars, &ids, &frees, e),
+            };
+        }
+        e
+    }
+
+    fn convert_link(&mut self, link: Link) -> Out {
+        let (v, mut b) = match link {
+            Link::LetRec(binds) => return self.convert_letrec(binds),
+            Link::Let(v, Bound::Lambda(f)) => {
+                let fnid = self.reserve(v, &f);
+                let free = self.convert_fun(v, f, None, fnid);
+                let atoms = free.into_iter().map(Atom::Var).collect();
+                return Out::Let(v, Bound::MakeClosure(fnid, atoms));
             }
-            Expr::Let(v, Bound::Call(callee, args), body) => {
-                let call = match callee.as_var().and_then(|c| self.known.get(&c).copied()) {
-                    Some(fnid) => Bound::CallKnown(fnid, callee, args),
-                    None => Bound::Call(callee, args),
-                };
+            Link::Let(v, b) => (v, b),
+        };
+        b.for_each_atom_shallow_mut(&mut |a| self.rename_atom(a));
+        let b = match b {
+            Bound::If(t, then, els) => {
+                let then = Box::new(self.convert(*then));
+                Bound::If(t, then, Box::new(self.convert(*els)))
+            }
+            Bound::Body(e) => Bound::Body(Box::new(self.convert(*e))),
+            Bound::Call(callee, args) => match self.known_fn(&callee) {
+                Some(fnid) => Bound::CallKnown(fnid, callee, args),
+                None => Bound::Call(callee, args),
+            },
+            Bound::Atom(a) => {
                 // Copies of known closures stay known.
-                Expr::Let(v, call, Box::new(self.convert(*body)))
-            }
-            Expr::Let(v, Bound::Atom(a), body) => {
-                if let Some(kf) = a.as_var().and_then(|w| self.known.get(&w).copied()) {
+                if let Some(kf) = self.known_fn(&a) {
                     self.known.insert(v, kf);
                 }
-                Expr::Let(v, Bound::Atom(a), Box::new(self.convert(*body)))
+                Bound::Atom(a)
             }
-            Expr::Let(v, b, body) => Expr::Let(v, b, Box::new(self.convert(*body))),
-            Expr::If(t, then, els) => Expr::If(
-                t,
-                Box::new(self.convert(*then)),
-                Box::new(self.convert(*els)),
-            ),
-            Expr::TailCall(callee, args) => {
-                match callee.as_var().and_then(|c| self.known.get(&c).copied()) {
-                    Some(fnid) => Expr::TailCallKnown(fnid, callee, args),
-                    None => Expr::TailCall(callee, args),
-                }
-            }
-            Expr::Ret(_) | Expr::TailCallKnown(..) => e,
-        }
+            b => b,
+        };
+        Out::Let(v, b)
     }
 
-    fn convert_letrec(&mut self, binds: Vec<(VarId, FunDef)>, body: Expr) -> Expr {
-        // Reserve function ids so mutual references resolve to known calls.
-        let ids: Vec<FnId> = binds
-            .iter()
-            .map(|(v, f)| {
-                let id = self.funs.len() as FnId;
-                self.funs.push(Fun {
-                    name: f.name.clone(),
-                    self_var: 0,
-                    params: Vec::new(),
-                    rest: None,
-                    free_count: 0,
-                    body: Expr::Ret(Atom::Lit(Literal::Unspecified)),
-                });
-                // Variadic functions keep dynamic calls (the machine builds
-                // the rest list on the generic path).
-                if f.rest.is_none() {
-                    self.known.insert(*v, id);
-                }
-                id
-            })
-            .collect();
-        let rec_vars: Vec<VarId> = binds.iter().map(|(v, _)| *v).collect();
-        let mut free_lists = Vec::new();
-        for ((v, f), id) in binds.into_iter().zip(ids.iter()) {
-            let (_, free) = self.convert_fun(f, Some(v), Some(*id));
-            free_lists.push(free);
+    /// Reserves a function id for the lambda `f` bound to `v`, and records
+    /// that `v` holds a closure of it.
+    fn reserve(&mut self, v: VarId, f: &FunDef) -> FnId {
+        let id = self.funs.len() as FnId;
+        self.funs.push(placeholder(f.name.clone()));
+        // Variadic functions keep dynamic calls (the machine builds the
+        // rest list on the generic path).
+        if f.rest.is_none() {
+            self.known.insert(v, id);
         }
-        // Allocate all closures, placing unspecified placeholders in slots
-        // that refer to letrec siblings, then patch.
-        let mut patches: Vec<(VarId, usize, VarId)> = Vec::new();
-        let mut out = self.convert(body);
+        id
+    }
+
+    /// Converts the lambdas of a `letrec` group.
+    fn convert_letrec(&mut self, binds: Vec<(VarId, FunDef)>) -> Out {
+        // Reserve function ids so mutual references resolve to known calls.
+        let ids: Vec<FnId> = binds.iter().map(|(v, f)| self.reserve(*v, f)).collect();
+        let vars: Vec<VarId> = binds.iter().map(|(v, _)| *v).collect();
+        let frees = binds
+            .into_iter()
+            .zip(&ids)
+            .map(|((v, f), &id)| self.convert_fun(v, f, Some(v), id))
+            .collect();
+        Out::LetRec(vars, ids, frees)
+    }
+
+    /// Emits a converted `letrec` group in front of `body`: allocate all
+    /// closures, with unspecified placeholders in slots that refer to group
+    /// members, then patch those slots.
+    fn tie_letrec(
+        &mut self,
+        vars: &[VarId],
+        ids: &[FnId],
+        frees: &[Vec<VarId>],
+        body: Expr,
+    ) -> Expr {
+        let mut out = body;
         // Build in reverse: patches first (innermost), then allocations.
-        for ((v, free), _id) in rec_vars.iter().zip(&free_lists).zip(&ids).rev() {
-            for (slot, x) in free.iter().enumerate() {
-                if rec_vars.contains(x) {
-                    patches.push((*v, slot, *x));
-                }
+        for (v, free) in vars.iter().zip(frees).rev() {
+            for (slot, x) in free.iter().enumerate().filter(|(_, x)| vars.contains(x)) {
+                let patch = Bound::ClosurePatch(Atom::Var(*v), slot, Atom::Var(*x));
+                out = Expr::Let(self.supply.fresh("patch"), patch, Box::new(out));
             }
         }
-        for (c, slot, val) in patches {
-            let t = self.supply.fresh("patch");
-            out = Expr::Let(
-                t,
-                Bound::ClosurePatch(Atom::Var(c), slot, Atom::Var(val)),
-                Box::new(out),
-            );
-        }
-        for ((v, free), id) in rec_vars.iter().zip(&free_lists).zip(&ids).rev() {
+        for ((v, free), id) in vars.iter().zip(frees).zip(ids).rev() {
             let atoms = free
                 .iter()
                 .map(|x| {
-                    if rec_vars.contains(x) {
+                    if vars.contains(x) {
                         Atom::Lit(Literal::Unspecified)
                     } else {
                         Atom::Var(*x)
@@ -251,56 +325,6 @@ impl Cc {
             out = Expr::Let(*v, Bound::MakeClosure(*id, atoms), Box::new(out));
         }
         out
-    }
-}
-
-/// Variables referenced by `body` but not bound within it or by `params`.
-/// Returned in ascending order for determinism.
-pub fn free_vars(body: &Expr, params: &[VarId]) -> BTreeSet<VarId> {
-    let mut bound: IdSet<VarId> = params.iter().copied().collect();
-    collect_bound(body, &mut bound);
-    let mut free = BTreeSet::new();
-    body.for_each_atom(&mut |a| {
-        if let Atom::Var(v) = a {
-            if !bound.contains(v) {
-                free.insert(*v);
-            }
-        }
-    });
-    free
-}
-
-fn collect_bound(e: &Expr, out: &mut IdSet<VarId>) {
-    match e {
-        Expr::Let(v, b, body) => {
-            out.insert(*v);
-            match b {
-                Bound::Lambda(l) => {
-                    out.extend(l.params.iter().copied());
-                    collect_bound(&l.body, out);
-                }
-                Bound::If(_, t, e2) => {
-                    collect_bound(t, out);
-                    collect_bound(e2, out);
-                }
-                Bound::Body(e2) => collect_bound(e2, out),
-                _ => {}
-            }
-            collect_bound(body, out);
-        }
-        Expr::If(_, t, e2) => {
-            collect_bound(t, out);
-            collect_bound(e2, out);
-        }
-        Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => {}
-        Expr::LetRec(binds, body) => {
-            for (v, l) in binds {
-                out.insert(*v);
-                out.extend(l.params.iter().copied());
-                collect_bound(&l.body, out);
-            }
-            collect_bound(body, out);
-        }
     }
 }
 
@@ -433,7 +457,8 @@ mod tests {
 
     #[test]
     fn free_vars_sorted_and_minimal() {
-        // (lambda (y) (%word+ x3 (%word+ y x1)))  with frees x1 x3
+        // let f = (lambda (y) (%word+ x3 (%word+ y x1))) in ret f,
+        // with frees x1 x3
         use crate::anf::*;
         let body = Expr::Let(
             100,
@@ -450,7 +475,23 @@ mod tests {
                 Box::new(Expr::Ret(Atom::Var(101))),
             )),
         );
-        let frees = free_vars(&body, &[50]);
-        assert_eq!(frees.into_iter().collect::<Vec<_>>(), vec![1, 3]);
+        let lambda = FunDef {
+            params: vec![50],
+            rest: None,
+            body: Box::new(body),
+            name: None,
+        };
+        let e = Expr::Let(7, Bound::Lambda(lambda), Box::new(Expr::Ret(Atom::Var(7))));
+        assert_eq!(captures(&e).get(&7), Some(&vec![1, 3]));
+    }
+
+    #[test]
+    fn nested_variadic_lambda_binds_its_rest_parameter() {
+        // The inner lambda's rest parameter is bound inside the outer
+        // lambda, so the outer one captures only `x`.
+        let m = convert_src("(lambda (x) (lambda args (cons x args)))");
+        crate::validate_module(&m).unwrap();
+        let counts: Vec<usize> = m.funs.iter().map(|f| f.free_count).collect();
+        assert_eq!(counts, vec![0, 0, 1]);
     }
 }

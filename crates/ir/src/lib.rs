@@ -45,7 +45,7 @@ pub mod validate;
 pub use anf::{
     Atom, Bound, Expr, FnId, Fun, FunDef, GlobalId, Literal, Module, NameSupply, Test, VarId,
 };
-pub use clconv::{closure_convert, free_vars};
+pub use clconv::closure_convert;
 pub use idmap::{IdMap, IdSet};
 pub use lower::{lower_expr, lower_program, LowerError, Lowered};
 pub use prim::{Intrinsic, PrimOp};

@@ -1,6 +1,6 @@
 //! Lowering: front-end core language → ANF.
 
-use crate::anf::{Atom, Bound, Expr, FunDef, Literal, NameSupply, Test, VarId};
+use crate::anf::{Atom, Bound, Expr, FunDef, Link, Literal, NameSupply, Test};
 use crate::prim::PrimOp;
 use std::fmt;
 use sxr_ast as ast;
@@ -46,12 +46,12 @@ pub fn lower_program(prog: ast::Program) -> Result<Lowered, LowerError> {
     // Fold items right-to-left so the last expression's value becomes the
     // program result.
     let mut tail: Option<Expr> = None;
-    let mut steps_rev: Vec<Vec<Step>> = Vec::new();
+    let mut steps_rev: Vec<Vec<Link>> = Vec::new();
     for item in prog.items.iter().rev() {
         match item {
             ast::TopItem::Expr(e) if tail.is_none() => {
                 let (steps, atom) = lw.atom(e)?;
-                tail = Some(wrap(steps, Expr::Ret(atom)));
+                tail = Some(Expr::from_spine(steps, Expr::Ret(atom)));
             }
             ast::TopItem::Expr(e) => {
                 let (steps, _ignored) = lw.atom(e)?;
@@ -60,14 +60,14 @@ pub fn lower_program(prog: ast::Program) -> Result<Lowered, LowerError> {
             ast::TopItem::Def(g, e) => {
                 let (mut steps, atom) = lw.atom(e)?;
                 let t = lw.supply.fresh("set-global");
-                steps.push(Step::Let(t, Bound::GlobalSet(*g, atom)));
+                steps.push(Link::Let(t, Bound::GlobalSet(*g, atom)));
                 steps_rev.push(steps);
             }
         }
     }
     let mut body = tail.unwrap_or(Expr::Ret(Atom::Lit(Literal::Unspecified)));
     for steps in steps_rev {
-        body = wrap(steps, body);
+        body = Expr::from_spine(steps, body);
     }
     Ok(Lowered {
         main_body: body,
@@ -91,42 +91,25 @@ pub fn lower_expr(e: &ast::Expr, supply: &mut NameSupply) -> Result<Expr, LowerE
     result
 }
 
-/// One accumulated binding step.
-enum Step {
-    Let(VarId, Bound),
-    Rec(Vec<(VarId, FunDef)>),
-}
-
-fn wrap(steps: Vec<Step>, inner: Expr) -> Expr {
-    let mut e = inner;
-    for s in steps.into_iter().rev() {
-        e = match s {
-            Step::Let(v, b) => Expr::Let(v, b, Box::new(e)),
-            Step::Rec(binds) => Expr::LetRec(binds, Box::new(e)),
-        };
-    }
-    e
-}
-
 struct Lowerer {
     supply: NameSupply,
 }
 
 impl Lowerer {
     /// Lowers `e` to a sequence of binding steps plus the value atom.
-    fn atom(&mut self, e: &ast::Expr) -> Result<(Vec<Step>, Atom), LowerError> {
+    fn atom(&mut self, e: &ast::Expr) -> Result<(Vec<Link>, Atom), LowerError> {
         let mut steps = Vec::new();
         let atom = self.atom_into(e, &mut steps)?;
         Ok((steps, atom))
     }
 
-    fn bind(&mut self, hint: &str, b: Bound, steps: &mut Vec<Step>) -> Atom {
+    fn bind(&mut self, hint: &str, b: Bound, steps: &mut Vec<Link>) -> Atom {
         let v = self.supply.fresh(hint);
-        steps.push(Step::Let(v, b));
+        steps.push(Link::Let(v, b));
         Atom::Var(v)
     }
 
-    fn atom_into(&mut self, e: &ast::Expr, steps: &mut Vec<Step>) -> Result<Atom, LowerError> {
+    fn atom_into(&mut self, e: &ast::Expr, steps: &mut Vec<Link>) -> Result<Atom, LowerError> {
         match e {
             ast::Expr::Const(d) => Ok(Atom::Lit(Literal::Datum(d.clone()))),
             ast::Expr::Unspecified => Ok(Atom::Lit(Literal::Unspecified)),
@@ -188,7 +171,7 @@ impl Lowerer {
                     .iter()
                     .map(|(v, l)| Ok((*v, self.fundef(l)?)))
                     .collect::<Result<Vec<_>, LowerError>>()?;
-                steps.push(Step::Rec(funs));
+                steps.push(Link::LetRec(funs));
                 self.atom_into(body, steps)
             }
         }
@@ -203,7 +186,7 @@ impl Lowerer {
                 let ca = self.atom_into(c, &mut steps)?;
                 let then_e = self.ret_style(t)?;
                 let else_e = self.ret_style(els)?;
-                Ok(wrap(
+                Ok(Expr::from_spine(
                     steps,
                     Expr::If(Test::Truthy(ca), Box::new(then_e), Box::new(else_e)),
                 ))
@@ -217,11 +200,11 @@ impl Lowerer {
                     let _ = self.atom_into(e, &mut steps)?;
                 }
                 let last_e = self.ret_style(last)?;
-                Ok(wrap(steps, last_e))
+                Ok(Expr::from_spine(steps, last_e))
             }
             _ => {
                 let (steps, atom) = self.atom(e)?;
-                Ok(wrap(steps, Expr::Ret(atom)))
+                Ok(Expr::from_spine(steps, Expr::Ret(atom)))
             }
         }
     }
@@ -236,14 +219,14 @@ impl Lowerer {
                     .iter()
                     .map(|a| self.atom_into(a, &mut steps))
                     .collect::<Result<Vec<_>, _>>()?;
-                Ok(wrap(steps, Expr::TailCall(fa, argatoms)))
+                Ok(Expr::from_spine(steps, Expr::TailCall(fa, argatoms)))
             }
             ast::Expr::If(c, t, els) => {
                 let mut steps = Vec::new();
                 let ca = self.atom_into(c, &mut steps)?;
                 let then_e = self.tail(t)?;
                 let else_e = self.tail(els)?;
-                Ok(wrap(
+                Ok(Expr::from_spine(
                     steps,
                     Expr::If(Test::Truthy(ca), Box::new(then_e), Box::new(else_e)),
                 ))
@@ -257,7 +240,7 @@ impl Lowerer {
                     let _ = self.atom_into(e, &mut steps)?;
                 }
                 let last_e = self.tail(last)?;
-                Ok(wrap(steps, last_e))
+                Ok(Expr::from_spine(steps, last_e))
             }
             ast::Expr::LetRec(binds, body) => {
                 let funs = binds
@@ -268,7 +251,7 @@ impl Lowerer {
             }
             _ => {
                 let (steps, atom) = self.atom(e)?;
-                Ok(wrap(steps, Expr::Ret(atom)))
+                Ok(Expr::from_spine(steps, Expr::Ret(atom)))
             }
         }
     }

@@ -12,7 +12,7 @@
 //! recursive) is copied out.
 
 use std::rc::Rc;
-use sxr_ir::anf::{Atom, Bound, Expr, FunDef, GlobalId, Literal, VarId};
+use sxr_ir::anf::{Atom, Bound, Expr, FunDef, GlobalId, Literal, VarId, Walk};
 use sxr_ir::rep::RepId;
 use sxr_ir::{IdMap, IdSet};
 
@@ -126,68 +126,23 @@ fn single_defs<'e>(
 }
 
 fn count_sets(e: &Expr) -> IdMap<GlobalId, usize> {
-    fn go(e: &Expr, out: &mut IdMap<GlobalId, usize>) {
-        match e {
-            Expr::Let(_, b, body) => {
-                match b {
-                    Bound::GlobalSet(g, _) => *out.entry(*g).or_insert(0) += 1,
-                    Bound::Lambda(f) => go(&f.body, out),
-                    Bound::If(_, t, e2) => {
-                        go(t, out);
-                        go(e2, out);
-                    }
-                    Bound::Body(inner) => go(inner, out),
-                    _ => {}
-                }
-                go(body, out);
-            }
-            Expr::If(_, t, e2) => {
-                go(t, out);
-                go(e2, out);
-            }
-            Expr::LetRec(binds, body) => {
-                for (_, f) in binds {
-                    go(&f.body, out);
-                }
-                go(body, out);
-            }
-            Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => {}
-        }
-    }
     let mut out = IdMap::default();
-    go(e, &mut out);
+    e.visit::<()>(|node| {
+        if let Expr::Let(_, Bound::GlobalSet(g, _), _) = node {
+            *out.entry(*g).or_insert(0) += 1;
+        }
+        Walk::Enter
+    });
     out
 }
 
 fn collect_global_refs(e: &Expr, out: &mut IdSet<GlobalId>) {
-    match e {
-        Expr::Let(_, b, body) => {
-            match b {
-                Bound::GlobalGet(g) | Bound::GlobalSet(g, _) => {
-                    out.insert(*g);
-                }
-                Bound::Lambda(f) => collect_global_refs(&f.body, out),
-                Bound::If(_, t, e2) => {
-                    collect_global_refs(t, out);
-                    collect_global_refs(e2, out);
-                }
-                Bound::Body(inner) => collect_global_refs(inner, out),
-                _ => {}
-            }
-            collect_global_refs(body, out);
+    e.visit::<()>(|node| {
+        if let Expr::Let(_, Bound::GlobalGet(g) | Bound::GlobalSet(g, _), _) = node {
+            out.insert(*g);
         }
-        Expr::If(_, t, e2) => {
-            collect_global_refs(t, out);
-            collect_global_refs(e2, out);
-        }
-        Expr::LetRec(binds, body) => {
-            for (_, f) in binds {
-                collect_global_refs(&f.body, out);
-            }
-            collect_global_refs(body, out);
-        }
-        Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => {}
-    }
+        Walk::Enter
+    });
 }
 
 /// For each node of the graph `succ`, whether it can reach itself: it is

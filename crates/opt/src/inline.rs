@@ -7,7 +7,7 @@
 use crate::globals::GlobalFun;
 use crate::util::{convert_tails, try_splice};
 use std::rc::Rc;
-use sxr_ir::anf::{refresh, substitute, Atom, Bound, Expr, FunDef, GlobalId, NameSupply, VarId};
+use sxr_ir::anf::{refresh, Atom, Bound, Expr, FunDef, GlobalId, NameSupply, VarId};
 use sxr_ir::IdMap;
 
 /// Safety valve on total inlines per pass run.
@@ -71,20 +71,17 @@ impl Inliner<'_> {
         Some(Rc::clone(def))
     }
 
-    /// Produces the refreshed, argument-substituted body of `def`.
+    /// Produces a copy of `def`'s body with fresh bound variables and the
+    /// arguments in place of the parameters.
     fn instantiate(&mut self, def: &FunDef, args: &[Atom]) -> Expr {
-        let mut body = refresh(&def.body, self.supply);
-        // `refresh` renames bound variables but leaves the (free) parameters
-        // alone, so params can be substituted directly.
-        let map: IdMap<VarId, Atom> = def
+        let mut map: IdMap<VarId, Atom> = def
             .params
             .iter()
             .copied()
             .zip(args.iter().cloned())
             .collect();
-        substitute(&mut body, &map);
         self.report.inlined += 1;
-        body
+        refresh(&def.body, &mut map, self.supply)
     }
 
     fn walk(&mut self, e: Expr) -> Expr {
@@ -106,13 +103,13 @@ impl Inliner<'_> {
             }
             Expr::Let(v, Bound::Call(f, args), body) => {
                 if let Some(def) = self.candidate(&f, args.len()) {
-                    let inlined = self.instantiate(&def, &args);
+                    let mut inlined = self.instantiate(&def, &args);
                     // The callee body may itself contain inlinable calls
                     // (wrappers over wrappers): walk it on its own first,
                     // so the remainder is walked once, in the grafted code,
                     // where the spliced `let v = a` registers `v` when `a`
                     // is a known function.
-                    let inlined = convert_tails(inlined, self.supply);
+                    convert_tails(&mut inlined, self.supply);
                     let inlined = self.walk(inlined);
                     let grafted = match try_splice(inlined, v, *body) {
                         Ok(spliced) => spliced,

@@ -36,70 +36,59 @@ pub fn truthiness(lit: &Literal, reg: &RepRegistry) -> Option<bool> {
 
 /// Rewrites tail calls in `e` into bound calls so the expression can sit in
 /// a value position (`Bound::Body`).
-pub fn convert_tails(e: Expr, supply: &mut NameSupply) -> Expr {
-    match e {
-        Expr::TailCall(f, args) => {
-            let t = supply.fresh("ret");
-            Expr::Let(t, Bound::Call(f, args), Box::new(Expr::Ret(Atom::Var(t))))
+pub fn convert_tails(e: &mut Expr, supply: &mut NameSupply) {
+    let tail = e.tail_mut();
+    let call = match tail {
+        Expr::If(_, a, b) => {
+            convert_tails(a, supply);
+            convert_tails(b, supply);
+            return;
         }
-        Expr::TailCallKnown(fid, clo, args) => {
-            let t = supply.fresh("ret");
-            Expr::Let(
-                t,
-                Bound::CallKnown(fid, clo, args),
-                Box::new(Expr::Ret(Atom::Var(t))),
-            )
+        Expr::TailCall(..) | Expr::TailCallKnown(..) => {
+            match std::mem::replace(tail, Expr::Ret(Atom::Lit(Literal::Unspecified))) {
+                Expr::TailCall(f, args) => Bound::Call(f, args),
+                Expr::TailCallKnown(fid, clo, args) => Bound::CallKnown(fid, clo, args),
+                _ => unreachable!("matched a tail call"),
+            }
         }
-        Expr::Let(v, b, body) => Expr::Let(v, b, Box::new(convert_tails(*body, supply))),
-        Expr::If(t, a, b) => Expr::If(
-            t,
-            Box::new(convert_tails(*a, supply)),
-            Box::new(convert_tails(*b, supply)),
-        ),
-        Expr::LetRec(binds, body) => Expr::LetRec(binds, Box::new(convert_tails(*body, supply))),
-        Expr::Ret(_) => e,
-    }
+        _ => return,
+    };
+    let t = supply.fresh("ret");
+    *tail = Expr::Let(t, call, Box::new(Expr::Ret(Atom::Var(t))));
+}
+
+/// Binds the value `e`'s tail `Ret` yields to `v` in front of `k`: the
+/// tail is replaced by `let v = a in k`.
+fn bind_at_ret(tail: &mut Expr, v: VarId, k: Expr) {
+    let Expr::Ret(a) = tail else {
+        unreachable!("checked to be a `Ret`")
+    };
+    let a = std::mem::replace(a, Atom::Lit(Literal::Unspecified));
+    *tail = Expr::Let(v, Bound::Atom(a), Box::new(k));
 }
 
 /// Attempts to splice a straight-line value expression (a chain of lets and
 /// letrecs ending in a single `Ret`) in front of `k`, binding the result to
 /// `v`. Returns `Err` with the inputs when `e` branches.
 #[allow(clippy::result_large_err)] // the Err hands the caller its inputs back
-pub fn try_splice(e: Expr, v: VarId, k: Expr) -> Result<Expr, (Expr, Expr)> {
-    fn straight(e: &Expr) -> bool {
-        match e {
-            Expr::Ret(_) => true,
-            Expr::Let(_, _, body) => straight(body),
-            Expr::LetRec(_, body) => straight(body),
-            Expr::If(..) | Expr::TailCall(..) | Expr::TailCallKnown(..) => false,
-        }
-    }
-    if !straight(&e) {
+pub fn try_splice(mut e: Expr, v: VarId, k: Expr) -> Result<Expr, (Expr, Expr)> {
+    let tail = e.tail_mut();
+    if !matches!(tail, Expr::Ret(_)) {
         return Err((e, k));
     }
-    fn go(e: Expr, v: VarId, k: Expr) -> Expr {
-        match e {
-            Expr::Ret(a) => Expr::Let(v, Bound::Atom(a), Box::new(k)),
-            Expr::Let(w, b, body) => Expr::Let(w, b, Box::new(go(*body, v, k))),
-            Expr::LetRec(binds, body) => Expr::LetRec(binds, Box::new(go(*body, v, k))),
-            _ => unreachable!("checked straight-line"),
-        }
-    }
-    Ok(go(e, v, k))
+    bind_at_ret(tail, v, k);
+    Ok(e)
 }
 
 /// True when executing `e` can never deliver a value (every path reaches
 /// `%error` first).
 pub fn diverges(e: &Expr) -> bool {
-    match e {
-        Expr::Let(_, Bound::Prim(sxr_ir::prim::PrimOp::Error, _), _) => true,
-        Expr::Let(_, Bound::If(_, a, b), body) => (diverges(a) && diverges(b)) || diverges(body),
-        Expr::Let(_, Bound::Body(inner), body) => diverges(inner) || diverges(body),
-        Expr::Let(_, _, body) => diverges(body),
-        Expr::If(_, a, b) => diverges(a) && diverges(b),
-        Expr::LetRec(_, body) => diverges(body),
-        Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => false,
-    }
+    e.lets().any(|(_, b)| match b {
+        Bound::Prim(sxr_ir::prim::PrimOp::Error, _) => true,
+        Bound::If(_, a, b) => diverges(a) && diverges(b),
+        Bound::Body(inner) => diverges(inner),
+        _ => false,
+    }) || matches!(e.tail(), Expr::If(_, a, b) if diverges(a) && diverges(b))
 }
 
 /// Sinks the continuation `k` into a value expression: produces code equal
@@ -110,37 +99,29 @@ pub fn diverges(e: &Expr) -> bool {
 ///
 /// Returns `Err` with the inputs when `e` branches two live ways.
 #[allow(clippy::result_large_err)] // Err gives the caller its inputs back
-pub fn sink_value(e: Expr, v: VarId, k: Expr) -> Result<Expr, (Expr, Expr)> {
-    fn sinkable(e: &Expr) -> bool {
-        match e {
-            Expr::Ret(_) => true,
-            Expr::Let(_, _, body) => sinkable(body),
-            Expr::LetRec(_, body) => sinkable(body),
-            Expr::If(_, a, b) => (diverges(b) && sinkable(a)) || (diverges(a) && sinkable(b)),
-            Expr::TailCall(..) | Expr::TailCallKnown(..) => false,
-        }
-    }
-    if !sinkable(&e) {
-        return Err((e, k));
-    }
-    fn go(e: Expr, v: VarId, k: Expr) -> Expr {
-        match e {
-            Expr::Ret(a) => Expr::Let(v, Bound::Atom(a), Box::new(k)),
-            Expr::Let(w, b, body) => Expr::Let(w, b, Box::new(go(*body, v, k))),
-            Expr::LetRec(binds, body) => Expr::LetRec(binds, Box::new(go(*body, v, k))),
-            Expr::If(t, a, b) => {
-                if diverges(&b) {
-                    Expr::If(t, Box::new(go(*a, v, k)), b)
+pub fn sink_value(mut e: Expr, v: VarId, k: Expr) -> Result<Expr, (Expr, Expr)> {
+    /// The `Ret` the value comes from, if there is exactly one live one.
+    fn live_ret(e: &mut Expr) -> Option<&mut Expr> {
+        let tail = e.tail_mut();
+        match tail {
+            Expr::Ret(_) => Some(tail),
+            Expr::If(_, a, b) => {
+                if diverges(b) {
+                    live_ret(a)
+                } else if diverges(a) {
+                    live_ret(b)
                 } else {
-                    Expr::If(t, a, Box::new(go(*b, v, k)))
+                    None
                 }
             }
-            Expr::TailCall(..) | Expr::TailCallKnown(..) => {
-                unreachable!("checked by sinkable")
-            }
+            _ => None,
         }
     }
-    Ok(go(e, v, k))
+    match live_ret(&mut e) {
+        Some(tail) => bind_at_ret(tail, v, k),
+        None => return Err((e, k)),
+    }
+    Ok(e)
 }
 
 /// True when dropping an unused binding of `b` cannot change behaviour.
@@ -161,13 +142,12 @@ pub fn bound_deletable(b: &Bound) -> bool {
 }
 
 fn expr_deletable(e: &Expr) -> bool {
-    match e {
-        Expr::Ret(_) => true,
-        Expr::Let(_, b, body) => bound_deletable(b) && expr_deletable(body),
-        Expr::If(_, t, e2) => expr_deletable(t) && expr_deletable(e2),
-        Expr::LetRec(_, body) => expr_deletable(body),
-        Expr::TailCall(..) | Expr::TailCallKnown(..) => false,
-    }
+    e.lets().all(|(_, b)| bound_deletable(b))
+        && match e.tail() {
+            Expr::Ret(_) => true,
+            Expr::If(_, t, e2) => expr_deletable(t) && expr_deletable(e2),
+            _ => false,
+        }
 }
 
 /// A dominance-scoped table: one map for a whole walk, whose entries at
@@ -288,7 +268,8 @@ mod tests {
     fn tails_converted() {
         let mut supply = NameSupply::from_names(vec![]);
         let e = Expr::TailCall(Atom::Var(0), vec![]);
-        let out = convert_tails(e, &mut supply);
+        let mut out = e;
+        convert_tails(&mut out, &mut supply);
         assert!(matches!(out, Expr::Let(_, Bound::Call(..), _)));
     }
 

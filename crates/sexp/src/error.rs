@@ -53,6 +53,10 @@ pub enum ParseErrorKind {
     FixnumOverflow(String),
     /// Any other lexical problem.
     BadToken(String),
+    /// Data nested more deeply than the limit it names
+    /// ([`MAX_NESTING`](crate::MAX_NESTING)); the error's span is
+    /// the opening token that went past it.
+    TooDeep(usize),
 }
 
 impl fmt::Display for ParseErrorKind {
@@ -68,6 +72,9 @@ impl fmt::Display for ParseErrorKind {
                 write!(f, "integer literal `{s}` exceeds fixnum range")
             }
             ParseErrorKind::BadToken(s) => write!(f, "bad token `{s}`"),
+            ParseErrorKind::TooDeep(limit) => {
+                write!(f, "data nested more than {limit} levels deep")
+            }
         }
     }
 }

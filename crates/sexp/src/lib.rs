@@ -29,5 +29,5 @@ mod printer;
 pub use datum::Datum;
 pub use error::{ParseError, ParseErrorKind, Span};
 pub use lexer::{Lexer, Token, TokenKind};
-pub use parser::{parse_all, parse_all_spanned, parse_one, Parser};
+pub use parser::{parse_all, parse_all_spanned, parse_one, Parser, MAX_NESTING};
 pub use printer::{display_datum, write_datum};

@@ -21,7 +21,16 @@ pub struct Parser<'a> {
     lexer: Lexer<'a>,
     lookahead: Option<Token>,
     last_span: Span,
+    /// Nested reads in progress (one per enclosing list, vector, quote
+    /// prefix or datum comment, plus the read itself).
+    depth: usize,
 }
+
+/// How deeply data may nest: lists, vectors, quote prefixes (`'x` is
+/// `(quote x)`) and datum comments. Reading recurses once per level, and so
+/// do the passes after it, so the reader refuses deeper input with
+/// [`ParseErrorKind::TooDeep`] instead of letting it exhaust the stack.
+pub const MAX_NESTING: usize = 32_768;
 
 impl<'a> Parser<'a> {
     /// Creates a parser over `src`.
@@ -30,6 +39,7 @@ impl<'a> Parser<'a> {
             lexer: Lexer::new(src),
             lookahead: None,
             last_span: Span::default(),
+            depth: 0,
         }
     }
 
@@ -66,11 +76,34 @@ impl<'a> Parser<'a> {
     ///
     /// Returns a [`ParseError`] on malformed input.
     pub fn next_datum_spanned(&mut self) -> Result<Option<(Datum, Span)>, ParseError> {
+        self.depth += 1;
+        let read = self.read_spanned();
+        self.depth -= 1;
+        read
+    }
+
+    fn read_spanned(&mut self) -> Result<Option<(Datum, Span)>, ParseError> {
         loop {
             let tok = match self.next_tok()? {
                 Some(t) => t,
                 None => return Ok(None),
             };
+            let nests = matches!(
+                tok.kind,
+                TokenKind::LParen
+                    | TokenKind::VecOpen
+                    | TokenKind::Quote
+                    | TokenKind::Quasiquote
+                    | TokenKind::Unquote
+                    | TokenKind::UnquoteSplicing
+                    | TokenKind::DatumComment
+            );
+            if nests && self.depth > MAX_NESTING {
+                return Err(ParseError::new(
+                    ParseErrorKind::TooDeep(MAX_NESTING),
+                    tok.span,
+                ));
+            }
             match tok.kind {
                 TokenKind::DatumComment => {
                     // Read and discard one datum.

@@ -729,12 +729,14 @@ impl Machine {
 
     fn closure_target(&self, fval: Word) -> Result<u32, VmError> {
         if !self.role.closure.matches(fval) {
-            return Err(VmError::new(
-                VmErrorKind::NotAProcedure,
-                format!("call of non-procedure {}", self.describe(fval)),
-            ));
+            return Err(self.not_a_procedure(fval));
         }
-        let code = self.heap.get(field_index(fval, 1))?;
+        // A closure-tagged word need not point into the heap: `%rep-inject`
+        // can forge one. Such a word is not a procedure either.
+        let code = match self.heap.get(field_index(fval, 1)) {
+            Ok(code) => code,
+            Err(_) => return Err(self.not_a_procedure(fval)),
+        };
         let fnid = self.role.fixnum.decode(code) as u32;
         // The code word lives on the heap, where a sufficiently adversarial
         // guest (a `%rep-set!` through a representation sharing the closure
@@ -749,6 +751,14 @@ impl Machine {
             ));
         }
         Ok(fnid)
+    }
+
+    #[cold]
+    fn not_a_procedure(&self, fval: Word) -> VmError {
+        VmError::new(
+            VmErrorKind::NotAProcedure,
+            format!("call of non-procedure {}", self.describe(fval)),
+        )
     }
 
     /// A deterministic "wrong lifecycle phase" error for `run`/`start`/
@@ -1303,6 +1313,17 @@ impl Machine {
         VmError::new(VmErrorKind::BadProgram, "no `rep-type` role registered")
     }
 
+    #[cold]
+    fn rep_type_outside_heap(&self, w: Word) -> VmError {
+        VmError::new(
+            VmErrorKind::BadRepOperation,
+            format!(
+                "not a representation type ({} points outside the heap)",
+                self.describe(w)
+            ),
+        )
+    }
+
     fn rep_id_of(&self, w: Word) -> Result<RepId, VmError> {
         let reptype = self.role.rep_type.ok_or_else(Machine::no_rep_type_role)?;
         if !reptype.matches(w) {
@@ -1311,8 +1332,11 @@ impl Machine {
                 format!("not a representation type: {}", self.describe(w)),
             ));
         }
+        // A word with the `rep-type` tag need not point into the heap:
+        // `%rep-inject` can forge one.
+        let outside = |_| self.rep_type_outside_heap(w);
         let base = (w >> 3) as usize;
-        if header_type(self.heap.get(base)?) != reptype.id as u16 {
+        if header_type(self.heap.get(base).map_err(outside)?) != reptype.id as u16 {
             return Err(VmError::new(
                 VmErrorKind::BadRepOperation,
                 "not a representation type (wrong record type)",
@@ -1321,7 +1345,7 @@ impl Machine {
         // The payload is an ordinary field: `%rep-set!` through the
         // first-class `rep-type` representation can overwrite it, so it
         // is checked like any other input before it indexes the registry.
-        let payload = self.heap.get(base + 1)?;
+        let payload = self.heap.get(base + 1).map_err(outside)?;
         let forged = |what: String| {
             VmError::new(
                 VmErrorKind::BadRepOperation,

@@ -463,7 +463,11 @@ fn verified_corpus_never_degrades_to_program_or_memory_faults() {
     // then surface a `bad-program` or `bad-memory-access` error — those
     // labels are reserved for programs the verifier rejects at load, and
     // seeing one from verified code means a step went somewhere the
-    // verifier claimed it never could.
+    // verifier claimed it never could. Scope: programs that do not forge
+    // pointers. A verified program may `%rep-inject` a pointer to outside
+    // the heap; calling it or using it as a rep type is a recoverable
+    // error, but `%rep-ref`/`%rep-set!` through it is a terminal
+    // `bad-memory-access` (pinned by the next test).
     let targets = targets();
     for t in targets {
         let report = t.compiled.verify_bytecode();
@@ -503,6 +507,52 @@ fn verified_corpus_never_degrades_to_program_or_memory_faults() {
                 e.kind.label()
             );
         }
+    }
+}
+
+#[test]
+fn forged_pointers_are_recoverable_where_the_machine_checks_them() {
+    // `%rep-inject` can forge a tagged word that points outside the heap,
+    // and the verifier admits such programs. A call through a forged
+    // closure and a representation op on a forged rep type are checked
+    // uses, so they raise conditions a `guard` catches. Raw field access
+    // through a forged pointer is not checked: it stays a terminal
+    // `bad-memory-access`, which is why the oracle above holds for the
+    // compiler's output and not for programs that forge pointers.
+    let caught = [
+        (
+            "",
+            "((%rep-inject closure-rep 100000000))",
+            "not-a-procedure",
+        ),
+        (
+            "(define r (%rep-inject rep-type-rep 100000000))",
+            "(%rep-test r 5)",
+            "bad-rep-operation",
+        ),
+    ];
+    let raw = "(%rep-ref pair-rep (%rep-inject pair-rep 100000000) (%rep-project fixnum-rep 0))";
+    for (name, cfg) in three_configs() {
+        let compiler = Compiler::new(cfg);
+        for (defs, expr, kind) in caught {
+            let src = format!("{defs} (guard (c (#t (condition-kind c))) {expr})");
+            let compiled = compiler
+                .compile(&src)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(compiled.verify_bytecode().is_clean(), "{name}: {src}");
+            let out = compiled
+                .run()
+                .unwrap_or_else(|e| panic!("{name}: {src}: {e}"));
+            assert_eq!(out.value, kind, "{name}: {src}");
+        }
+        let src = format!("(guard (c (#t (condition-kind c))) {raw})");
+        let compiled = compiler
+            .compile(&src)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let err = compiled
+            .run()
+            .expect_err("a raw load outside the heap is terminal");
+        assert_eq!(err.kind, VmErrorKind::BadMemoryAccess, "{name}: {err}");
     }
 }
 

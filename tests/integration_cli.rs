@@ -78,6 +78,22 @@ fn runaway_recursion_is_a_stack_overflow_not_a_host_abort() {
 }
 
 #[test]
+fn source_nested_past_the_reader_limit_is_an_error_not_a_host_abort() {
+    // Three million levels: far past any stack, were the reader to recurse.
+    let n = 3_000_000;
+    let path = std::env::temp_dir().join(format!("sxr-deep-nesting-{}.scm", std::process::id()));
+    std::fs::write(&path, format!("(quote {}{})", "(".repeat(n), ")".repeat(n))).unwrap();
+    let out = sxr(&[path.to_str().unwrap()]);
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("parse error at 1:32775: data nested more than 32768 levels deep"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn a_forged_rep_id_is_a_bad_rep_operation_not_a_panic() {
     let out = sxr(&[
         "--mode",

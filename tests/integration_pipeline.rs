@@ -229,3 +229,177 @@ fn record_types_are_distinguished() {
       (display (list (a? (make-a 1)) (a? (make-b 1)) (b? (make-b 1)) (a? (box 1))))");
     assert_eq!(out.1, "(#t #f #t #f)");
 }
+
+/// Closure conversion's one-pass free sets agree with the definition,
+/// computed directly for each lambda (the walk closure conversion used
+/// before), for every lambda of the corpus under every configuration.
+#[test]
+fn captures_match_the_reference_free_variables() {
+    use std::collections::BTreeSet;
+    use sxr::PrimitiveMode;
+    use sxr_ir::anf::{Atom, Bound, Expr, FunDef, VarId, Walk};
+    use sxr_ir::{IdSet, Lowered};
+
+    /// Variables `body` uses but neither binds nor gets from `params`.
+    fn free_vars(body: &Expr, params: &[VarId]) -> BTreeSet<VarId> {
+        let mut bound: IdSet<VarId> = params.iter().copied().collect();
+        collect_bound(body, &mut bound);
+        let mut free = BTreeSet::new();
+        body.for_each_atom(&mut |a| {
+            if let Atom::Var(v) = a {
+                if !bound.contains(v) {
+                    free.insert(*v);
+                }
+            }
+        });
+        free
+    }
+
+    fn bind_fun(l: &FunDef, out: &mut IdSet<VarId>) {
+        out.extend(l.params.iter().chain(&l.rest).copied());
+        collect_bound(&l.body, out);
+    }
+
+    fn collect_bound(e: &Expr, out: &mut IdSet<VarId>) {
+        match e {
+            Expr::Let(v, b, body) => {
+                out.insert(*v);
+                match b {
+                    Bound::Lambda(l) => bind_fun(l, out),
+                    Bound::If(_, t, e2) => {
+                        collect_bound(t, out);
+                        collect_bound(e2, out);
+                    }
+                    Bound::Body(e2) => collect_bound(e2, out),
+                    _ => {}
+                }
+                collect_bound(body, out);
+            }
+            Expr::If(_, t, e2) => {
+                collect_bound(t, out);
+                collect_bound(e2, out);
+            }
+            Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => {}
+            Expr::LetRec(binds, body) => {
+                for (v, l) in binds {
+                    out.insert(*v);
+                    bind_fun(l, out);
+                }
+                collect_bound(body, out);
+            }
+        }
+    }
+
+    /// The program as closure conversion receives it, staged through the
+    /// layer crates in the order `Compiler::compile` runs them.
+    fn before_closure_conversion(config: &PipelineConfig, source: &str) -> Expr {
+        let prims = match config.mode {
+            PrimitiveMode::Abstract => sxr::PRIMS_ABSTRACT_SCM,
+            PrimitiveMode::Traditional => sxr::PRIMS_TRADITIONAL_SCM,
+        };
+        let mut expander = sxr_ast::Expander::new();
+        let units = [sxr::REPS_SCM, prims, sxr::LIBRARY_SCM, source]
+            .iter()
+            .map(|src| expander.expand_unit(&sxr_sexp::parse_all(src).unwrap()))
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        let mut program = expander.into_program(units);
+        sxr_ast::convert_assignments(&mut program).unwrap();
+        let Lowered {
+            main_body,
+            mut supply,
+            ..
+        } = sxr_ir::lower_program(program).unwrap();
+        let mut registry = sxr_ir::RepRegistry::new();
+        let rep_globals = sxr_opt::scan_representations(&main_body, &mut registry).unwrap();
+        let main_body = match config.mode {
+            PrimitiveMode::Traditional => {
+                sxr_codegen::lower_intrinsics_expr(main_body, &registry, &mut supply).unwrap()
+            }
+            PrimitiveMode::Abstract => main_body,
+        };
+        sxr_opt::optimize(
+            main_body,
+            &mut registry,
+            &rep_globals,
+            &mut supply,
+            &config.opt,
+        )
+        .unwrap()
+        .0
+    }
+
+    // The front end and optimizer still recurse per binding.
+    let check = || {
+        let mut lambdas = 0;
+        for (label, config) in sxr_bench::measured_configs() {
+            for bench in sxr_bench::BENCHMARKS {
+                let e = before_closure_conversion(&config, bench.source);
+                let captures = sxr_ir::clconv::captures(&e);
+                let mut check_fun = |v: VarId, l: &FunDef| {
+                    let params: Vec<VarId> = l.params.iter().chain(&l.rest).copied().collect();
+                    let mut want = free_vars(&l.body, &params);
+                    want.remove(&v);
+                    let want: Vec<VarId> = want.into_iter().collect();
+                    assert_eq!(
+                        captures.get(&v),
+                        Some(&want),
+                        "{} {label}: v{v}",
+                        bench.name
+                    );
+                    lambdas += 1;
+                };
+                e.visit::<()>(|node| {
+                    match node {
+                        Expr::Let(v, Bound::Lambda(l), _) => check_fun(*v, l),
+                        Expr::LetRec(binds, _) => binds.iter().for_each(|(v, l)| check_fun(*v, l)),
+                        _ => {}
+                    }
+                    Walk::Enter
+                });
+            }
+        }
+        assert!(lambdas > 1000, "only {lambdas} lambdas checked");
+    };
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(512 << 20)
+            .spawn_scoped(s, check)
+            .unwrap()
+            .join()
+            .unwrap();
+    });
+}
+
+#[test]
+fn the_reader_bounds_how_deeply_source_nests() {
+    use sxr::CompileError;
+    use sxr_sexp::{ParseErrorKind, MAX_NESTING};
+    let nest = |depth: usize| format!("{}1{}", "(begin ".repeat(depth), ")".repeat(depth));
+    let compiler = Compiler::new(PipelineConfig::abstract_optimized());
+    let at_limit = compiler
+        .compile(&nest(MAX_NESTING))
+        .unwrap_or_else(|e| panic!("nesting at the limit compiles: {e}"));
+    assert_eq!(at_limit.run().unwrap().value, "1");
+    match compiler.compile(&nest(MAX_NESTING + 1)) {
+        Err(CompileError::Parse(e)) => {
+            assert_eq!(e.kind, ParseErrorKind::TooDeep(MAX_NESTING));
+            // The span is the opening paren past the limit.
+            assert_eq!(e.span.start, MAX_NESTING * "(begin ".len());
+        }
+        other => panic!("expected a nesting error, got {:?}", other.map(|_| ())),
+    }
+    // Quote prefixes and datum comments nest too.
+    let quotes = format!("{}1", "'".repeat(MAX_NESTING + 1));
+    let comments = format!(
+        "{}{}",
+        "#;".repeat(MAX_NESTING + 1),
+        " 1".repeat(MAX_NESTING + 2)
+    );
+    for src in [quotes, comments] {
+        match compiler.compile(&src) {
+            Err(CompileError::Parse(e)) => assert_eq!(e.kind, ParseErrorKind::TooDeep(MAX_NESTING)),
+            other => panic!("expected a nesting error, got {:?}", other.map(|_| ())),
+        }
+    }
+}
