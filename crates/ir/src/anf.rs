@@ -206,6 +206,14 @@ impl NameSupply {
         v
     }
 
+    /// Allocates a fresh variable named like `v` (a renamed copy of it).
+    pub fn fresh_like(&mut self, v: VarId) -> VarId {
+        let name = self.name(v).to_string();
+        let w = self.names.len() as VarId;
+        self.names.push(name);
+        w
+    }
+
     /// The name of `v`.
     pub fn name(&self, v: VarId) -> &str {
         self.names
@@ -226,6 +234,13 @@ impl NameSupply {
 // [`Expr::visit`] keeps its own work stack, and the spine helpers loop, so
 // no walk here recurses once per binding: a straight-line program of any
 // length costs no stack.
+//
+// A pass that rewrites in place holds a cursor `&mut Expr` on the spine and
+// moves it with [`Expr::next_mut`]. It edits the node under the cursor
+// through [`Expr::unlink`] (drop the binding; the rest of the spine moves
+// up into its slot) and [`Expr::link`] (put a binding in front of it);
+// neither touches the rest of the spine, so a node the pass leaves alone
+// keeps its allocation.
 
 /// What [`Expr::visit`] does after showing a node to its visitor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,6 +265,12 @@ pub enum Link {
 }
 
 impl Bound {
+    /// Moves `self` out, leaving the unspecified constant in its place
+    /// (which costs no allocation).
+    pub fn take(&mut self) -> Bound {
+        std::mem::replace(self, Bound::Atom(Atom::Lit(Literal::Unspecified)))
+    }
+
     /// Visits every *directly owned* atom operand (not atoms inside nested
     /// expressions or lambdas).
     pub fn for_each_atom_shallow(&self, f: &mut impl FnMut(&Atom)) {
@@ -297,7 +318,8 @@ impl Expr {
     /// answers [`Walk::SkipLambdas`] for the node that binds them. Returns
     /// the value `f` stopped with, if any.
     pub fn visit<B>(&self, mut f: impl FnMut(&Expr) -> Walk<B>) -> Option<B> {
-        let mut stack = vec![self];
+        let mut stack = Vec::with_capacity(16);
+        stack.push(self);
         while let Some(e) = stack.pop() {
             let lambdas = match f(e) {
                 Walk::Enter => true,
@@ -331,7 +353,8 @@ impl Expr {
     /// [`Expr::visit`] with mutable access: `f` may rewrite a node's atoms
     /// (or the node itself), and the walk goes on into what it left.
     pub fn visit_mut<B>(&mut self, mut f: impl FnMut(&mut Expr) -> Walk<B>) -> Option<B> {
-        let mut stack = vec![self];
+        let mut stack = Vec::with_capacity(16);
+        stack.push(self);
         while let Some(e) = stack.pop() {
             let lambdas = match f(e) {
                 Walk::Enter => true,
@@ -389,6 +412,38 @@ impl Expr {
             }
             Expr::LetRec(..) => {}
         }
+    }
+
+    /// Moves `self` out, leaving `Ret(unspecified)` in its place (which
+    /// costs no allocation).
+    pub fn take(&mut self) -> Expr {
+        std::mem::replace(self, Expr::Ret(Atom::Lit(Literal::Unspecified)))
+    }
+
+    /// The rest of the spine after the `let` or `letrec` node `self`, or
+    /// `None` when `self` is a tail.
+    pub fn next_mut(&mut self) -> Option<&mut Expr> {
+        match self {
+            Expr::Let(_, _, body) | Expr::LetRec(_, body) => Some(body),
+            _ => None,
+        }
+    }
+
+    /// Drops the binding at the head of `self`: the rest of the spine
+    /// takes its place. No change when `self` is a tail.
+    pub fn unlink(&mut self) {
+        if let Some(rest) = self.next_mut().map(Expr::take) {
+            *self = rest;
+        }
+    }
+
+    /// Puts `link` in front of `self`, which becomes its scope.
+    pub fn link(&mut self, link: Link) {
+        let rest = Box::new(self.take());
+        *self = match link {
+            Link::Let(v, b) => Expr::Let(v, b, rest),
+            Link::LetRec(binds) => Expr::LetRec(binds, rest),
+        };
     }
 
     /// Takes the spine at the head of `self` apart: its bindings in order,
@@ -535,8 +590,7 @@ pub fn substitute(e: &mut Expr, map: &IdMap<VarId, Atom>) {
 /// as parameters → arguments.
 pub fn refresh(e: &Expr, map: &mut IdMap<VarId, Atom>, supply: &mut NameSupply) -> Expr {
     fn fresh(v: VarId, map: &mut IdMap<VarId, Atom>, supply: &mut NameSupply) -> VarId {
-        let name = supply.name(v).to_string();
-        let w = supply.fresh(&name);
+        let w = supply.fresh_like(v);
         map.insert(v, Atom::Var(w));
         w
     }

@@ -178,8 +178,7 @@ impl Cc {
         }
         let mut inner_ids = Vec::with_capacity(free.len());
         for &(x, orig) in &free {
-            let name = self.supply.name(x).to_string();
-            let x_in = self.supply.fresh(&name);
+            let x_in = self.supply.fresh_like(x);
             if let Some(&kf) = self.known.get(&x) {
                 self.known.insert(x_in, kf);
             }

@@ -34,8 +34,8 @@ use sxr_ir::prim::PrimOp;
 use sxr_ir::rep::{roles, RepKind, RepRegistry};
 use sxr_ir::IdMap;
 
-/// Runs the pass. Returns the rewritten program and a change count.
-pub fn bits(e: Expr, registry: &RepRegistry, assumptions: &Assumptions) -> (Expr, usize) {
+/// Runs the pass over `e` in place. Returns the change count.
+pub fn bits(e: &mut Expr, registry: &RepRegistry, assumptions: &Assumptions) -> usize {
     let bool_pattern = registry
         .immediate_role(roles::BOOLEAN)
         .map(|b| (b.tag as i64, b.shift as i64));
@@ -44,13 +44,14 @@ pub fn bits(e: Expr, registry: &RepRegistry, assumptions: &Assumptions) -> (Expr
         registry,
         assumptions,
         defs: IdMap::default(),
+        def_args: Vec::new(),
         bool_pattern,
         false_word,
         changed: 0,
     };
     let mut facts = Facts::default();
-    let out = st.walk(e, &mut facts);
-    (out, st.changed)
+    st.walk(e, &mut facts);
+    st.changed
 }
 
 const MAXK: u32 = 48;
@@ -72,8 +73,11 @@ type Facts = ScopedMap<VarId, (u32, u64), BuildHasherDefault<IdHasher>>;
 struct Bits<'a> {
     registry: &'a RepRegistry,
     assumptions: &'a Assumptions,
-    /// Definitions of pure prim-bound variables (SSA-global).
-    defs: IdMap<VarId, (PrimOp, Vec<Atom>)>,
+    /// Definitions of pure prim-bound variables (SSA-global): the
+    /// operation, and where its operands start and end in `def_args`.
+    defs: IdMap<VarId, (PrimOp, u32, u32)>,
+    /// The operands of every definition in `defs`, one after another.
+    def_args: Vec<Atom>,
     bool_pattern: Option<(i64, i64)>,
     false_word: Option<i64>,
     changed: usize,
@@ -100,7 +104,7 @@ impl Bits<'_> {
     }
 
     fn derive(&self, v: VarId, facts: &Facts, depth: u32) -> (u32, u64) {
-        let Some((op, args)) = self.defs.get(&v) else {
+        let Some((op, args)) = self.def(v) else {
             return (0, 0);
         };
         use PrimOp::*;
@@ -144,14 +148,14 @@ impl Bits<'_> {
                 let (kx, tx) = self.lowtag(&args[0], facts, depth);
                 let (ky, ty) = self.lowtag(&args[1], facts, depth);
                 let k = kx.min(ky);
-                let t = if *op == WordOr { tx | ty } else { tx ^ ty };
+                let t = if op == WordOr { tx | ty } else { tx ^ ty };
                 (k, t & mask(k))
             }
             WordAdd | WordSub => {
                 let (kx, tx) = self.lowtag(&args[0], facts, depth);
                 let (ky, ty) = self.lowtag(&args[1], facts, depth);
                 let k = kx.min(ky);
-                let t = if *op == WordAdd {
+                let t = if op == WordAdd {
                     tx.wrapping_add(ty)
                 } else {
                     tx.wrapping_sub(ty)
@@ -168,8 +172,14 @@ impl Bits<'_> {
         }
     }
 
-    fn def_of(&self, a: &Atom) -> Option<&(PrimOp, Vec<Atom>)> {
-        self.defs.get(&a.as_var()?)
+    /// The definition of `v`, if it is a pure prim binding seen so far.
+    fn def(&self, v: VarId) -> Option<(PrimOp, &[Atom])> {
+        let &(op, start, end) = self.defs.get(&v)?;
+        Some((op, &self.def_args[start as usize..end as usize]))
+    }
+
+    fn def_of(&self, a: &Atom) -> Option<(PrimOp, &[Atom])> {
+        self.def(a.as_var()?)
     }
 
     /// `x << s` reconstructed without the shift, when possible.
@@ -177,7 +187,7 @@ impl Bits<'_> {
         if let Some(a) = self.reconstruct_atom(x, s, facts) {
             return Some(Bound::Atom(a));
         }
-        let (op, args) = self.def_of(x)?.clone();
+        let (op, args) = self.def_of(x)?;
         use PrimOp::*;
         match op {
             WordAdd | WordSub => {
@@ -202,7 +212,7 @@ impl Bits<'_> {
         if let Atom::Lit(Literal::Raw(c)) = x {
             return Some(Atom::Lit(Literal::Raw(c << s)));
         }
-        let (op, args) = self.def_of(x)?.clone();
+        let (op, args) = self.def_of(x)?;
         if op == PrimOp::WordShr {
             if let Atom::Lit(Literal::Raw(s2)) = args[1] {
                 if s2 as u32 == s {
@@ -236,7 +246,7 @@ impl Bits<'_> {
                     //     s1 bits are 0.
                     // These are what let abstract char<->fixnum conversions
                     // reach the traditional single-shift forms.
-                    if let Some((PrimOp::WordShr, inner)) = self.def_of(&args[0]).cloned() {
+                    if let Some((PrimOp::WordShr, inner)) = self.def_of(&args[0]) {
                         if let Atom::Lit(Literal::Raw(s1)) = inner[1] {
                             let s1 = s1 as u32;
                             let (k, t) = self.lowtag(&inner[0], facts, DEPTH);
@@ -273,7 +283,7 @@ impl Bits<'_> {
                     }
                     // shr(shl(a, s), s) == a under the no-overflow contract
                     // of unchecked fixnum arithmetic.
-                    if let Some((PrimOp::WordShl, inner)) = self.def_of(&args[0]).cloned() {
+                    if let Some((PrimOp::WordShl, inner)) = self.def_of(&args[0]) {
                         if inner[1] == Atom::Lit(Literal::Raw(s)) {
                             return Some(Bound::Atom(inner[0].clone()));
                         }
@@ -324,7 +334,7 @@ impl Bits<'_> {
     /// unprojected (tagged) values.
     fn rewrite_cmp(&self, op: PrimOp, args: &[Atom], facts: &Facts) -> Option<Bound> {
         let shr_of = |a: &Atom| -> Option<(Atom, u32)> {
-            let (o, inner) = self.def_of(a)?.clone();
+            let (o, inner) = self.def_of(a)?;
             if o != PrimOp::WordShr {
                 return None;
             }
@@ -374,40 +384,32 @@ impl Bits<'_> {
         }
     }
 
-    /// Rewrites a test: fresh-boolean truthiness becomes a raw zero test,
-    /// and values statically distinguishable from `#f` fold.
-    fn rewrite_test(&mut self, t: Test, facts: &Facts) -> Test {
-        let Test::Truthy(a) = &t else { return t };
-        if let Some(v) = a.as_var() {
-            if let Some((op, args)) = self.defs.get(&v).cloned() {
-                if let (Some((btag, bshift)), true) = (self.bool_pattern, op == PrimOp::WordOr) {
-                    // or(shl(c, bshift), btag)
-                    if args[1] == Atom::Lit(Literal::Raw(btag)) {
-                        if let Some((PrimOp::WordShl, inner)) = self.def_of(&args[0]).cloned() {
-                            if inner[1] == Atom::Lit(Literal::Raw(bshift)) {
-                                self.changed += 1;
-                                return Test::NonZero(inner[0].clone());
-                            }
+    /// The rewrite of a test, if any: fresh-boolean truthiness becomes a
+    /// raw zero test, and values statically distinguishable from `#f` fold.
+    fn rewrite_test(&self, t: &Test, facts: &Facts) -> Option<Test> {
+        let Test::Truthy(a) = t else { return None };
+        let v = a.as_var()?;
+        if let Some((op, args)) = self.def(v) {
+            if let (Some((btag, bshift)), true) = (self.bool_pattern, op == PrimOp::WordOr) {
+                // or(shl(c, bshift), btag)
+                if args[1] == Atom::Lit(Literal::Raw(btag)) {
+                    if let Some((PrimOp::WordShl, inner)) = self.def_of(&args[0]) {
+                        if inner[1] == Atom::Lit(Literal::Raw(bshift)) {
+                            return Some(Test::NonZero(inner[0].clone()));
                         }
                     }
                 }
-                if let Some((0, bshift)) = self.bool_pattern {
-                    if op == PrimOp::WordShl && args[1] == Atom::Lit(Literal::Raw(bshift)) {
-                        self.changed += 1;
-                        return Test::NonZero(args[0].clone());
-                    }
-                }
             }
-            // A value whose known low bits differ from #f's cannot be false.
-            if let Some(fw) = self.false_word {
-                let (k, tl) = self.lowtag(a, facts, DEPTH);
-                if k > 0 && (fw as u64 & mask(k)) != tl {
-                    self.changed += 1;
-                    return Test::NonZero(Atom::Lit(Literal::Raw(1)));
+            if let Some((0, bshift)) = self.bool_pattern {
+                if op == PrimOp::WordShl && args[1] == Atom::Lit(Literal::Raw(bshift)) {
+                    return Some(Test::NonZero(args[0].clone()));
                 }
             }
         }
-        t
+        // A value whose known low bits differ from #f's cannot be false.
+        let fw = self.false_word?;
+        let (k, tl) = self.lowtag(a, facts, DEPTH);
+        (k > 0 && (fw as u64 & mask(k)) != tl).then_some(Test::NonZero(Atom::Lit(Literal::Raw(1))))
     }
 
     /// Branch refinement: when the test is `nonzero((x & mask) == tag)`
@@ -416,7 +418,7 @@ impl Bits<'_> {
     /// type check eliminate the identical checks dominated by it.
     fn refine_from_test(&self, t: &Test, then_facts: &mut Facts) {
         let Test::NonZero(a) = t else { return };
-        let Some((PrimOp::WordEq, eq_args)) = a.as_var().and_then(|v| self.defs.get(&v)) else {
+        let Some((PrimOp::WordEq, eq_args)) = self.def_of(a) else {
             return;
         };
         let (masked, tagv) = match (&eq_args[0], &eq_args[1]) {
@@ -424,8 +426,7 @@ impl Bits<'_> {
             (Atom::Lit(Literal::Raw(k)), m) => (m, *k as u64),
             _ => return,
         };
-        let Some((PrimOp::WordAnd, and_args)) = masked.as_var().and_then(|v| self.defs.get(&v))
-        else {
+        let Some((PrimOp::WordAnd, and_args)) = self.def_of(masked) else {
             return;
         };
         let (subject, mask_v) = match (&and_args[0], &and_args[1]) {
@@ -464,84 +465,74 @@ impl Bits<'_> {
         }
     }
 
-    fn walk(&mut self, e: Expr, facts: &mut Facts) -> Expr {
-        match e {
-            Expr::Let(v, Bound::Prim(op, args), body) => {
-                let replacement = self.rewrite(op, &args, facts);
-                let b = match replacement {
-                    Some(nb) => {
-                        self.changed += 1;
-                        nb
+    /// Walks `e` in place along its spine, rewriting each prim binding
+    /// under the facts that hold there.
+    fn walk(&mut self, e: &mut Expr, facts: &mut Facts) {
+        let mut e = e;
+        loop {
+            match e {
+                Expr::Let(v, b, _) => match b {
+                    Bound::Prim(op, args) => {
+                        if let Some(nb) = self.rewrite(*op, args, facts) {
+                            self.changed += 1;
+                            *b = nb;
+                        }
+                        if let Bound::Prim(op, args) = b {
+                            if op.pure() {
+                                let start = self.def_args.len() as u32;
+                                self.def_args.extend(args.iter().cloned());
+                                let end = self.def_args.len() as u32;
+                                self.defs.insert(*v, (*op, start, end));
+                            }
+                        }
+                        self.facts_from_bound(*v, b, facts);
                     }
-                    None => Bound::Prim(op, args),
-                };
-                if let Bound::Prim(op2, args2) = &b {
-                    if op2.pure() {
-                        self.defs.insert(v, (*op2, args2.clone()));
-                    }
-                }
-                self.facts_from_bound(v, &b, facts);
-                Expr::Let(v, b, Box::new(self.walk(*body, facts)))
-            }
-            Expr::Let(v, b, body) => {
-                let b = match b {
-                    Bound::Lambda(mut f) => {
+                    Bound::Lambda(f) => {
                         // Dominance holds: the closure can only run after
                         // this point. Scoped so nothing leaks back.
-                        f.body = Box::new(self.walk_scoped(*f.body, facts));
-                        Bound::Lambda(f)
+                        self.walk_scoped(&mut f.body, facts);
                     }
-                    Bound::If(t, x, y) => {
-                        let (t, x, y) = self.walk_branches(t, *x, *y, facts);
-                        Bound::If(t, Box::new(x), Box::new(y))
+                    Bound::If(t, x, y) => self.walk_branches(t, x, y, facts),
+                    Bound::Body(inner) => self.walk_scoped(inner, facts),
+                    _ => {}
+                },
+                Expr::If(t, x, y) => {
+                    self.walk_branches(t, x, y, facts);
+                    return;
+                }
+                Expr::LetRec(binds, _) => {
+                    for (_, f) in binds {
+                        self.walk_scoped(&mut f.body, facts);
                     }
-                    Bound::Body(inner) => Bound::Body(Box::new(self.walk_scoped(*inner, facts))),
-                    other => other,
-                };
-                Expr::Let(v, b, Box::new(self.walk(*body, facts)))
+                }
+                Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => return,
             }
-            Expr::If(t, x, y) => {
-                let (t, x, y) = self.walk_branches(t, *x, *y, facts);
-                Expr::If(t, Box::new(x), Box::new(y))
+            match e.next_mut() {
+                Some(next) => e = next,
+                None => unreachable!("only bindings go on"),
             }
-            Expr::LetRec(binds, body) => Expr::LetRec(
-                binds
-                    .into_iter()
-                    .map(|(v, mut f)| {
-                        f.body = Box::new(self.walk_scoped(*f.body, facts));
-                        (v, f)
-                    })
-                    .collect(),
-                Box::new(self.walk(*body, facts)),
-            ),
-            other => other,
         }
     }
 
     /// Walks `e` in a scope of its own: the facts it adds end with it.
-    fn walk_scoped(&mut self, e: Expr, facts: &mut Facts) -> Expr {
+    fn walk_scoped(&mut self, e: &mut Expr, facts: &mut Facts) {
         let mark = facts.mark();
-        let out = self.walk(e, facts);
+        self.walk(e, facts);
         facts.unwind(mark);
-        out
     }
 
     /// Walks the two arms of a branch on `t`, each in its own scope; the
     /// *then* arm also learns what passing the test proves.
-    fn walk_branches(
-        &mut self,
-        t: Test,
-        x: Expr,
-        y: Expr,
-        facts: &mut Facts,
-    ) -> (Test, Expr, Expr) {
-        let t = self.rewrite_test(t, facts);
+    fn walk_branches(&mut self, t: &mut Test, x: &mut Expr, y: &mut Expr, facts: &mut Facts) {
+        if let Some(nt) = self.rewrite_test(t, facts) {
+            self.changed += 1;
+            *t = nt;
+        }
         let mark = facts.mark();
-        self.refine_from_test(&t, facts);
-        let x = self.walk(x, facts);
+        self.refine_from_test(t, facts);
+        self.walk(x, facts);
         facts.unwind(mark);
-        let y = self.walk_scoped(y, facts);
-        (t, x, y)
+        self.walk_scoped(y, facts);
     }
 }
 
@@ -598,7 +589,8 @@ mod tests {
     fn fxadd_collapses_to_single_add() {
         let reg = fx_registry();
         let (e, assume) = fxadd_shape();
-        let (out, changed) = bits(e, &reg, &assume);
+        let mut out = e;
+        let changed = bits(&mut out, &reg, &assume);
         assert!(changed >= 1);
         fn find_final_add(e: &Expr) -> bool {
             match e {
@@ -620,7 +612,8 @@ mod tests {
     fn without_assumptions_no_collapse() {
         let reg = fx_registry();
         let (e, _) = fxadd_shape();
-        let (out, _) = bits(e, &reg, &Assumptions::default());
+        let mut out = e;
+        bits(&mut out, &reg, &Assumptions::default());
         fn still_shifted(e: &Expr) -> bool {
             match e {
                 Expr::Let(13, Bound::Prim(PrimOp::WordShl, _), _) => true,
@@ -654,7 +647,8 @@ mod tests {
                 )),
             )),
         );
-        let (out, _) = bits(e, &reg, &assume);
+        let mut out = e;
+        bits(&mut out, &reg, &assume);
         fn find(e: &Expr) -> bool {
             match e {
                 Expr::Let(12, Bound::Prim(PrimOp::WordLt, args), _) => {
@@ -683,7 +677,8 @@ mod tests {
                 Box::new(Expr::Ret(Atom::Var(11))),
             )),
         );
-        let (out, _) = bits(e, &reg, &assume);
+        let mut out = e;
+        bits(&mut out, &reg, &assume);
         fn find(e: &Expr) -> bool {
             match e {
                 Expr::Let(11, Bound::Prim(PrimOp::WordEq, args), _) => {
@@ -718,7 +713,8 @@ mod tests {
                 )),
             )),
         );
-        let (out, _) = bits(e, &reg, &Assumptions::default());
+        let mut out = e;
+        bits(&mut out, &reg, &Assumptions::default());
         fn find(e: &Expr) -> bool {
             match e {
                 Expr::If(Test::NonZero(Atom::Var(10)), _, _) => true,
@@ -746,7 +742,8 @@ mod tests {
                 Box::new(Expr::Ret(Atom::Var(10))),
             )),
         );
-        let (out, _) = bits(e, &reg, &assume);
+        let mut out = e;
+        bits(&mut out, &reg, &assume);
         fn folded(e: &Expr) -> bool {
             match e {
                 Expr::Let(10, Bound::Atom(Atom::Lit(Literal::Raw(0))), _) => true,
@@ -779,7 +776,8 @@ mod tests {
                 Box::new(Expr::Ret(Atom::Var(21))),
             )),
         );
-        let (out, _) = bits(e, &reg, &assume);
+        let mut out = e;
+        bits(&mut out, &reg, &assume);
         let Expr::If(_, _, els) = &out else { panic!() };
         assert!(
             matches!(&**els, Expr::Let(21, Bound::Prim(PrimOp::WordAnd, _), _)),
@@ -813,7 +811,8 @@ mod tests {
                 Box::new(Expr::Ret(Atom::Var(22))),
             )),
         );
-        let (out, _) = bits(e, &reg, &assume);
+        let mut out = e;
+        bits(&mut out, &reg, &assume);
         fn survived(e: &Expr) -> bool {
             match e {
                 Expr::Let(22, Bound::Prim(PrimOp::WordAnd, _), _) => true,
@@ -876,7 +875,8 @@ mod tests {
             ],
             Expr::Ret(Atom::Var(14)),
         );
-        let (out, _) = bits(e, &reg, &assume);
+        let mut out = e;
+        bits(&mut out, &reg, &assume);
         let shown = sxr_ir::pretty::expr_to_string(&out);
         let folded_to = |id| match bound_of(&out, id) {
             Some(Bound::Atom(Atom::Lit(Literal::Raw(w)))) => Some(*w),
@@ -911,7 +911,8 @@ mod tests {
                 Box::new(Expr::Ret(Atom::Var(10))),
             )),
         );
-        let (out, _) = bits(e, &reg, &assume);
+        let mut out = e;
+        bits(&mut out, &reg, &assume);
         fn find(e: &Expr) -> bool {
             match e {
                 Expr::Let(10, Bound::Prim(PrimOp::WordShr, args), _) => {
@@ -940,7 +941,8 @@ mod tests {
                 Box::new(Expr::Ret(Atom::Var(10))),
             )),
         );
-        let (out, _) = bits(e, &reg, &assume);
+        let mut out = e;
+        bits(&mut out, &reg, &assume);
         fn find(e: &Expr) -> bool {
             match e {
                 Expr::Let(10, Bound::Prim(PrimOp::WordShl, args), _) => {
@@ -979,7 +981,8 @@ mod tests {
                 )),
             )),
         );
-        let (out, _) = bits(e, &reg, &Assumptions::default());
+        let mut out = e;
+        bits(&mut out, &reg, &Assumptions::default());
         fn then_folded(e: &Expr) -> (bool, bool) {
             fn find(e: &Expr, id: u32) -> Option<bool> {
                 match e {
@@ -1016,7 +1019,8 @@ mod tests {
                 Box::new(Expr::Ret(Atom::raw(0))),
             )),
         );
-        let (out, _) = bits(e, &reg, &assume);
+        let mut out = e;
+        bits(&mut out, &reg, &assume);
         fn find(e: &Expr) -> bool {
             match e {
                 Expr::If(Test::NonZero(Atom::Lit(Literal::Raw(1))), _, _) => true,

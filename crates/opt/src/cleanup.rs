@@ -7,20 +7,20 @@
 //! Run to fixpoint by the pass manager (deleting one binding can make
 //! another's operands dead).
 
-use crate::util::{bound_deletable, diverges, sink_value};
+use crate::util::{bound_deletable, sink_value, sinkable};
 #[cfg(test)]
 use sxr_ir::anf::Atom;
 use sxr_ir::anf::{Bound, Expr, VarId};
 use sxr_ir::IdMap;
 
-/// One cleanup sweep; returns the new expression and how many rewrites
+/// One cleanup sweep over `e`, in place; returns how many rewrites
 /// happened.
-pub fn cleanup(e: Expr) -> (Expr, usize) {
+pub fn cleanup(e: &mut Expr) -> usize {
     let mut uses = IdMap::default();
     e.use_counts(&mut uses);
     let mut st = Clean { uses, changed: 0 };
-    let out = st.walk(e);
-    (out, st.changed)
+    st.walk(e);
+    st.changed
 }
 
 struct Clean {
@@ -33,95 +33,82 @@ impl Clean {
         self.uses.get(&v).copied().unwrap_or(0) > 0
     }
 
-    fn walk(&mut self, e: Expr) -> Expr {
-        match e {
-            Expr::Let(v, b, body) => {
-                let body = self.walk(*body);
-                // Simplify the binding first.
-                let b = match b {
-                    Bound::Body(inner) => {
-                        let inner = self.walk(*inner);
-                        // Sink the continuation through the body when that
-                        // does not duplicate code (straight lines, or
-                        // conditionals with a divergent branch).
-                        match sink_value(inner, v, body) {
-                            Ok(sunk) => {
-                                self.changed += 1;
-                                return sunk;
-                            }
-                            Err((inner, body)) => {
-                                return self.finish_let(v, Bound::Body(Box::new(inner)), body)
-                            }
-                        }
-                    }
-                    Bound::If(t, x, y) => {
-                        let x = self.walk(*x);
-                        let y = self.walk(*y);
-                        match (&x, &y) {
-                            (Expr::Ret(a), Expr::Ret(bb)) if a == bb => {
-                                self.changed += 1;
-                                Bound::Atom(a.clone())
-                            }
-                            _ => {
-                                if diverges(&x) || diverges(&y) {
-                                    let rebuilt = Expr::If(t, Box::new(x), Box::new(y));
-                                    match sink_value(rebuilt, v, body) {
-                                        Ok(sunk) => {
-                                            self.changed += 1;
-                                            return sunk;
-                                        }
-                                        Err((rebuilt, body)) => {
-                                            let Expr::If(t, x, y) = rebuilt else {
-                                                unreachable!()
-                                            };
-                                            return self.finish_let(v, Bound::If(t, x, y), body);
-                                        }
-                                    }
-                                }
-                                Bound::If(t, Box::new(x), Box::new(y))
-                            }
-                        }
-                    }
-                    Bound::Lambda(mut f) => {
-                        f.body = Box::new(self.walk(*f.body));
-                        Bound::Lambda(f)
-                    }
-                    other => other,
-                };
-                self.finish_let(v, b, body)
-            }
-            Expr::If(t, x, y) => Expr::If(t, Box::new(self.walk(*x)), Box::new(self.walk(*y))),
-            Expr::LetRec(binds, body) => {
-                let body = self.walk(*body);
-                // Drop letrec groups none of whose members are referenced.
-                let any_used = binds.iter().any(|(v, _)| self.used(*v));
-                if !any_used {
-                    self.changed += 1;
-                    return body;
+    /// Walks `e` in place along its spine. Use counts are those of the
+    /// sweep's input, so what a binding's fate depends on does not change
+    /// as the sweep goes: a binding that dies because another one did is
+    /// left for the next sweep.
+    fn walk(&mut self, e: &mut Expr) {
+        let mut e = e;
+        loop {
+            let (v, b) = match e {
+                Expr::Let(v, b, _) => (*v, b),
+                Expr::If(_, x, y) => {
+                    self.walk(x);
+                    self.walk(y);
+                    return;
                 }
-                Expr::LetRec(
-                    binds
-                        .into_iter()
-                        .map(|(v, mut f)| {
-                            f.body = Box::new(self.walk(*f.body));
-                            (v, f)
-                        })
-                        .collect(),
-                    Box::new(body),
-                )
+                Expr::LetRec(binds, _) => {
+                    // Drop letrec groups none of whose members are
+                    // referenced.
+                    if !binds.iter().any(|(v, _)| self.used(*v)) {
+                        self.changed += 1;
+                        e.unlink();
+                        continue;
+                    }
+                    for (_, f) in binds {
+                        self.walk(&mut f.body);
+                    }
+                    e = e.next_mut().expect("a letrec goes on");
+                    continue;
+                }
+                Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => return,
+            };
+            // Simplify the binding first.
+            let sink = match b {
+                // Sink the continuation through the body when that does
+                // not duplicate code (straight lines, or conditionals with
+                // a divergent branch).
+                Bound::Body(inner) => {
+                    self.walk(inner);
+                    true
+                }
+                Bound::If(_, x, y) => {
+                    self.walk(x);
+                    self.walk(y);
+                    match (&**x, &**y) {
+                        (Expr::Ret(a), Expr::Ret(a2)) if a == a2 => {
+                            self.changed += 1;
+                            *b = Bound::Atom(a.clone());
+                            false
+                        }
+                        _ => true,
+                    }
+                }
+                Bound::Lambda(f) => {
+                    self.walk(&mut f.body);
+                    false
+                }
+                _ => false,
+            };
+            if sink && sinkable(e) {
+                // `let v = a` now stands in front of `k`; it is new, so the
+                // sweep goes on after it.
+                self.changed += 1;
+                e = sink_value(e);
+                continue;
             }
-            other => other,
+            let Expr::Let(_, b, _) = e else {
+                unreachable!("matched a `let`")
+            };
+            if !self.used(v) && bound_deletable(b) {
+                self.changed += 1;
+                // The dropped binding's operand uses disappear with it; the
+                // next fixpoint iteration picks up newly dead bindings.
+                e.unlink();
+                continue;
+            }
+            e = e.next_mut().expect("a `let` goes on");
         }
-    }
-
-    fn finish_let(&mut self, v: VarId, b: Bound, body: Expr) -> Expr {
-        if !self.used(v) && bound_deletable(&b) {
-            self.changed += 1;
-            // The dropped binding's operand uses disappear with it; the
-            // next fixpoint iteration picks up newly dead bindings.
-            return body;
-        }
-        Expr::Let(v, b, Box::new(body))
     }
 }
 
@@ -137,7 +124,8 @@ mod tests {
             Bound::Prim(PrimOp::WordAdd, vec![Atom::raw(1), Atom::raw(2)]),
             Box::new(Expr::Ret(Atom::raw(0))),
         );
-        let (out, n) = cleanup(e);
+        let mut out = e;
+        let n = cleanup(&mut out);
         assert_eq!(n, 1);
         assert_eq!(out, Expr::Ret(Atom::raw(0)));
     }
@@ -149,7 +137,8 @@ mod tests {
             Bound::Prim(PrimOp::WriteChar, vec![Atom::raw(65)]),
             Box::new(Expr::Ret(Atom::raw(0))),
         );
-        let (out, n) = cleanup(e);
+        let mut out = e;
+        let n = cleanup(&mut out);
         assert_eq!(n, 0);
         assert!(matches!(out, Expr::Let(..)));
     }
@@ -166,9 +155,10 @@ mod tests {
                 Box::new(Expr::Ret(Atom::raw(0))),
             )),
         );
-        let (out, n1) = cleanup(e);
+        let mut out = e;
+        let n1 = cleanup(&mut out);
         assert_eq!(n1, 1);
-        let (out, n2) = cleanup(out);
+        let n2 = cleanup(&mut out);
         assert_eq!(n2, 1);
         assert_eq!(out, Expr::Ret(Atom::raw(0)));
     }
@@ -180,7 +170,8 @@ mod tests {
             Bound::Body(Box::new(Expr::Ret(Atom::raw(5)))),
             Box::new(Expr::Ret(Atom::Var(1))),
         );
-        let (out, _) = cleanup(e);
+        let mut out = e;
+        cleanup(&mut out);
         assert!(matches!(out, Expr::Let(1, Bound::Atom(_), _)));
     }
 
@@ -196,7 +187,8 @@ mod tests {
             Bound::Body(Box::new(inner)),
             Box::new(Expr::Ret(Atom::Var(1))),
         );
-        let (out, _) = cleanup(e);
+        let mut out = e;
+        cleanup(&mut out);
         // let v2 = add in let v1 = v2 in ret v1
         assert!(matches!(out, Expr::Let(2, Bound::Prim(..), _)));
     }
@@ -212,7 +204,8 @@ mod tests {
             ),
             Box::new(Expr::Ret(Atom::Var(1))),
         );
-        let (out, _) = cleanup(e);
+        let mut out = e;
+        cleanup(&mut out);
         assert!(matches!(out, Expr::Let(1, Bound::Atom(Atom::Lit(_)), _)));
     }
 
@@ -230,7 +223,8 @@ mod tests {
             )],
             Box::new(Expr::Ret(Atom::raw(1))),
         );
-        let (out, n) = cleanup(e);
+        let mut out = e;
+        let n = cleanup(&mut out);
         assert_eq!(n, 1);
         assert_eq!(out, Expr::Ret(Atom::raw(1)));
     }

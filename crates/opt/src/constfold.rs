@@ -27,17 +27,18 @@ impl std::fmt::Display for FoldError {
 
 impl std::error::Error for FoldError {}
 
-/// Runs constant/copy propagation and folding over the whole program.
+/// Runs constant/copy propagation and folding over the whole program, in
+/// place.
 ///
 /// # Errors
 ///
 /// Returns [`FoldError`] when folding a representation declaration fails
-/// (conflicting parameters, bad role).
+/// (conflicting parameters, bad role). `e` is then partly rewritten.
 pub fn constfold(
-    e: Expr,
+    e: &mut Expr,
     globals: &IdMap<GlobalId, Literal>,
     registry: &mut RepRegistry,
-) -> Result<Expr, FoldError> {
+) -> Result<(), FoldError> {
     let mut st = Folder {
         globals,
         registry,
@@ -54,15 +55,11 @@ struct Folder<'a> {
 }
 
 impl Folder<'_> {
-    fn resolve(&self, a: &Atom) -> Atom {
-        match a {
-            Atom::Var(v) => self.env.get(v).cloned().unwrap_or_else(|| a.clone()),
-            lit => lit.clone(),
+    /// Replaces `a` by what its variable resolves to, if anything.
+    fn resolve(&self, a: &mut Atom) {
+        if let Some(r) = a.as_var().and_then(|v| self.env.get(&v)) {
+            *a = r.clone();
         }
-    }
-
-    fn resolve_all(&self, atoms: &[Atom]) -> Vec<Atom> {
-        atoms.iter().map(|a| self.resolve(a)).collect()
     }
 
     fn word_of(&self, a: &Atom) -> Option<i64> {
@@ -171,87 +168,82 @@ impl Folder<'_> {
         }
     }
 
-    fn walk(&mut self, e: Expr) -> Result<Expr, FoldError> {
-        Ok(match e {
-            Expr::Let(v, b, body) => {
-                let b = self.walk_bound(b)?;
-                // Record substitutions for trivial bindings.
-                if let Bound::Atom(a) = &b {
-                    self.env.insert(v, a.clone());
+    /// Walks `e` in place along its spine. A conditional whose test folds
+    /// is replaced by the arm it takes, and the walk goes on into that arm.
+    fn walk(&mut self, e: &mut Expr) -> Result<(), FoldError> {
+        let mut e = e;
+        loop {
+            match e {
+                Expr::Let(v, b, _) => {
+                    self.walk_bound(b)?;
+                    // Record substitutions for trivial bindings.
+                    if let Bound::Atom(a) = b {
+                        self.env.insert(*v, a.clone());
+                    }
                 }
-                Expr::Let(v, b, Box::new(self.walk(*body)?))
-            }
-            Expr::If(t, a, b) => {
-                let t = self.resolve_test(t);
-                match self.fold_test(&t) {
-                    Some(true) => self.walk(*a)?,
-                    Some(false) => self.walk(*b)?,
-                    None => Expr::If(t, Box::new(self.walk(*a)?), Box::new(self.walk(*b)?)),
+                Expr::If(t, a, b) => {
+                    self.resolve(t.atom_mut());
+                    let arm = match self.fold_test(t) {
+                        Some(true) => a.take(),
+                        Some(false) => b.take(),
+                        None => {
+                            self.walk(a)?;
+                            return self.walk(b);
+                        }
+                    };
+                    *e = arm;
+                    continue;
+                }
+                Expr::LetRec(binds, _) => {
+                    for (_, f) in binds {
+                        self.walk(&mut f.body)?;
+                    }
+                }
+                tail => {
+                    tail.for_each_atom_shallow_mut(&mut |a| self.resolve(a));
+                    return Ok(());
                 }
             }
-            Expr::Ret(a) => Expr::Ret(self.resolve(&a)),
-            Expr::TailCall(f, args) => Expr::TailCall(self.resolve(&f), self.resolve_all(&args)),
-            Expr::TailCallKnown(fid, clo, args) => {
-                Expr::TailCallKnown(fid, self.resolve(&clo), self.resolve_all(&args))
+            match e.next_mut() {
+                Some(next) => e = next,
+                None => unreachable!("only bindings go on"),
             }
-            Expr::LetRec(binds, body) => {
-                let binds = binds
-                    .into_iter()
-                    .map(|(v, mut f)| {
-                        f.body = Box::new(self.walk(*f.body)?);
-                        Ok((v, f))
-                    })
-                    .collect::<Result<_, FoldError>>()?;
-                Expr::LetRec(binds, Box::new(self.walk(*body)?))
-            }
-        })
-    }
-
-    fn resolve_test(&self, t: Test) -> Test {
-        match t {
-            Test::Truthy(a) => Test::Truthy(self.resolve(&a)),
-            Test::NonZero(a) => Test::NonZero(self.resolve(&a)),
         }
     }
 
-    fn walk_bound(&mut self, b: Bound) -> Result<Bound, FoldError> {
-        Ok(match b {
-            Bound::Atom(a) => Bound::Atom(self.resolve(&a)),
+    fn walk_bound(&mut self, b: &mut Bound) -> Result<(), FoldError> {
+        match b {
             Bound::Prim(op, args) => {
-                let args = self.resolve_all(&args);
-                match self.fold_prim(op, &args)? {
-                    Some(lit) => Bound::Atom(Atom::Lit(lit)),
-                    None => Bound::Prim(op, args),
+                args.iter_mut().for_each(|a| self.resolve(a));
+                if let Some(lit) = self.fold_prim(*op, args)? {
+                    *b = Bound::Atom(Atom::Lit(lit));
                 }
             }
-            Bound::Call(f, args) => Bound::Call(self.resolve(&f), self.resolve_all(&args)),
-            Bound::CallKnown(fid, clo, args) => {
-                Bound::CallKnown(fid, self.resolve(&clo), self.resolve_all(&args))
-            }
-            Bound::GlobalGet(g) => match self.globals.get(&g) {
-                Some(lit) => Bound::Atom(Atom::Lit(lit.clone())),
-                None => Bound::GlobalGet(g),
-            },
-            Bound::GlobalSet(g, a) => Bound::GlobalSet(g, self.resolve(&a)),
-            Bound::Lambda(mut f) => {
-                f.body = Box::new(self.walk(*f.body)?);
-                Bound::Lambda(f)
-            }
-            Bound::MakeClosure(fid, frees) => Bound::MakeClosure(fid, self.resolve_all(&frees)),
-            Bound::ClosureRef(i) => Bound::ClosureRef(i),
-            Bound::ClosurePatch(c, i, x) => {
-                Bound::ClosurePatch(self.resolve(&c), i, self.resolve(&x))
-            }
-            Bound::If(t, a, bexp) => {
-                let t = self.resolve_test(t);
-                match self.fold_test(&t) {
-                    Some(true) => Bound::Body(Box::new(self.walk(*a)?)),
-                    Some(false) => Bound::Body(Box::new(self.walk(*bexp)?)),
-                    None => Bound::If(t, Box::new(self.walk(*a)?), Box::new(self.walk(*bexp)?)),
+            Bound::GlobalGet(g) => {
+                if let Some(lit) = self.globals.get(g) {
+                    *b = Bound::Atom(Atom::Lit(lit.clone()));
                 }
             }
-            Bound::Body(inner) => Bound::Body(Box::new(self.walk(*inner)?)),
-        })
+            Bound::Lambda(f) => self.walk(&mut f.body)?,
+            Bound::If(t, x, y) => {
+                self.resolve(t.atom_mut());
+                let Some(taken) = self.fold_test(t) else {
+                    self.walk(x)?;
+                    return self.walk(y);
+                };
+                let Bound::If(_, x, y) = b.take() else {
+                    unreachable!("matched a conditional")
+                };
+                *b = Bound::Body(if taken { x } else { y });
+                let Bound::Body(inner) = b else {
+                    unreachable!("just made a body")
+                };
+                self.walk(inner)?;
+            }
+            Bound::Body(inner) => self.walk(inner)?,
+            other => other.for_each_atom_shallow_mut(&mut |a| self.resolve(a)),
+        }
+        Ok(())
     }
 }
 
@@ -271,12 +263,13 @@ mod tests {
         let mut reg = RepRegistry::new();
         let rep_globals = crate::scan::scan_representations(&lowered.main_body, &mut reg).unwrap();
         let globals = crate::globals::global_constants(&lowered.main_body, &rep_globals);
-        let mut e = constfold(lowered.main_body, &globals, &mut reg).unwrap();
+        let mut e = lowered.main_body;
+        constfold(&mut e, &globals, &mut reg).unwrap();
         // Folding is interleaved with cleanup in the real pipeline; do the
         // same here so folded branches splice through.
         for _ in 0..4 {
-            let (e2, _) = crate::cleanup::cleanup(e);
-            e = constfold(e2, &globals, &mut reg).unwrap();
+            crate::cleanup::cleanup(&mut e);
+            constfold(&mut e, &globals, &mut reg).unwrap();
         }
         (e, reg)
     }
@@ -344,7 +337,8 @@ mod tests {
                 Box::new(Expr::Ret(Atom::Var(2))),
             )),
         );
-        let e = constfold(e, &IdMap::default(), &mut reg).unwrap();
+        let mut e = e;
+        constfold(&mut e, &IdMap::default(), &mut reg).unwrap();
         match final_ret(&e) {
             Expr::Ret(Atom::Lit(Literal::Raw(7))) => {}
             other => panic!("expected 7, got {other:?}"),

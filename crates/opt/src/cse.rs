@@ -7,90 +7,144 @@
 //! stays valid however many times the closure runs) but what they make
 //! available does not leak out of them.
 
-use crate::util::ScopedMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use sxr_ir::anf::{Atom, Bound, Expr, VarId};
 use sxr_ir::prim::PrimOp;
+use sxr_ir::IdMap;
 
-/// Runs CSE; returns the rewritten program and the replacement count.
-pub fn cse(e: Expr) -> (Expr, usize) {
+/// Runs CSE over `e` in place; returns the replacement count.
+pub fn cse(e: &mut Expr) -> usize {
     let mut st = Cse {
         changed: 0,
-        avail: Avail::default(),
+        hasher: RandomState::new(),
+        newest: IdMap::default(),
+        seen: Vec::new(),
+        operands: Vec::new(),
+        open: vec![0],
+        scopes: 1,
     };
-    let out = st.walk(e);
-    (out, st.changed)
+    st.walk(e);
+    st.changed
 }
 
-/// The pure operations available at the current program point, each with
-/// the variable that holds its result. (Keyed by operands that may be
-/// literals from the source, so it keeps std's keyed hasher.)
-type Avail = ScopedMap<(PrimOp, Vec<Atom>), VarId>;
+/// A pure operation seen so far.
+struct Seen {
+    op: PrimOp,
+    /// Where its operands start and end in `Cse::operands`.
+    start: u32,
+    end: u32,
+    /// The variable that holds its result, and the scope that made it:
+    /// its depth and id.
+    var: VarId,
+    depth: u32,
+    scope: u32,
+    /// The next older operation whose hash is the same.
+    older: Option<u32>,
+}
 
 struct Cse {
     changed: usize,
-    avail: Avail,
+    /// Hashes operations. (Operands may be literals from the source, so it
+    /// keeps std's keyed hasher.)
+    hasher: RandomState,
+    /// The newest entry of `seen` for each operation hash (a keyed hash,
+    /// so the id hasher is safe on it).
+    newest: IdMap<u64, u32>,
+    /// Every distinct operation seen, oldest first.
+    seen: Vec<Seen>,
+    /// The operands of every entry of `seen`, one after another.
+    operands: Vec<Atom>,
+    /// The ids of the scopes open at the current program point, outermost
+    /// first. An entry is available exactly when the scope that made it is
+    /// still open: `open[depth] == scope`. A scope's id is never reused, so
+    /// closing a scope needs no undo: its entries go stale, and a later
+    /// miss on one takes it over.
+    open: Vec<u32>,
+    /// Scope ids handed out so far.
+    scopes: u32,
 }
 
 impl Cse {
-    fn walk(&mut self, e: Expr) -> Expr {
-        match e {
-            Expr::Let(v, Bound::Prim(op, args), body) => {
-                if op.pure() {
-                    let key = (op, args.clone());
-                    if let Some(&prev) = self.avail.get(&key) {
-                        self.changed += 1;
-                        let b = Bound::Atom(Atom::Var(prev));
-                        return Expr::Let(v, b, Box::new(self.walk(*body)));
+    fn walk(&mut self, e: &mut Expr) {
+        let mut e = e;
+        loop {
+            match e {
+                Expr::Let(v, b, _) => match b {
+                    Bound::Prim(op, args) if op.pure() => {
+                        if let Some(prev) = self.lookup(*v, *op, args) {
+                            self.changed += 1;
+                            *b = Bound::Atom(Atom::Var(prev));
+                        }
                     }
-                    self.avail.insert(key, v);
+                    Bound::Lambda(f) => self.walk_scoped(&mut f.body),
+                    Bound::If(_, x, y) => {
+                        self.walk_scoped(x);
+                        self.walk_scoped(y);
+                    }
+                    // A straight-line body shares the parent scope.
+                    Bound::Body(inner) => self.walk(inner),
+                    _ => {}
+                },
+                Expr::If(_, x, y) => {
+                    self.walk_scoped(x);
+                    self.walk_scoped(y);
+                    return;
                 }
-                Expr::Let(v, Bound::Prim(op, args), Box::new(self.walk(*body)))
-            }
-            Expr::Let(v, b, body) => {
-                let b = match b {
-                    Bound::Lambda(mut f) => {
-                        f.body = Box::new(self.walk_scoped(*f.body));
-                        Bound::Lambda(f)
+                Expr::LetRec(binds, _) => {
+                    for (_, f) in binds {
+                        self.walk_scoped(&mut f.body);
                     }
-                    Bound::If(t, x, y) => Bound::If(
-                        t,
-                        Box::new(self.walk_scoped(*x)),
-                        Box::new(self.walk_scoped(*y)),
-                    ),
-                    Bound::Body(inner) => {
-                        // A straight-line body shares the parent scope.
-                        Bound::Body(Box::new(self.walk(*inner)))
-                    }
-                    other => other,
-                };
-                Expr::Let(v, b, Box::new(self.walk(*body)))
+                }
+                Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => return,
             }
-            Expr::If(t, x, y) => Expr::If(
-                t,
-                Box::new(self.walk_scoped(*x)),
-                Box::new(self.walk_scoped(*y)),
-            ),
-            Expr::LetRec(binds, body) => Expr::LetRec(
-                binds
-                    .into_iter()
-                    .map(|(v, mut f)| {
-                        f.body = Box::new(self.walk_scoped(*f.body));
-                        (v, f)
-                    })
-                    .collect(),
-                Box::new(self.walk(*body)),
-            ),
-            other => other,
+            match e.next_mut() {
+                Some(next) => e = next,
+                None => unreachable!("only bindings go on"),
+            }
         }
+    }
+
+    /// The variable already holding `op args`, if one is available here;
+    /// otherwise makes `v` the one that does and returns `None`.
+    fn lookup(&mut self, v: VarId, op: PrimOp, args: &[Atom]) -> Option<VarId> {
+        let depth = self.open.len() - 1;
+        let scope = self.open[depth];
+        let hash = self.hasher.hash_one((op, args));
+        let mut at = self.newest.get(&hash).copied();
+        while let Some(i) = at {
+            let seen = &mut self.seen[i as usize];
+            if seen.op == op && self.operands[seen.start as usize..seen.end as usize] == *args {
+                if self.open.get(seen.depth as usize) == Some(&seen.scope) {
+                    return Some(seen.var);
+                }
+                (seen.var, seen.depth, seen.scope) = (v, depth as u32, scope);
+                return None;
+            }
+            at = seen.older;
+        }
+        let start = self.operands.len() as u32;
+        self.operands.extend_from_slice(args);
+        self.seen.push(Seen {
+            op,
+            start,
+            end: self.operands.len() as u32,
+            var: v,
+            depth: depth as u32,
+            scope,
+            older: self.newest.get(&hash).copied(),
+        });
+        self.newest.insert(hash, self.seen.len() as u32 - 1);
+        None
     }
 
     /// Walks `e` in a scope of its own: what it makes available ends
     /// with it.
-    fn walk_scoped(&mut self, e: Expr) -> Expr {
-        let mark = self.avail.mark();
-        let out = self.walk(e);
-        self.avail.unwind(mark);
-        out
+    fn walk_scoped(&mut self, e: &mut Expr) {
+        self.open.push(self.scopes);
+        self.scopes += 1;
+        self.walk(e);
+        self.open.pop();
     }
 }
 
@@ -111,7 +165,8 @@ mod tests {
                 Box::new(Expr::Ret(Atom::Var(2))),
             )),
         );
-        let (out, n) = cse(e);
+        let mut out = e;
+        let n = cse(&mut out);
         assert_eq!(n, 1);
         let Expr::Let(1, _, rest) = out else { panic!() };
         assert!(matches!(*rest, Expr::Let(2, Bound::Atom(Atom::Var(1)), _)));
@@ -126,7 +181,8 @@ mod tests {
             Box::new(Expr::Let(1, mk(), Box::new(Expr::Ret(Atom::Var(1))))),
             Box::new(Expr::Let(2, mk(), Box::new(Expr::Ret(Atom::Var(2))))),
         );
-        let (_, n) = cse(e);
+        let mut e = e;
+        let n = cse(&mut e);
         assert_eq!(n, 0, "sibling branches cannot share");
     }
 
@@ -152,7 +208,8 @@ mod tests {
                 Box::new(Expr::Let(4, mk(), Box::new(Expr::Ret(Atom::Var(4))))),
             )),
         );
-        let (out, n) = cse(e);
+        let mut out = e;
+        let n = cse(&mut out);
         assert_eq!(n, 1, "{}", sxr_ir::pretty::expr_to_string(&out));
         let Expr::Let(1, _, rest) = out else { panic!() };
         assert!(matches!(*rest, Expr::Let(3, Bound::Prim(WordShr, _), _)));
@@ -171,7 +228,8 @@ mod tests {
             mk(),
             Box::new(Expr::Let(3, mk(), Box::new(Expr::Ret(Atom::Var(3))))),
         );
-        let (_, n) = cse(e);
+        let mut e = e;
+        let n = cse(&mut e);
         assert_eq!(n, 0, "memory reads may not be merged across stores");
     }
 }

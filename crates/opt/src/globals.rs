@@ -9,7 +9,8 @@
 //!
 //! Both analyses run every round, so they borrow the program: only a
 //! definition the inliner can use (within its size threshold and not
-//! recursive) is copied out.
+//! recursive) is copied out, and only when it changed since the last copy
+//! ([`DefCache`]).
 
 use std::rc::Rc;
 use sxr_ir::anf::{Atom, Bound, Expr, FunDef, GlobalId, Literal, VarId, Walk};
@@ -27,31 +28,63 @@ pub struct GlobalFun {
     pub recursive: bool,
 }
 
+/// Copies of small lambda definitions, shared by the inliner's tables and
+/// kept across passes and rounds.
+///
+/// A copy is keyed by the variable its lambda is bound to (unique, since
+/// the IR is alpha-renamed). [`DefCache::share`] hands out the copy made
+/// last time when the definition still equals it, and makes a new one only
+/// when a pass has rewritten the definition since: copy on write, with the
+/// comparison standing in for the write barrier. The comparison is
+/// allocation-free and bounded by the inlining threshold.
+#[derive(Debug, Default)]
+pub struct DefCache(IdMap<VarId, Rc<FunDef>>);
+
+impl DefCache {
+    /// A shared copy of `def`, the lambda bound to `v`.
+    pub fn share(&mut self, v: VarId, def: &FunDef) -> Rc<FunDef> {
+        match self.0.get(&v) {
+            Some(copy) if **copy == *def => Rc::clone(copy),
+            _ => {
+                let copy = Rc::new(def.clone());
+                self.0.insert(v, Rc::clone(&copy));
+                copy
+            }
+        }
+    }
+}
+
 /// Computes a [`GlobalFun`] for every global defined once to a lambda,
-/// snapshotting the definitions whose body is at most `threshold` IR
-/// nodes.
+/// snapshotting (through `defs`) the definitions whose body is at most
+/// `threshold` IR nodes.
 pub fn analyze_globals(
     main_body: &Expr,
     rep_globals: &std::collections::HashMap<GlobalId, RepId>,
     threshold: usize,
+    defs: &mut DefCache,
 ) -> IdMap<GlobalId, GlobalFun> {
     let set_counts = count_sets(main_body);
     // Representation globals are constants of rep type, never functions.
-    let funs: Vec<(GlobalId, &FunDef)> = single_defs(main_body, &set_counts)
+    let funs: Vec<(GlobalId, VarId, &FunDef)> = single_defs(main_body, &set_counts)
         .into_iter()
         .filter_map(|(g, def)| match def {
-            Def::Fun(f) if !rep_globals.contains_key(&g) => Some((g, f)),
+            Def::Fun(v, f) if !rep_globals.contains_key(&g) => Some((g, v, f)),
             _ => None,
         })
         .collect();
 
     // The reference graph over these globals, from the borrowed bodies
     // (large ones too: a cycle may run through a body never inlined).
-    let node: IdMap<GlobalId, usize> = funs.iter().enumerate().map(|(i, (g, _))| (*g, i)).collect();
+    let node: IdMap<GlobalId, usize> = funs
+        .iter()
+        .enumerate()
+        .map(|(i, (g, _, _))| (*g, i))
+        .collect();
+    let mut refs = IdSet::default();
     let succ: Vec<Vec<usize>> = funs
         .iter()
-        .map(|(_, f)| {
-            let mut refs = IdSet::default();
+        .map(|(_, _, f)| {
+            refs.clear();
             collect_global_refs(&f.body, &mut refs);
             refs.iter().filter_map(|g| node.get(g).copied()).collect()
         })
@@ -60,9 +93,9 @@ pub fn analyze_globals(
 
     funs.iter()
         .zip(cyclic)
-        .map(|(&(g, f), recursive)| {
+        .map(|(&(g, v, f), recursive)| {
             let usable = !recursive && !f.body.size_exceeds(threshold);
-            let def = usable.then(|| Rc::new(f.clone()));
+            let def = usable.then(|| defs.share(v, f));
             (g, GlobalFun { def, recursive })
         })
         .collect()
@@ -79,7 +112,7 @@ pub fn global_constants(
         .into_iter()
         .filter_map(|(g, def)| match def {
             Def::Const(l) => Some((g, l.clone())),
-            Def::Fun(_) => None,
+            Def::Fun(..) => None,
         })
         .collect();
     for (g, rid) in rep_globals {
@@ -90,10 +123,11 @@ pub fn global_constants(
     out
 }
 
-/// What a single definition stores.
+/// What a single definition stores: a literal, or the lambda bound to a
+/// variable.
 enum Def<'e> {
     Const(&'e Literal),
-    Fun(&'e FunDef),
+    Fun(VarId, &'e FunDef),
 }
 
 /// The globals assigned exactly once in the whole program, by a spine
@@ -114,7 +148,7 @@ fn single_defs<'e>(
                 Atom::Lit(l) => out.push((*g, Def::Const(l))),
                 Atom::Var(src) => {
                     if let Some(f) = lambdas.get(src) {
-                        out.push((*g, Def::Fun(f)));
+                        out.push((*g, Def::Fun(*src, f)));
                     }
                 }
             },
@@ -228,7 +262,10 @@ mod tests {
 
     fn analyze(src: &str) -> (IdMap<GlobalId, GlobalFun>, sxr_ast::Program) {
         let (e, prog) = lower(src);
-        (analyze_globals(&e, &HashMap::new(), THRESHOLD), prog)
+        (
+            analyze_globals(&e, &HashMap::new(), THRESHOLD, &mut DefCache::default()),
+            prog,
+        )
     }
 
     fn recursive(info: &IdMap<GlobalId, GlobalFun>, prog: &sxr_ast::Program, name: &str) -> bool {
@@ -253,7 +290,10 @@ mod tests {
         let (e, prog) = lower("(define limit 100)");
         let g = prog.global_by_name("limit").unwrap();
         assert!(global_constants(&e, &HashMap::new()).contains_key(&g));
-        assert!(!analyze_globals(&e, &HashMap::new(), THRESHOLD).contains_key(&g));
+        assert!(
+            !analyze_globals(&e, &HashMap::new(), THRESHOLD, &mut DefCache::default())
+                .contains_key(&g)
+        );
     }
 
     #[test]
@@ -262,7 +302,10 @@ mod tests {
         let x = prog.global_by_name("x").unwrap();
         let f = prog.global_by_name("f").unwrap();
         assert!(!global_constants(&e, &HashMap::new()).contains_key(&x));
-        assert!(!analyze_globals(&e, &HashMap::new(), THRESHOLD).contains_key(&f));
+        assert!(
+            !analyze_globals(&e, &HashMap::new(), THRESHOLD, &mut DefCache::default())
+                .contains_key(&f)
+        );
     }
 
     #[test]
@@ -313,9 +356,9 @@ mod tests {
         let (e, prog) = lower("(define (f n) (%word+ n 1) (%word+ n 2) (%word+ n 3))");
         let g = prog.global_by_name("f").unwrap();
         let size = e.size();
-        let small = analyze_globals(&e, &HashMap::new(), size);
+        let small = analyze_globals(&e, &HashMap::new(), size, &mut DefCache::default());
         assert!(small[&g].def.is_some());
-        let none = analyze_globals(&e, &HashMap::new(), 0);
+        let none = analyze_globals(&e, &HashMap::new(), 0, &mut DefCache::default());
         assert!(none[&g].def.is_none() && !none[&g].recursive);
     }
 

@@ -4,7 +4,7 @@
 //! specialization can see the constant, and the algebraic passes can cancel
 //! the tag traffic.
 
-use crate::globals::GlobalFun;
+use crate::globals::{DefCache, GlobalFun};
 use crate::util::{convert_tails, try_splice};
 use std::rc::Rc;
 use sxr_ir::anf::{refresh, Atom, Bound, Expr, FunDef, GlobalId, NameSupply, VarId};
@@ -23,28 +23,32 @@ pub struct InlineReport {
     pub visits: usize,
 }
 
-/// Runs one inlining pass, inlining callees of at most `threshold` IR
-/// nodes. Returns the rewritten program and what the pass did.
+/// Runs one inlining pass over `e` in place, inlining callees of at most
+/// `threshold` IR nodes. Copies of let-bound definitions come from (and go
+/// into) `defs`. Returns what the pass did.
 pub fn inline(
-    e: Expr,
+    e: &mut Expr,
     globals: &IdMap<GlobalId, GlobalFun>,
     supply: &mut NameSupply,
     threshold: usize,
-) -> (Expr, InlineReport) {
+    defs: &mut DefCache,
+) -> InlineReport {
     let mut st = Inliner {
         globals,
         supply,
+        defs,
         env: IdMap::default(),
         threshold,
         report: InlineReport::default(),
     };
-    let out = st.walk(e);
-    (out, st.report)
+    st.walk(e);
+    st.report
 }
 
 struct Inliner<'a> {
     globals: &'a IdMap<GlobalId, GlobalFun>,
     supply: &'a mut NameSupply,
+    defs: &'a mut DefCache,
     /// Variables statically bound to a known function definition.
     env: IdMap<VarId, Rc<FunDef>>,
     /// Maximum callee body size (IR nodes) to inline.
@@ -84,81 +88,81 @@ impl Inliner<'_> {
         refresh(&def.body, &mut map, self.supply)
     }
 
-    fn walk(&mut self, e: Expr) -> Expr {
-        self.report.visits += 1;
-        match e {
-            Expr::Let(v, Bound::Lambda(mut f), body) => {
-                f.body = Box::new(self.walk(*f.body));
-                // A body over the threshold can never be a candidate.
-                if !f.body.size_exceeds(self.threshold) {
-                    self.env.insert(v, Rc::new(f.clone()));
+    /// Walks `e` in pre-order along its spine, inlining at each candidate
+    /// call site. An inlined body is walked on its own first (it may hold
+    /// inlinable calls itself: wrappers over wrappers), then grafted into
+    /// the call's slot, and the walk goes on from that slot, so the grafted
+    /// code is walked once more, where the spliced `let v = a` registers
+    /// `v` when `a` is a known function.
+    fn walk(&mut self, e: &mut Expr) {
+        let mut e = e;
+        loop {
+            self.report.visits += 1;
+            match e {
+                Expr::Let(v, Bound::Lambda(f), _) => {
+                    self.walk(&mut f.body);
+                    // A body over the threshold can never be a candidate.
+                    if !f.body.size_exceeds(self.threshold) {
+                        let def = self.defs.share(*v, f);
+                        self.env.insert(*v, def);
+                    }
                 }
-                Expr::Let(v, Bound::Lambda(f), Box::new(self.walk(*body)))
-            }
-            Expr::Let(v, Bound::GlobalGet(g), body) => {
-                if let Some(GlobalFun { def: Some(def), .. }) = self.globals.get(&g) {
-                    self.env.insert(v, Rc::clone(def));
+                Expr::Let(v, Bound::GlobalGet(g), _) => {
+                    if let Some(GlobalFun { def: Some(def), .. }) = self.globals.get(g) {
+                        self.env.insert(*v, Rc::clone(def));
+                    }
                 }
-                Expr::Let(v, Bound::GlobalGet(g), Box::new(self.walk(*body)))
-            }
-            Expr::Let(v, Bound::Call(f, args), body) => {
-                if let Some(def) = self.candidate(&f, args.len()) {
-                    let mut inlined = self.instantiate(&def, &args);
-                    // The callee body may itself contain inlinable calls
-                    // (wrappers over wrappers): walk it on its own first,
-                    // so the remainder is walked once, in the grafted code,
-                    // where the spliced `let v = a` registers `v` when `a`
-                    // is a known function.
-                    convert_tails(&mut inlined, self.supply);
-                    let inlined = self.walk(inlined);
-                    let grafted = match try_splice(inlined, v, *body) {
-                        Ok(spliced) => spliced,
-                        Err((inlined, rest)) => {
-                            Expr::Let(v, Bound::Body(Box::new(inlined)), Box::new(rest))
+                Expr::Let(_, Bound::Call(f, args), _) => {
+                    if let Some(def) = self.candidate(f, args.len()) {
+                        let mut inlined = self.instantiate(&def, args);
+                        convert_tails(&mut inlined, self.supply);
+                        self.walk(&mut inlined);
+                        if let Err(inlined) = try_splice(e, inlined) {
+                            let Expr::Let(_, b, _) = e else {
+                                unreachable!("matched a `let`")
+                            };
+                            *b = Bound::Body(Box::new(inlined));
                         }
-                    };
-                    return self.walk(grafted);
+                        continue;
+                    }
                 }
-                Expr::Let(v, Bound::Call(f, args), Box::new(self.walk(*body)))
-            }
-            Expr::TailCall(f, args) => {
-                if let Some(def) = self.candidate(&f, args.len()) {
-                    let inlined = self.instantiate(&def, &args);
-                    return self.walk(inlined);
+                Expr::Let(_, Bound::If(_, a, b), _) => {
+                    self.walk(a);
+                    self.walk(b);
                 }
-                Expr::TailCall(f, args)
-            }
-            Expr::Let(v, Bound::If(t, a, b), body) => {
-                let a = Box::new(self.walk(*a));
-                let b = Box::new(self.walk(*b));
-                Expr::Let(v, Bound::If(t, a, b), Box::new(self.walk(*body)))
-            }
-            Expr::Let(v, Bound::Body(inner), body) => {
-                let inner = Box::new(self.walk(*inner));
-                Expr::Let(v, Bound::Body(inner), Box::new(self.walk(*body)))
-            }
-            Expr::Let(v, Bound::Atom(a), body) => {
-                // Copies of known functions remain known.
-                if let Some(def) = a.as_var().and_then(|w| self.env.get(&w)).cloned() {
-                    self.env.insert(v, def);
+                Expr::Let(_, Bound::Body(inner), _) => self.walk(inner),
+                Expr::Let(v, Bound::Atom(a), _) => {
+                    // Copies of known functions remain known.
+                    if let Some(def) = a.as_var().and_then(|w| self.env.get(&w)).cloned() {
+                        self.env.insert(*v, def);
+                    }
                 }
-                Expr::Let(v, Bound::Atom(a), Box::new(self.walk(*body)))
+                Expr::Let(..) => {}
+                Expr::TailCall(f, args) => {
+                    if let Some(def) = self.candidate(f, args.len()) {
+                        *e = self.instantiate(&def, args);
+                        continue;
+                    }
+                    return;
+                }
+                Expr::If(_, a, b) => {
+                    self.walk(a);
+                    self.walk(b);
+                    return;
+                }
+                Expr::LetRec(binds, _) => {
+                    // Letrec-bound functions are loop headers; leave their
+                    // call sites alone but optimize inside their bodies.
+                    for (_, f) in binds {
+                        self.walk(&mut f.body);
+                    }
+                }
+                Expr::Ret(_) | Expr::TailCallKnown(..) => return,
             }
-            Expr::Let(v, b, body) => Expr::Let(v, b, Box::new(self.walk(*body))),
-            Expr::If(t, a, b) => Expr::If(t, Box::new(self.walk(*a)), Box::new(self.walk(*b))),
-            Expr::LetRec(binds, body) => {
-                // Letrec-bound functions are loop headers; leave their call
-                // sites alone but optimize inside their bodies.
-                let binds = binds
-                    .into_iter()
-                    .map(|(v, mut f)| {
-                        f.body = Box::new(self.walk(*f.body));
-                        (v, f)
-                    })
-                    .collect();
-                Expr::LetRec(binds, Box::new(self.walk(*body)))
+            match e.next_mut() {
+                Some(next) => e = next,
+                None => unreachable!("only bindings go on"),
             }
-            Expr::Ret(_) | Expr::TailCallKnown(..) => e,
         }
     }
 }
@@ -178,9 +182,16 @@ mod tests {
         convert_assignments(&mut p).unwrap();
         let lowered = lower_program(p).unwrap();
         let threshold = crate::OptOptions::default().inline_threshold;
-        let globals = analyze_globals(&lowered.main_body, &Default::default(), threshold);
+        let mut defs = DefCache::default();
+        let globals = analyze_globals(
+            &lowered.main_body,
+            &Default::default(),
+            threshold,
+            &mut defs,
+        );
         let mut supply = lowered.supply;
-        let (e, report) = inline(lowered.main_body, &globals, &mut supply, threshold);
+        let mut e = lowered.main_body;
+        let report = inline(&mut e, &globals, &mut supply, threshold, &mut defs);
         (e, report.inlined)
     }
 

@@ -18,6 +18,12 @@
 //! bit rewrites, dead bindings after cleanup — the next round picks up.
 //! Every pass can be disabled individually — the ablation experiment
 //! (Table 3) measures exactly how much each one matters.
+//!
+//! Every pass rewrites the program in place (`&mut Expr`): it loops along
+//! `let` spines with the cursor helpers of [`sxr_ir::anf`], recurses only
+//! into lambda bodies, `if` arms and [`Bound::Body`](sxr_ir::anf::Bound),
+//! and writes each rewrite into the slot it replaces. A node no pass
+//! changes keeps its allocation for the whole optimization.
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +41,7 @@ pub use bits::bits;
 pub use cleanup::cleanup;
 pub use constfold::{constfold, FoldError};
 pub use cse::cse;
-pub use globals::{analyze_globals, global_constants, GlobalFun};
+pub use globals::{analyze_globals, global_constants, DefCache, GlobalFun};
 pub use inline::{inline, InlineReport};
 pub use repspec::{repspec, Assumptions};
 pub use scan::{scan_representations, ScanError};
@@ -192,14 +198,16 @@ pub fn optimize(
         // the first pass of the round.
         verify_pass("input", &e, registry)?;
     }
+    // Copies of small definitions, shared by the inliner's tables across
+    // rounds.
+    let mut defs = DefCache::default();
     for _ in 0..options.rounds {
         let size_before = e.size();
         let mut round_changed = 0usize;
 
         if options.inline {
-            let funs = analyze_globals(&e, rep_globals, options.inline_threshold);
-            let (e2, r) = inline(e, &funs, supply, options.inline_threshold);
-            e = e2;
+            let funs = analyze_globals(&e, rep_globals, options.inline_threshold, &mut defs);
+            let r = inline(&mut e, &funs, supply, options.inline_threshold, &mut defs);
             report.inlined += r.inlined;
             report.inline_visits += r.visits;
             round_changed += r.inlined;
@@ -209,22 +217,19 @@ pub fn optimize(
         }
         if options.constfold {
             let consts = global_constants(&e, rep_globals);
-            e = constfold(e, &consts, registry).map_err(|err| OptError(err.0))?;
+            constfold(&mut e, &consts, registry).map_err(|err| OptError(err.0))?;
             if options.verify {
                 verify_pass("constfold", &e, registry)?;
             }
         }
         if options.repspec {
-            let (e2, assume) = repspec(e, registry, supply);
-            e = e2;
-            assumptions.extend(assume);
+            assumptions.extend(repspec(&mut e, registry, supply));
             if options.verify {
                 verify_pass("repspec", &e, registry)?;
             }
         }
         if options.bits {
-            let (e2, n) = bits(e, registry, &assumptions);
-            e = e2;
+            let n = bits(&mut e, registry, &assumptions);
             report.bit_rewrites += n;
             round_changed += n;
             if options.verify {
@@ -232,8 +237,7 @@ pub fn optimize(
             }
         }
         if options.cse {
-            let (e2, n) = cse(e);
-            e = e2;
+            let n = cse(&mut e);
             report.cse_hits += n;
             round_changed += n;
             if options.verify {
@@ -241,8 +245,7 @@ pub fn optimize(
             }
         }
         if options.dce {
-            let (e2, n) = cleanup(e);
-            e = e2;
+            let n = cleanup(&mut e);
             report.cleaned += n;
             round_changed += n;
             if options.verify {

@@ -16,7 +16,7 @@
 //! field access is specialized through [`PrimOp::SpecRef`]/[`PrimOp::SpecSet`],
 //! which keep the base pointer tagged.)
 
-use sxr_ir::anf::{Atom, Bound, Expr, Literal, NameSupply, Test, VarId};
+use sxr_ir::anf::{Atom, Bound, Expr, Link, Literal, NameSupply, Test, VarId};
 use sxr_ir::prim::PrimOp;
 #[cfg(test)]
 use sxr_ir::rep::RepId;
@@ -31,17 +31,18 @@ use sxr_ir::IdMap;
 /// `display` dispatch regression test).
 pub type Assumptions = IdMap<VarId, (VarId, u32, u64)>;
 
-/// Runs representation specialization. Returns the rewritten program and
-/// the gathered assumptions.
-pub fn repspec(e: Expr, registry: &RepRegistry, supply: &mut NameSupply) -> (Expr, Assumptions) {
+/// Runs representation specialization over `e` in place. Returns the
+/// gathered assumptions.
+pub fn repspec(e: &mut Expr, registry: &RepRegistry, supply: &mut NameSupply) -> Assumptions {
     let mut st = Spec {
         registry,
         supply,
         assume: IdMap::default(),
         pending: None,
+        taken: Vec::new(),
     };
-    let out = st.walk(e);
-    (out, st.assume)
+    st.walk(e);
+    st.assume
 }
 
 struct Spec<'a> {
@@ -51,6 +52,21 @@ struct Spec<'a> {
     /// Assertion produced by the current `specialize` call:
     /// `(subject, bits, tag)`, attached to the final binding by `walk`.
     pending: Option<(VarId, u32, u64)>,
+    /// The rep prim bindings taken out of the spines being walked, innermost
+    /// spine last, until they are specialized and put back.
+    taken: Vec<Taken>,
+}
+
+/// A rep prim binding taken out of its spine.
+struct Taken {
+    /// Its position on the spine (counting `letrec` groups).
+    pos: usize,
+    /// The variable it binds.
+    v: VarId,
+    /// The generic operation; then what binds `v` after specialization.
+    bound: Bound,
+    /// The temporaries the specialized chain binds before `v`.
+    prefix: Vec<(VarId, Bound)>,
 }
 
 fn raw(w: i64) -> Atom {
@@ -64,20 +80,15 @@ impl Spec<'_> {
         }
     }
 
-    /// Builds `let tmp... in let v = last op in body` from a chain of ops,
-    /// where the final element binds to `v`.
-    fn chain(&mut self, v: VarId, ops: Vec<Bound>, body: Expr) -> Expr {
-        let mut out = body;
+    /// Binds every op of a chain but the last to a fresh temporary, each
+    /// op referring to the temporary before it through the placeholder
+    /// `Atom::Var(u32::MAX)`. Returns those bindings and the last op, which
+    /// binds the chain's result.
+    fn chain(&mut self, ops: Vec<Bound>) -> (Vec<(VarId, Bound)>, Bound) {
         let n = ops.len();
-        let mut temps: Vec<VarId> = Vec::with_capacity(n);
-        for i in 0..n - 1 {
-            let _ = i;
-            temps.push(self.supply.fresh("spec"));
-        }
-        temps.push(v);
-        // Each op may refer to the previous temp via the placeholder
-        // Atom::Var(u32::MAX); patch as we fold right-to-left.
-        for (i, mut op) in ops.into_iter().enumerate().rev() {
+        let temps: Vec<VarId> = (1..n).map(|_| self.supply.fresh("spec")).collect();
+        let mut prefix = Vec::with_capacity(n - 1);
+        for (i, mut op) in ops.into_iter().enumerate() {
             if i > 0 {
                 let prev = temps[i - 1];
                 op.for_each_atom_shallow_mut(&mut |a| {
@@ -86,9 +97,12 @@ impl Spec<'_> {
                     }
                 });
             }
-            out = Expr::Let(temps[i], op, Box::new(out));
+            match temps.get(i) {
+                Some(&t) => prefix.push((t, op)),
+                None => return (prefix, op),
+            }
         }
-        out
+        unreachable!("a chain has at least one op")
     }
 
     /// Attempts to specialize one rep prim; returns the replacement chain
@@ -208,47 +222,90 @@ impl Spec<'_> {
         }
     }
 
-    fn walk(&mut self, e: Expr) -> Expr {
-        match e {
-            Expr::Let(v, Bound::Prim(op, args), body) => {
-                let body = self.walk(*body);
-                self.pending = None;
-                match self.specialize(op, &args) {
-                    Some(ops) => {
-                        if let Some((subject, bits, tag)) = self.pending.take() {
-                            self.assume.insert(v, (subject, bits, tag));
-                        }
-                        self.chain(v, ops, body)
+    /// Walks `e` in place. Along each spine, the nested expressions of the
+    /// bindings and the tail are walked first, in order; then the rep
+    /// prim bindings are specialized from the last to the first (the
+    /// order their fresh temporaries are drawn in); then each one's chain
+    /// is put in its place.
+    fn walk(&mut self, e: &mut Expr) {
+        let base = self.taken.len();
+        let mut cur = &mut *e;
+        let mut pos = 0;
+        loop {
+            match cur {
+                Expr::Let(v, b, _) => match b {
+                    Bound::Prim(_, args)
+                        if matches!(args.first(), Some(Atom::Lit(Literal::Rep(_)))) =>
+                    {
+                        self.taken.push(Taken {
+                            pos,
+                            v: *v,
+                            bound: b.take(),
+                            prefix: Vec::new(),
+                        });
                     }
-                    None => Expr::Let(v, Bound::Prim(op, args), Box::new(body)),
+                    Bound::Lambda(f) => self.walk(&mut f.body),
+                    Bound::If(_, a, b2) => {
+                        self.walk(a);
+                        self.walk(b2);
+                    }
+                    Bound::Body(inner) => self.walk(inner),
+                    _ => {}
+                },
+                Expr::If(_, a, b) => {
+                    self.walk(a);
+                    self.walk(b);
+                    break;
                 }
-            }
-            Expr::Let(v, b, body) => {
-                let b = match b {
-                    Bound::Lambda(mut f) => {
-                        f.body = Box::new(self.walk(*f.body));
-                        Bound::Lambda(f)
+                Expr::LetRec(binds, _) => {
+                    for (_, f) in binds {
+                        self.walk(&mut f.body);
                     }
-                    Bound::If(t, a, b2) => {
-                        Bound::If(t, Box::new(self.walk(*a)), Box::new(self.walk(*b2)))
-                    }
-                    Bound::Body(inner) => Bound::Body(Box::new(self.walk(*inner))),
-                    other => other,
-                };
-                Expr::Let(v, b, Box::new(self.walk(*body)))
+                }
+                Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => break,
             }
-            Expr::If(t, a, b) => Expr::If(t, Box::new(self.walk(*a)), Box::new(self.walk(*b))),
-            Expr::LetRec(binds, body) => Expr::LetRec(
-                binds
-                    .into_iter()
-                    .map(|(v, mut f)| {
-                        f.body = Box::new(self.walk(*f.body));
-                        (v, f)
-                    })
-                    .collect(),
-                Box::new(self.walk(*body)),
-            ),
-            other => other,
+            pos += 1;
+            cur = cur.next_mut().expect("only bindings go on");
+        }
+        if self.taken.len() == base {
+            return;
+        }
+        for i in (base..self.taken.len()).rev() {
+            let generic = self.taken[i].bound.take();
+            let Bound::Prim(op, args) = &generic else {
+                unreachable!("only prim bindings are taken")
+            };
+            self.pending = None;
+            self.taken[i].bound = match self.specialize(*op, args) {
+                Some(ops) => {
+                    if let Some((subject, bits, tag)) = self.pending.take() {
+                        self.assume.insert(self.taken[i].v, (subject, bits, tag));
+                    }
+                    let (prefix, last) = self.chain(ops);
+                    self.taken[i].prefix = prefix;
+                    last
+                }
+                None => generic,
+            };
+        }
+        let mut cur = e;
+        let mut pos = 0;
+        for t in self.taken.drain(base..) {
+            while pos < t.pos {
+                cur = cur.next_mut().expect("a taken binding lies ahead");
+                pos += 1;
+            }
+            let Expr::Let(_, b, _) = cur else {
+                unreachable!("a binding was taken here")
+            };
+            *b = t.bound;
+            let inserted = t.prefix.len();
+            for (temp, op) in t.prefix.into_iter().rev() {
+                cur.link(Link::Let(temp, op));
+            }
+            for _ in 0..inserted {
+                cur = cur.next_mut().expect("just linked");
+            }
         }
     }
 }
@@ -272,7 +329,8 @@ mod tests {
             Bound::Prim(op, args),
             Box::new(Expr::Ret(Atom::Var(10))),
         );
-        let (out, _) = repspec(e, &reg, &mut supply);
+        let mut out = e;
+        repspec(&mut out, &reg, &mut supply);
         out
     }
 
@@ -288,7 +346,8 @@ mod tests {
             ),
             Box::new(Expr::Ret(Atom::Var(10))),
         );
-        let (out, assume) = repspec(e, &reg, &mut supply);
+        let mut out = e;
+        let assume = repspec(&mut out, &reg, &mut supply);
         assert!(matches!(
             out,
             Expr::Let(10, Bound::Prim(PrimOp::WordShr, _), _)
@@ -374,7 +433,8 @@ mod tests {
             ),
             Box::new(Expr::Ret(Atom::Var(10))),
         );
-        let (out, _) = repspec(e, &reg, &mut supply);
+        let mut out = e;
+        repspec(&mut out, &reg, &mut supply);
         fn has_guarded_header(e: &Expr) -> bool {
             match e {
                 Expr::Let(_, Bound::If(_, t, _), body) => {

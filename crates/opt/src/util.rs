@@ -57,27 +57,37 @@ pub fn convert_tails(e: &mut Expr, supply: &mut NameSupply) {
     *tail = Expr::Let(t, call, Box::new(Expr::Ret(Atom::Var(t))));
 }
 
-/// Binds the value `e`'s tail `Ret` yields to `v` in front of `k`: the
-/// tail is replaced by `let v = a in k`.
-fn bind_at_ret(tail: &mut Expr, v: VarId, k: Expr) {
+/// Moves the atom out of the `Ret` node `tail` and puts `let v = atom in k`
+/// in its place; returns the position of `k`.
+fn bind_at_ret(tail: &mut Expr, v: VarId, k: Box<Expr>) -> &mut Expr {
     let Expr::Ret(a) = tail else {
         unreachable!("checked to be a `Ret`")
     };
     let a = std::mem::replace(a, Atom::Lit(Literal::Unspecified));
-    *tail = Expr::Let(v, Bound::Atom(a), Box::new(k));
+    *tail = Expr::Let(v, Bound::Atom(a), k);
+    tail.next_mut().expect("a `let` was just put here")
 }
 
-/// Attempts to splice a straight-line value expression (a chain of lets and
-/// letrecs ending in a single `Ret`) in front of `k`, binding the result to
-/// `v`. Returns `Err` with the inputs when `e` branches.
-#[allow(clippy::result_large_err)] // the Err hands the caller its inputs back
-pub fn try_splice(mut e: Expr, v: VarId, k: Expr) -> Result<Expr, (Expr, Expr)> {
-    let tail = e.tail_mut();
-    if !matches!(tail, Expr::Ret(_)) {
-        return Err((e, k));
+/// Splices the straight-line value expression `e` (a chain of lets and
+/// letrecs ending in a single `Ret`) into the slot of the `let v = … in k`
+/// node `slot`: `slot` becomes `e`, with its `Ret a` replaced by
+/// `let v = a in k`. When `e` branches, `slot` is left alone and `e` is
+/// handed back.
+///
+/// # Panics
+///
+/// When `slot` is not a `let`.
+#[allow(clippy::result_large_err)] // the Err hands the caller its input back
+pub fn try_splice(slot: &mut Expr, mut e: Expr) -> Result<(), Expr> {
+    if !matches!(e.tail(), Expr::Ret(_)) {
+        return Err(e);
     }
-    bind_at_ret(tail, v, k);
-    Ok(e)
+    let Expr::Let(v, _, k) = slot.take() else {
+        panic!("splicing into a node that is not a `let`")
+    };
+    bind_at_ret(e.tail_mut(), v, k);
+    *slot = e;
+    Ok(())
 }
 
 /// True when executing `e` can never deliver a value (every path reaches
@@ -91,37 +101,82 @@ pub fn diverges(e: &Expr) -> bool {
     }) || matches!(e.tail(), Expr::If(_, a, b) if diverges(a) && diverges(b))
 }
 
-/// Sinks the continuation `k` into a value expression: produces code equal
-/// to "bind `e`'s value to `v`, then `k`", without ever duplicating `k`.
-/// Conditionals are crossed only when one branch diverges (the continuation
-/// then belongs entirely to the other branch — which is also what lets
-/// dominance facts from passed checks survive).
+/// Which arm of a conditional can deliver its value: `Some(true)` for the
+/// first when the second diverges, `Some(false)` for the second when the
+/// first diverges, `None` when both can.
+fn live_arm(a: &Expr, b: &Expr) -> Option<bool> {
+    if diverges(b) {
+        Some(true)
+    } else if diverges(a) {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// Whether `e` has exactly one live `Ret` (see [`sink_value`]).
+fn has_live_ret(e: &Expr) -> bool {
+    match e.tail() {
+        Expr::Ret(_) => true,
+        Expr::If(_, a, b) => match live_arm(a, b) {
+            Some(true) => has_live_ret(a),
+            Some(false) => has_live_ret(b),
+            None => false,
+        },
+        _ => false,
+    }
+}
+
+/// The `Ret` the value of `e` comes from, if there is exactly one live one.
+fn live_ret(e: &mut Expr) -> Option<&mut Expr> {
+    let tail = e.tail_mut();
+    let arm = match tail {
+        Expr::Ret(_) => return Some(tail),
+        Expr::If(_, a, b) => match live_arm(a, b)? {
+            true => a,
+            false => b,
+        },
+        _ => return None,
+    };
+    live_ret(arm)
+}
+
+/// Whether [`sink_value`] applies to `slot`: a `let v = value in k` whose
+/// value is a [`Bound::Body`] or a [`Bound::If`] with exactly one live
+/// `Ret`. Conditionals are crossed only when one branch diverges (the
+/// continuation then belongs entirely to the other branch — which is also
+/// what lets dominance facts from passed checks survive).
+pub fn sinkable(slot: &Expr) -> bool {
+    match slot {
+        Expr::Let(_, Bound::Body(inner), _) => has_live_ret(inner),
+        Expr::Let(_, Bound::If(_, a, b), _) => match live_arm(a, b) {
+            Some(true) => has_live_ret(a),
+            Some(false) => has_live_ret(b),
+            None => false,
+        },
+        _ => false,
+    }
+}
+
+/// Sinks the continuation of the [`sinkable`] node `slot` into its value:
+/// `slot` becomes the value expression with its live `Ret a` replaced by
+/// `let v = a in k`, so `k` is never duplicated. Returns the position of
+/// `k`.
 ///
-/// Returns `Err` with the inputs when `e` branches two live ways.
-#[allow(clippy::result_large_err)] // Err gives the caller its inputs back
-pub fn sink_value(mut e: Expr, v: VarId, k: Expr) -> Result<Expr, (Expr, Expr)> {
-    /// The `Ret` the value comes from, if there is exactly one live one.
-    fn live_ret(e: &mut Expr) -> Option<&mut Expr> {
-        let tail = e.tail_mut();
-        match tail {
-            Expr::Ret(_) => Some(tail),
-            Expr::If(_, a, b) => {
-                if diverges(b) {
-                    live_ret(a)
-                } else if diverges(a) {
-                    live_ret(b)
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
-    }
-    match live_ret(&mut e) {
-        Some(tail) => bind_at_ret(tail, v, k),
-        None => return Err((e, k)),
-    }
-    Ok(e)
+/// # Panics
+///
+/// When `slot` is not [`sinkable`].
+pub fn sink_value(slot: &mut Expr) -> &mut Expr {
+    let Expr::Let(v, b, k) = slot.take() else {
+        panic!("sinking into a node that is not a `let`")
+    };
+    *slot = match b {
+        Bound::Body(inner) => *inner,
+        Bound::If(t, a, b) => Expr::If(t, a, b),
+        _ => panic!("sinking a value that is neither a body nor a conditional"),
+    };
+    let tail = live_ret(slot).expect("a sinkable value has a live `Ret`");
+    bind_at_ret(tail, v, k)
 }
 
 /// True when dropping an unused binding of `b` cannot change behaviour.
@@ -237,6 +292,15 @@ mod tests {
         assert_eq!(truthiness(&Literal::Raw(0b1_0000_0010), &reg), Some(true));
     }
 
+    /// `let 7 = f() in ret v7`, the shape the inliner splices into.
+    fn call_site() -> Expr {
+        Expr::Let(
+            7,
+            Bound::Call(Atom::Var(0), vec![]),
+            Box::new(Expr::Ret(Atom::Var(7))),
+        )
+    }
+
     #[test]
     fn splice_straight_line() {
         let e = Expr::Let(
@@ -244,7 +308,8 @@ mod tests {
             Bound::Prim(PrimOp::WordAdd, vec![Atom::raw(1), Atom::raw(2)]),
             Box::new(Expr::Ret(Atom::Var(1))),
         );
-        let spliced = try_splice(e, 7, Expr::Ret(Atom::Var(7))).unwrap();
+        let mut spliced = call_site();
+        try_splice(&mut spliced, e).unwrap();
         match spliced {
             Expr::Let(1, _, rest) => match *rest {
                 Expr::Let(7, Bound::Atom(Atom::Var(1)), _) => {}
@@ -261,7 +326,9 @@ mod tests {
             Box::new(Expr::Ret(Atom::raw(1))),
             Box::new(Expr::Ret(Atom::raw(2))),
         );
-        assert!(try_splice(e, 7, Expr::Ret(Atom::Var(7))).is_err());
+        let mut slot = call_site();
+        assert_eq!(try_splice(&mut slot, e.clone()), Err(e));
+        assert_eq!(slot, call_site(), "left alone");
     }
 
     #[test]

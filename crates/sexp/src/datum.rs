@@ -20,7 +20,7 @@ use std::fmt;
 /// let d = Datum::List(vec![Datum::Symbol("+".into()), Datum::Fixnum(1), Datum::Fixnum(2)]);
 /// assert_eq!(d.to_string(), "(+ 1 2)");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub enum Datum {
     /// An identifier, e.g. `car` or `%word+`.
     Symbol(String),
@@ -41,7 +41,93 @@ pub enum Datum {
     Vector(Vec<Datum>),
 }
 
+/// Copies with an explicit stack, so a datum as deep as the reader admits
+/// costs no host stack to copy (a program's constant pool is copied with
+/// it, on whatever thread loads the program).
+impl Clone for Datum {
+    fn clone(&self) -> Datum {
+        /// A compound being copied, with the copies of its first children.
+        struct Partial<'d> {
+            src: &'d Datum,
+            done: Vec<Datum>,
+        }
+        let mut stack: Vec<Partial> = Vec::new();
+        let mut d = self;
+        loop {
+            // Descend to a datum whose copy waits on no other: an atom or
+            // an empty compound.
+            let mut copy = match d {
+                Datum::Symbol(s) => Datum::Symbol(s.clone()),
+                Datum::Fixnum(n) => Datum::Fixnum(*n),
+                Datum::Bool(b) => Datum::Bool(*b),
+                Datum::Char(c) => Datum::Char(*c),
+                Datum::String(s) => Datum::String(s.clone()),
+                // One level deep: copied directly, with no stack.
+                compound if compound.children().all(|c| c.is_empty()) => {
+                    let mut children = Vec::with_capacity(compound.len());
+                    children.extend(compound.children().cloned());
+                    compound.rebuilt(children)
+                }
+                compound => match compound.child(0) {
+                    Some(first) => {
+                        stack.push(Partial {
+                            src: compound,
+                            done: Vec::with_capacity(compound.len()),
+                        });
+                        d = first;
+                        continue;
+                    }
+                    None => compound.rebuilt(Vec::new()),
+                },
+            };
+            // Ascend: hand the copy to the compound waiting for it,
+            // finishing every compound it completes.
+            loop {
+                let Some(top) = stack.last_mut() else {
+                    return copy;
+                };
+                top.done.push(copy);
+                if let Some(next) = top.src.child(top.done.len()) {
+                    d = next;
+                    break;
+                }
+                let Partial { src, done } = stack.pop().expect("the top was just seen");
+                copy = src.rebuilt(done);
+            }
+        }
+    }
+}
+
 impl Datum {
+    /// The `i`th child of a compound datum, counting an improper list's
+    /// tail after its items.
+    fn child(&self, i: usize) -> Option<&Datum> {
+        match self {
+            Datum::List(items) | Datum::Vector(items) => items.get(i),
+            Datum::Improper(items, tail) => items.get(i).or((i == items.len()).then_some(&**tail)),
+            _ => None,
+        }
+    }
+
+    /// The children of a compound datum, in [`Datum::child`] order.
+    fn children(&self) -> impl Iterator<Item = &Datum> {
+        (0..).map_while(|i| self.child(i))
+    }
+
+    /// A compound of the same kind as `self` with the given children, in
+    /// [`Datum::child`] order.
+    fn rebuilt(&self, mut children: Vec<Datum>) -> Datum {
+        match self {
+            Datum::List(_) => Datum::List(children),
+            Datum::Vector(_) => Datum::Vector(children),
+            Datum::Improper(..) => {
+                let tail = children.pop().expect("an improper list has a tail");
+                Datum::Improper(children, Box::new(tail))
+            }
+            atom => unreachable!("{atom} has no children"),
+        }
+    }
+
     /// The canonical empty list `()`.
     pub fn nil() -> Datum {
         Datum::List(Vec::new())
@@ -137,6 +223,26 @@ impl From<&str> for Datum {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clone_copies_every_kind_of_compound() {
+        let sym = |s: &str| Datum::Symbol(s.to_string());
+        let d = Datum::List(vec![
+            sym("a"),
+            Datum::Improper(
+                vec![Datum::Fixnum(1), Datum::nil()],
+                Box::new(Datum::Vector(vec![
+                    Datum::String("s".into()),
+                    Datum::Char('c'),
+                ])),
+            ),
+            Datum::Vector(vec![]),
+            Datum::List(vec![Datum::List(vec![Datum::Bool(true)])]),
+        ]);
+        assert_eq!(d.clone(), d);
+        assert_eq!(d.clone().to_string(), d.to_string());
+        assert_eq!(sym("x").clone(), sym("x"));
+    }
 
     #[test]
     fn nil_is_empty_list() {

@@ -12,19 +12,40 @@ use sxr_ir::rep::{roles, PointerRole};
 use sxr_sexp::Datum;
 
 /// Upper bound on heap words needed to encode `d` (used to pre-reserve so
-/// pool construction cannot trigger a collection mid-build).
+/// pool construction cannot trigger a collection mid-build). Walks `d`
+/// with a work list, so nesting depth costs no stack.
 pub fn words_needed(d: &Datum) -> usize {
-    match d {
-        Datum::Fixnum(_) | Datum::Bool(_) | Datum::Char(_) => 0,
-        Datum::String(s) => 1 + s.chars().count(),
-        // Symbol: its name string plus the symbol cell.
-        Datum::Symbol(s) => 1 + s.chars().count() + 2,
-        Datum::List(items) => 3 * items.len() + items.iter().map(words_needed).sum::<usize>(),
-        Datum::Improper(items, tail) => {
-            3 * items.len() + items.iter().map(words_needed).sum::<usize>() + words_needed(tail)
+    /// The words of `d` itself, not counting its children.
+    fn own(d: &Datum) -> usize {
+        match d {
+            Datum::Fixnum(_) | Datum::Bool(_) | Datum::Char(_) => 0,
+            Datum::String(s) => 1 + s.chars().count(),
+            // Symbol: its name string plus the symbol cell.
+            Datum::Symbol(s) => 1 + s.chars().count() + 2,
+            // A pair per item.
+            Datum::List(items) | Datum::Improper(items, _) => 3 * items.len(),
+            // A header plus a field per item.
+            Datum::Vector(items) => 1 + items.len(),
         }
-        Datum::Vector(items) => 1 + items.len() + items.iter().map(words_needed).sum::<usize>(),
     }
+    let mut total = own(d);
+    let mut todo = vec![];
+    let mut next = Some(d);
+    while let Some(d) = next {
+        let (items, tail) = match d {
+            Datum::List(items) | Datum::Vector(items) => (&items[..], None),
+            Datum::Improper(items, tail) => (&items[..], Some(&**tail)),
+            _ => (&[][..], None),
+        };
+        for child in items.iter().chain(tail) {
+            total += own(child);
+            if !child.is_empty() {
+                todo.push(child);
+            }
+        }
+        next = todo.pop();
+    }
+    total
 }
 
 fn missing_role(role: &str, what: &str) -> VmError {
@@ -63,70 +84,173 @@ pub fn encode_string(m: &mut Machine, s: &str) -> Result<Word, VmError> {
     Ok(w)
 }
 
+/// A compound datum whose encoding is under way, in [`encode_datum`]'s
+/// explicit stack.
+enum Partial<'d> {
+    /// A list's pairs are built from the back: `items[next]` is the item
+    /// being encoded, and `tail` is the list of the items after it.
+    Pairs {
+        items: &'d [Datum],
+        next: usize,
+        tail: Word,
+        pair: PointerRole,
+    },
+    /// An improper list, waiting for the value of its final cdr.
+    ImproperTail { items: &'d [Datum] },
+    /// A vector, with the words of its first items.
+    Vector {
+        items: &'d [Datum],
+        words: Vec<Word>,
+        vector: PointerRole,
+    },
+}
+
 /// Encodes a quoted datum onto the heap.
+///
+/// The nesting of `d` is followed with an explicit stack, so a datum as
+/// deep as the reader admits costs no host stack. Each compound is built
+/// bottom-up, in the order a recursive encoder would: a list's items from
+/// the last, the car of each pair before the pair, a vector's items before
+/// the vector.
+///
+/// The stack holds partially built structure (list tails, vector
+/// elements) in Rust memory that is not a GC root, so no collection may
+/// run until the datum is done: every allocation here goes through the
+/// quiet load-time paths, which never collect, and the loader reserves
+/// [`words_needed`] words first.
 ///
 /// # Errors
 ///
 /// Returns [`VmErrorKind::BadProgram`] when a required representation role
 /// is missing.
 pub fn encode_datum(m: &mut Machine, d: &Datum) -> Result<Word, VmError> {
-    match d {
-        Datum::Fixnum(n) => {
-            let fx = need_role(m, roles::FIXNUM, "a fixnum literal")?;
-            Ok(m.registry.encode_immediate(fx, *n))
-        }
-        Datum::Bool(b) => {
-            let bo = need_role(m, roles::BOOLEAN, "a boolean literal")?;
-            Ok(m.registry.encode_immediate(bo, *b as i64))
-        }
-        Datum::Char(c) => {
-            let ch = need_role(m, roles::CHAR, "a character literal")?;
-            Ok(m.registry.encode_immediate(ch, *c as i64))
-        }
-        Datum::String(s) => encode_string(m, s),
-        // Symbols go through the quiet load-time interning path: callers
-        // here (list tails, vector elements) hold partially built structure
-        // in Rust locals that are not GC roots, so no collection may run.
-        Datum::Symbol(s) => m.intern_loaded(s),
-        Datum::List(items) => {
-            let nil = need_role(m, roles::NULL, "a list literal")?;
-            let mut tail = m.registry.encode_immediate(nil, 0);
-            for item in items.iter().rev() {
-                tail = encode_pair(m, item, tail)?;
+    let mut stack: Vec<Partial> = Vec::new();
+    let mut d = d;
+    loop {
+        // Descend to the next datum that encodes without waiting on
+        // another: an atom, or an empty compound.
+        let mut w = match d {
+            Datum::Fixnum(n) => {
+                let fx = need_role(m, roles::FIXNUM, "a fixnum literal")?;
+                m.registry.encode_immediate(fx, *n)
             }
-            Ok(tail)
-        }
-        Datum::Improper(items, last) => {
-            let mut tail = encode_datum(m, last)?;
-            for item in items.iter().rev() {
-                tail = encode_pair(m, item, tail)?;
+            Datum::Bool(b) => {
+                let bo = need_role(m, roles::BOOLEAN, "a boolean literal")?;
+                m.registry.encode_immediate(bo, *b as i64)
             }
-            Ok(tail)
-        }
-        Datum::Vector(items) => {
-            let vector = need_pointer(m, roles::VECTOR, "a vector literal")?;
-            let words: Vec<Word> = items
-                .iter()
-                .map(|i| encode_datum(m, i))
-                .collect::<Result<_, _>>()?;
-            let fill = m.registry.encode_immediate(m.role_fixnum(), 0);
-            let w = m.alloc_object(words.len(), vector.id as u16, vector.tag, fill)?;
-            let base = (w >> 3) as usize;
-            for (i, iw) in words.into_iter().enumerate() {
-                m.heap_set_for_encode(base + 1 + i, iw)?;
+            Datum::Char(c) => {
+                let ch = need_role(m, roles::CHAR, "a character literal")?;
+                m.registry.encode_immediate(ch, *c as i64)
             }
-            Ok(w)
+            Datum::String(s) => encode_string(m, s)?,
+            // Symbols go through the quiet load-time interning path.
+            Datum::Symbol(s) => m.intern_loaded(s)?,
+            Datum::List(items) => {
+                let nil = need_role(m, roles::NULL, "a list literal")?;
+                let nil = m.registry.encode_immediate(nil, 0);
+                if let Some(next) = items.len().checked_sub(1) {
+                    let pair = need_pointer(m, roles::PAIR, "a pair literal")?;
+                    stack.push(Partial::Pairs {
+                        items,
+                        next,
+                        tail: nil,
+                        pair,
+                    });
+                    d = &items[next];
+                    continue;
+                }
+                nil
+            }
+            Datum::Improper(items, last) => {
+                stack.push(Partial::ImproperTail { items });
+                d = last;
+                continue;
+            }
+            Datum::Vector(items) => {
+                let vector = need_pointer(m, roles::VECTOR, "a vector literal")?;
+                if let Some(first) = items.first() {
+                    let words = Vec::with_capacity(items.len());
+                    stack.push(Partial::Vector {
+                        items,
+                        words,
+                        vector,
+                    });
+                    d = first;
+                    continue;
+                }
+                encode_vector(m, vector, Vec::new())?
+            }
+        };
+        // Ascend: hand `w` to the compound waiting for it, finishing every
+        // compound that it completes, until one needs another item.
+        loop {
+            let Some(top) = stack.last_mut() else {
+                return Ok(w);
+            };
+            match top {
+                Partial::Pairs {
+                    items,
+                    next,
+                    tail,
+                    pair,
+                } => {
+                    *tail = encode_pair(m, *pair, w, *tail)?;
+                    if *next > 0 {
+                        *next -= 1;
+                        d = &items[*next];
+                        break;
+                    }
+                    w = *tail;
+                }
+                Partial::ImproperTail { items } => {
+                    if let Some(next) = items.len().checked_sub(1) {
+                        let pair = need_pointer(m, roles::PAIR, "a pair literal")?;
+                        let items: &[Datum] = items;
+                        *top = Partial::Pairs {
+                            items,
+                            next,
+                            tail: w,
+                            pair,
+                        };
+                        d = &items[next];
+                        break;
+                    }
+                }
+                Partial::Vector {
+                    items,
+                    words,
+                    vector,
+                } => {
+                    words.push(w);
+                    if let Some(item) = items.get(words.len()) {
+                        d = item;
+                        break;
+                    }
+                    w = encode_vector(m, *vector, std::mem::take(words))?;
+                }
+            }
+            stack.pop();
         }
     }
 }
 
-fn encode_pair(m: &mut Machine, car: &Datum, cdr: Word) -> Result<Word, VmError> {
-    let pair = need_pointer(m, roles::PAIR, "a pair literal")?;
-    let car_w = encode_datum(m, car)?;
+/// Allocates a pair of two encoded words.
+fn encode_pair(m: &mut Machine, pair: PointerRole, car: Word, cdr: Word) -> Result<Word, VmError> {
     let w = m.alloc_object(2, pair.id as u16, pair.tag, cdr)?;
     let base = (w >> 3) as usize;
-    m.heap_set_for_encode(base + 1, car_w)?;
+    m.heap_set_for_encode(base + 1, car)?;
     m.heap_set_for_encode(base + 2, cdr)?;
+    Ok(w)
+}
+
+/// Allocates a vector of encoded words.
+fn encode_vector(m: &mut Machine, vector: PointerRole, words: Vec<Word>) -> Result<Word, VmError> {
+    let fill = m.registry.encode_immediate(m.role_fixnum(), 0);
+    let w = m.alloc_object(words.len(), vector.id as u16, vector.tag, fill)?;
+    let base = (w >> 3) as usize;
+    for (i, iw) in words.into_iter().enumerate() {
+        m.heap_set_for_encode(base + 1 + i, iw)?;
+    }
     Ok(w)
 }
 
@@ -263,4 +387,27 @@ pub fn describe(m: &Machine, w: Word, depth: usize) -> String {
         }
     }
     format!("#<word {w}>")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn words_needed_counts_every_level() {
+        // (ab "xyz" (1 . #(#\c ())) ()): 4 + 1 pairs, a 2-field vector,
+        // "ab" as a symbol (name string plus cell) and "xyz" as a string.
+        let d = Datum::List(vec![
+            Datum::Symbol("ab".into()),
+            Datum::String("xyz".into()),
+            Datum::Improper(
+                vec![Datum::Fixnum(1)],
+                Box::new(Datum::Vector(vec![Datum::Char('c'), Datum::nil()])),
+            ),
+            Datum::nil(),
+        ]);
+        assert_eq!(words_needed(&d), 3 * 5 + 3 + 5 + 4);
+        assert_eq!(words_needed(&Datum::Symbol("ab".into())), 5);
+        assert_eq!(words_needed(&Datum::Vector(vec![])), 1);
+    }
 }

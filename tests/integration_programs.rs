@@ -362,3 +362,24 @@ fn a_rep_type_whose_id_was_overwritten_is_refused_at_use() {
         assert_eq!(err.kind, sxr::VmErrorKind::BadRepOperation, "{src}: {err}");
     }
 }
+
+/// A quoted datum nested as deep as the reader admits: `(quote` is one
+/// level, the datum the other 32,766 inside the reader's 32,768.
+#[test]
+fn deepest_quoted_datum_loads_and_runs_on_an_8_mib_stack() {
+    let depth = sxr_sexp::MAX_NESTING - 2;
+    let src = format!("(quote {}{})", "(".repeat(depth), ")".repeat(depth));
+    let compiled = Compiler::new(PipelineConfig::abstract_optimized())
+        .compile(&src)
+        .expect("compiles");
+    // The program moves to the thread, so it is also dropped there.
+    std::thread::Builder::new()
+        .stack_size(8 << 20)
+        .spawn(move || {
+            let out = compiled.run().expect("loads and runs");
+            assert!(out.value.starts_with("(((("), "{}", out.value);
+        })
+        .expect("spawn the 8 MiB thread")
+        .join()
+        .expect("loading the pool fits in 8 MiB");
+}
