@@ -98,7 +98,37 @@ impl Clone for Datum {
     }
 }
 
+/// Drops with an explicit stack, for the same reason as [`Clone`]: a
+/// program dropped on a small thread drops its constant pool there.
+impl Drop for Datum {
+    fn drop(&mut self) {
+        // One level deep: the fields' own drops end at the children.
+        if self.children().all(Datum::is_empty) {
+            return;
+        }
+        let mut stack = Vec::new();
+        self.move_children(&mut stack);
+        while let Some(mut d) = stack.pop() {
+            // `d` drops childless at the end of the pass.
+            d.move_children(&mut stack);
+        }
+    }
+}
+
 impl Datum {
+    /// Moves the children of a compound datum onto `stack`, leaving it
+    /// with no compound children.
+    fn move_children(&mut self, stack: &mut Vec<Datum>) {
+        match self {
+            Datum::List(items) | Datum::Vector(items) => stack.append(items),
+            Datum::Improper(items, tail) => {
+                stack.append(items);
+                stack.push(std::mem::replace(&mut **tail, Datum::nil()));
+            }
+            _ => {}
+        }
+    }
+
     /// The `i`th child of a compound datum, counting an improper list's
     /// tail after its items.
     fn child(&self, i: usize) -> Option<&Datum> {
@@ -173,6 +203,23 @@ impl Datum {
         Datum::List(items)
     }
 
+    /// The list `(items... . tail)` for non-empty `items`, normalized as
+    /// the reader does: `(a . (b c))` is `(a b c)`, and `(a . (b . c))` is
+    /// `(a b . c)`.
+    pub fn dotted(mut items: Vec<Datum>, mut tail: Datum) -> Datum {
+        match &mut tail {
+            Datum::List(rest) => {
+                items.append(rest);
+                Datum::List(items)
+            }
+            Datum::Improper(mid, end) => {
+                items.append(mid);
+                Datum::Improper(items, std::mem::replace(end, Box::new(Datum::nil())))
+            }
+            _ => Datum::Improper(items, Box::new(tail)),
+        }
+    }
+
     /// Builds `(quote d)`.
     pub fn quoted(d: Datum) -> Datum {
         Datum::form("quote", vec![d])
@@ -242,6 +289,26 @@ mod tests {
         assert_eq!(d.clone(), d);
         assert_eq!(d.clone().to_string(), d.to_string());
         assert_eq!(sym("x").clone(), sym("x"));
+    }
+
+    #[test]
+    fn deepest_datum_drops_on_a_256_kib_thread() {
+        // As deep as the reader admits inside `(quote ...)`, nesting every
+        // kind of compound in turn, next to an atom at every level.
+        let mut d = Datum::nil();
+        for depth in 0..crate::MAX_NESTING - 2 {
+            d = match depth % 3 {
+                0 => Datum::List(vec![Datum::Fixnum(1), d]),
+                1 => Datum::Vector(vec![d, Datum::Char('c')]),
+                _ => Datum::Improper(vec![Datum::Bool(true)], Box::new(d)),
+            };
+        }
+        std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || drop(d))
+            .expect("spawn the 256 KiB thread")
+            .join()
+            .expect("the drop fits in 256 KiB");
     }
 
     #[test]

@@ -182,18 +182,7 @@ impl<'a> Parser<'a> {
                     if close.kind != TokenKind::RParen {
                         return Err(ParseError::new(ParseErrorKind::MisplacedDot, close.span));
                     }
-                    // Normalize (a . (b c)) to (a b c), and (a . (b . c)) to (a b . c).
-                    return Ok(match tail {
-                        Datum::List(rest) => {
-                            items.extend(rest);
-                            Datum::List(items)
-                        }
-                        Datum::Improper(mid, t) => {
-                            items.extend(mid);
-                            Datum::Improper(items, t)
-                        }
-                        atom => Datum::Improper(items, Box::new(atom)),
-                    });
+                    return Ok(Datum::dotted(items, tail));
                 }
                 TokenKind::DatumComment => {
                     self.expect_datum(tok.span)?;
@@ -417,8 +406,8 @@ mod tests {
         }
         let mut d = p(&src);
         for _ in 0..depth {
-            match d {
-                Datum::List(mut items) => {
+            match &mut d {
+                Datum::List(items) => {
                     assert_eq!(items.len(), 1);
                     d = items.pop().expect("one item");
                 }

@@ -81,19 +81,7 @@ fn gen_datum(rng: &mut Rng, fuel: usize) -> Datum {
                 .map(|_| gen_datum(rng, fuel - 1))
                 .collect();
             // Keep the improper invariant: the tail is never a list.
-            match gen_datum(rng, fuel - 1) {
-                Datum::List(rest) => {
-                    let mut all = items;
-                    all.extend(rest);
-                    Datum::List(all)
-                }
-                Datum::Improper(mid, t) => {
-                    let mut all = items;
-                    all.extend(mid);
-                    Datum::Improper(all, t)
-                }
-                atom => Datum::Improper(items, Box::new(atom)),
-            }
+            Datum::dotted(items, gen_datum(rng, fuel - 1))
         }
     }
 }

@@ -134,17 +134,12 @@ impl Heap {
     /// # Errors
     ///
     /// Returns a [`VmError`] if `idx` is outside the allocated region.
+    #[inline(always)]
     pub fn get(&self, idx: usize) -> Result<Word, VmError> {
-        self.space
-            .get(idx)
-            .copied()
-            .filter(|_| idx < self.next)
-            .ok_or_else(|| {
-                VmError::new(
-                    VmErrorKind::BadMemoryAccess,
-                    format!("load outside heap at word {idx}"),
-                )
-            })
+        match self.space.get(idx) {
+            Some(&w) if idx < self.next => Ok(w),
+            _ => Err(outside_heap("load", idx)),
+        }
     }
 
     /// Writes the word at `idx`.
@@ -152,15 +147,15 @@ impl Heap {
     /// # Errors
     ///
     /// Returns a [`VmError`] if `idx` is outside the allocated region.
+    #[inline(always)]
     pub fn set(&mut self, idx: usize, w: Word) -> Result<(), VmError> {
-        if idx >= self.next {
-            return Err(VmError::new(
-                VmErrorKind::BadMemoryAccess,
-                format!("store outside heap at word {idx}"),
-            ));
+        match self.space.get_mut(idx) {
+            Some(slot) if idx < self.next => {
+                *slot = w;
+                Ok(())
+            }
+            _ => Err(outside_heap("store", idx)),
         }
-        self.space[idx] = w;
-        Ok(())
     }
 
     /// Begins a collection: replaces the space with a to-space of
@@ -296,6 +291,17 @@ impl Heap {
         }
         Ok(scan)
     }
+}
+
+/// The error of a `what` ("load" or "store") at heap word `idx`, past the
+/// allocated region.
+#[cold]
+#[inline(never)]
+fn outside_heap(what: &str, idx: usize) -> VmError {
+    VmError::new(
+        VmErrorKind::BadMemoryAccess,
+        format!("{what} outside heap at word {idx}"),
+    )
 }
 
 /// Layout facts [`Heap::scan_from_precise`] needs to recognize closures and

@@ -13,6 +13,15 @@
 //! loadable program in range, so those checks never fail; the instruction
 //! fetch is the one check left with real work (a function's last
 //! instruction can fall through past its end).
+//!
+//! The success paths of the ALU, memory, branch and call instructions run
+//! inside the step loop: the heap access, ALU, call and frame helpers are
+//! `#[inline(always)]`, and every error they can return is built by a
+//! `#[cold]` function, so the loop carries no formatting code.  What still
+//! calls out: allocation, interning, the representation instructions, trap
+//! delivery, a variadic callee's rest list, stack growth, and the standard
+//! library's fill of a new register window and copy of a tail call's
+//! window (an inline element loop measured slower for both).
 
 use crate::counters::Counters;
 use crate::encode;
@@ -552,20 +561,20 @@ impl Machine {
     ///
     /// [`VmErrorKind::StackOverflow`] when the host refuses the memory; the
     /// stack is then unchanged.
+    #[inline(always)]
     fn push_window(&mut self, nregs: usize) -> Result<usize, VmError> {
         let base = self.regs.len();
-        if self.regs.try_reserve(nregs).is_err() {
-            return Err(VmError::new(
-                VmErrorKind::StackOverflow,
-                format!("stack overflow: the register stack cannot grow past {base} words"),
-            ));
+        if self.regs.capacity() - base < nregs && self.regs.try_reserve(nregs).is_err() {
+            return Err(register_stack_full(base));
         }
-        self.regs.resize(base + nregs, self.role.reg_init);
+        self.regs
+            .extend(std::iter::repeat_n(self.role.reg_init, nregs));
         Ok(base)
     }
 
     /// Makes `frame` the top frame.  Its window must end the register
     /// stack.
+    #[inline(always)]
     fn push_frame(&mut self, frame: Frame) {
         self.top_base = frame.base;
         self.frames.push(frame);
@@ -602,6 +611,8 @@ impl Machine {
         })
     }
 
+    #[cold]
+    #[inline(never)]
     fn arity_error(&self, fnid: u32, at_least: bool, got: usize) -> VmError {
         let fun = &self.program.funs[fnid as usize];
         VmError::new(
@@ -616,17 +627,17 @@ impl Machine {
         )
     }
 
-    /// Builds a callee frame reading the closure and arguments from the
-    /// *current* frame's registers.  The callee's window is pushed above
-    /// the caller's only once nothing can fail, so an error leaves the
-    /// register stack as it was.
-    fn build_frame(
+    /// Pushes the window of a call of `fnid` above the top frame's, holding
+    /// the closure and arguments read from the top frame's registers, and
+    /// returns its base.  The window is pushed only once nothing can fail,
+    /// so an error leaves the register stack as it was.
+    #[inline(always)]
+    fn push_callee_window(
         &mut self,
         fnid: u32,
         clo_reg: Reg,
         args: &[Reg],
-        ret_dst: Reg,
-    ) -> Result<Frame, VmError> {
+    ) -> Result<usize, VmError> {
         let fun = &self.program.funs[fnid as usize];
         let (arity, variadic, nregs) = (fun.arity, fun.variadic, fun.nregs);
         let nargs = args.len();
@@ -649,12 +660,7 @@ impl Machine {
         if let Some(rest) = rest {
             self.regs[base + 1 + arity] = rest;
         }
-        Ok(Frame {
-            fnid,
-            pc: 0,
-            base,
-            ret_dst,
-        })
+        Ok(base)
     }
 
     /// Collects the arguments after the first `arity` into a library list
@@ -682,11 +688,17 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// As [`Machine::reserve_frame`] and [`Machine::build_frame`].
+    /// As [`Machine::reserve_frame`] and [`Machine::push_callee_window`].
+    #[inline(always)]
     fn call(&mut self, fnid: u32, clo_reg: Reg, args: &[Reg], ret_dst: Reg) -> Result<(), VmError> {
         self.reserve_frame()?;
-        let frame = self.build_frame(fnid, clo_reg, args, ret_dst)?;
-        self.push_frame(frame);
+        let base = self.push_callee_window(fnid, clo_reg, args)?;
+        self.push_frame(Frame {
+            fnid,
+            pc: 0,
+            base,
+            ret_dst,
+        });
         Ok(())
     }
 
@@ -696,46 +708,41 @@ impl Machine {
     ///
     /// [`VmErrorKind::StackOverflow`] when the stack already holds
     /// [`MachineConfig::max_depth`] frames or the host refuses the memory.
+    #[inline(always)]
     fn reserve_frame(&mut self) -> Result<(), VmError> {
         let depth = self.frames.len();
-        let detail = if depth >= self.max_depth {
-            format!("a call would nest deeper than {} frames", self.max_depth)
-        } else if self.frames.try_reserve(1).is_err() {
-            format!("the frame stack cannot grow past {depth} frames")
-        } else {
-            return Ok(());
-        };
-        Err(VmError::new(
-            VmErrorKind::StackOverflow,
-            format!("stack overflow: {detail}"),
-        ))
+        if depth >= self.max_depth {
+            return Err(too_deep(self.max_depth));
+        }
+        if depth == self.frames.capacity() && self.frames.try_reserve(1).is_err() {
+            return Err(frame_stack_full(depth));
+        }
+        Ok(())
     }
 
     /// Replaces the top frame with a call of `fnid`, keeping its return
     /// destination.  The callee's window is built above the caller's and
     /// then copied down over it.
+    #[inline(always)]
     fn tail_call(&mut self, fnid: u32, clo_reg: Reg, args: &[Reg]) -> Result<(), VmError> {
-        let ret_dst = self.frames.last().expect("frame").ret_dst;
-        let callee = self.build_frame(fnid, clo_reg, args, ret_dst)?;
-        let nregs = self.regs.len() - callee.base;
-        self.regs.copy_within(callee.base.., self.top_base);
+        let base = self.push_callee_window(fnid, clo_reg, args)?;
+        let nregs = self.regs.len() - base;
+        self.regs.copy_within(base.., self.top_base);
         self.regs.truncate(self.top_base + nregs);
-        *self.frames.last_mut().expect("frame") = Frame {
-            base: self.top_base,
-            ..callee
-        };
+        let top = self.frames.last_mut().expect("frame");
+        (top.fnid, top.pc) = (fnid, 0);
         Ok(())
     }
 
+    #[inline(always)]
     fn closure_target(&self, fval: Word) -> Result<u32, VmError> {
         if !self.role.closure.matches(fval) {
             return Err(self.not_a_procedure(fval));
         }
         // A closure-tagged word need not point into the heap: `%rep-inject`
         // can forge one. Such a word is not a procedure either.
-        let code = match self.heap.get(field_index(fval, 1)) {
-            Ok(code) => code,
-            Err(_) => return Err(self.not_a_procedure(fval)),
+        let Ok(code) = self.heap.get(field_index(fval, 1)) else {
+            return Err(self.not_a_procedure(fval));
         };
         let fnid = self.role.fixnum.decode(code) as u32;
         // The code word lives on the heap, where a sufficiently adversarial
@@ -745,15 +752,13 @@ impl Machine {
         // for the verifier's contract that verified programs never reach
         // `BadProgram` at run time.
         if (fnid as usize) >= self.program.funs.len() {
-            return Err(VmError::new(
-                VmErrorKind::NotAProcedure,
-                format!("closure code word {fnid} is not a function id"),
-            ));
+            return Err(bad_code_word(fnid));
         }
         Ok(fnid)
     }
 
     #[cold]
+    #[inline(never)]
     fn not_a_procedure(&self, fval: Word) -> VmError {
         VmError::new(
             VmErrorKind::NotAProcedure,
@@ -1270,23 +1275,16 @@ impl Machine {
         Ok(w)
     }
 
+    #[inline(always)]
     fn binop(&self, op: BinOp, a: Word, b: Word) -> Result<Word, VmError> {
         Ok(match op {
             BinOp::Add => a.wrapping_add(b),
             BinOp::Sub => a.wrapping_sub(b),
             BinOp::Mul => a.wrapping_mul(b),
-            BinOp::Quot => {
-                if b == 0 {
-                    return Err(VmError::new(VmErrorKind::DivideByZero, "quotient by zero"));
-                }
-                a.wrapping_div(b)
-            }
-            BinOp::Rem => {
-                if b == 0 {
-                    return Err(VmError::new(VmErrorKind::DivideByZero, "remainder by zero"));
-                }
-                a.wrapping_rem(b)
-            }
+            BinOp::Quot if b == 0 => return Err(divide_by_zero("quotient")),
+            BinOp::Quot => a.wrapping_div(b),
+            BinOp::Rem if b == 0 => return Err(divide_by_zero("remainder")),
+            BinOp::Rem => a.wrapping_rem(b),
             BinOp::And => a & b,
             BinOp::Or => a | b,
             BinOp::Xor => a ^ b,
@@ -1622,8 +1620,60 @@ impl Machine {
 /// The heap index of word `i` of the object `w` points to.  An address
 /// past any heap stays past it instead of overflowing, so a wild pointer is
 /// a `BadMemoryAccess` in every build.
+#[inline(always)]
 fn field_index(w: Word, i: usize) -> usize {
     ((w >> 3) as usize).saturating_add(i)
+}
+
+// The errors of the step loop's inlined helpers, built out of line so that
+// no success path carries their formatting.
+
+/// The error of a call made while `max_depth` frames are on the stack.
+#[cold]
+#[inline(never)]
+fn too_deep(max_depth: usize) -> VmError {
+    VmError::new(
+        VmErrorKind::StackOverflow,
+        format!("stack overflow: a call would nest deeper than {max_depth} frames"),
+    )
+}
+
+/// The error of a frame stack of `depth` frames the host will not grow.
+#[cold]
+#[inline(never)]
+fn frame_stack_full(depth: usize) -> VmError {
+    VmError::new(
+        VmErrorKind::StackOverflow,
+        format!("stack overflow: the frame stack cannot grow past {depth} frames"),
+    )
+}
+
+/// The error of a register stack of `words` words the host will not grow.
+#[cold]
+#[inline(never)]
+fn register_stack_full(words: usize) -> VmError {
+    VmError::new(
+        VmErrorKind::StackOverflow,
+        format!("stack overflow: the register stack cannot grow past {words} words"),
+    )
+}
+
+/// The error of a `what` ("quotient" or "remainder") by zero.
+#[cold]
+#[inline(never)]
+fn divide_by_zero(what: &str) -> VmError {
+    VmError::new(VmErrorKind::DivideByZero, format!("{what} by zero"))
+}
+
+/// The error of a call of a closure whose code word `fnid` names no
+/// function.
+#[cold]
+#[inline(never)]
+fn bad_code_word(fnid: u32) -> VmError {
+    VmError::new(
+        VmErrorKind::NotAProcedure,
+        format!("closure code word {fnid} is not a function id"),
+    )
 }
 
 /// Whether a fused compare-and-branch is taken.

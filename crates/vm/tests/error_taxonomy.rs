@@ -16,6 +16,7 @@ struct Reg {
     reg: RepRegistry,
     fx: u32,
     pair: u32,
+    clo: u32,
 }
 
 fn classic_registry() -> Reg {
@@ -36,7 +37,7 @@ fn classic_registry() -> Reg {
     ] {
         reg.provide_role(role, id).unwrap();
     }
-    Reg { reg, fx, pair }
+    Reg { reg, fx, pair, clo }
 }
 
 fn fun(name: &str, arity: usize, nregs: usize, insts: Vec<Inst>) -> CodeFun {
@@ -704,4 +705,199 @@ fn runaway_recursion_is_a_catchable_stack_overflow() {
     let mut m = Machine::new(program(r.reg.clone(), funs), config()).unwrap();
     let w = m.run().expect("the handler catches the overflow");
     assert_eq!(m.describe(w), "7");
+}
+
+/// Runs `funs` on the classic registry plus a `null` role (variadic
+/// entry needs one) and returns the error's kind and exact message.
+fn kind_and_message(funs: Vec<CodeFun>, config: MachineConfig) -> (VmErrorKind, String) {
+    let mut reg = classic_registry().reg;
+    let null = reg.intern_immediate("null", 8, 0b0010_0010, 8).unwrap();
+    reg.provide_role("null", null).unwrap();
+    let e = run_expecting_error(reg, funs, config);
+    (e.kind, e.message)
+}
+
+#[test]
+fn division_by_zero_messages_are_pinned() {
+    let r = classic_registry();
+    let six = r.reg.encode_immediate(r.fx, 6);
+    for (op, text) in [
+        (BinOp::Quot, "quotient by zero"),
+        (BinOp::Rem, "remainder by zero"),
+    ] {
+        // The register and the immediate form report the same error.
+        let (d, a) = (3, 1);
+        for divide in [
+            Inst::Bin { op, d, a, b: 2 },
+            Inst::BinI { op, d, a, imm: 0 },
+        ] {
+            let insts = vec![
+                Inst::Const { d: 1, imm: six },
+                Inst::Const { d: 2, imm: 0 },
+                divide,
+                Inst::Ret { s: 3 },
+            ];
+            let got = kind_and_message(vec![fun("main", 0, 4, insts)], MachineConfig::default());
+            assert_eq!(got, (VmErrorKind::DivideByZero, text.to_string()));
+        }
+    }
+}
+
+#[test]
+fn heap_access_messages_are_pinned() {
+    // A pair-tagged word far outside the heap: field 0 is word 2^37 + 1.
+    let wild = Inst::Const {
+        d: 1,
+        imm: (1_i64 << 40) | 0b001,
+    };
+    let load = fun(
+        "main",
+        0,
+        3,
+        vec![
+            wild.clone(),
+            Inst::LoadD {
+                d: 2,
+                p: 1,
+                disp: 8 - 0b001,
+            },
+            Inst::Ret { s: 2 },
+        ],
+    );
+    let store = fun(
+        "main",
+        0,
+        3,
+        vec![
+            wild,
+            Inst::StoreD {
+                p: 1,
+                disp: 8 - 0b001,
+                s: 1,
+            },
+            Inst::Ret { s: 1 },
+        ],
+    );
+    let word = (1_u64 << 37) + 1;
+    for (main, text) in [
+        (load, format!("load outside heap at word {word}")),
+        (store, format!("store outside heap at word {word}")),
+    ] {
+        let got = kind_and_message(vec![main], MachineConfig::default());
+        assert_eq!(got, (VmErrorKind::BadMemoryAccess, text));
+    }
+}
+
+#[test]
+fn arity_messages_are_pinned() {
+    let callee = |variadic| CodeFun {
+        variadic,
+        ..fun("two-args", 2, 4, vec![Inst::Ret { s: 1 }])
+    };
+    let main = fun(
+        "main",
+        0,
+        3,
+        vec![
+            Inst::MakeClosure {
+                d: 1,
+                f: 1,
+                free: vec![],
+            },
+            Inst::Call {
+                d: 2,
+                f: 1,
+                args: vec![1],
+            },
+            Inst::Ret { s: 2 },
+        ],
+    );
+    for (variadic, text) in [
+        (false, "`two-args` takes 2 arguments, got 1"),
+        (true, "`two-args` takes at least 2 arguments, got 1"),
+    ] {
+        let funs = vec![main.clone(), callee(variadic)];
+        let got = kind_and_message(funs, MachineConfig::default());
+        assert_eq!(got, (VmErrorKind::ArityMismatch, text.to_string()));
+    }
+}
+
+#[test]
+fn call_depth_message_is_pinned() {
+    let main = fun(
+        "main",
+        0,
+        2,
+        vec![
+            Inst::CallKnown {
+                d: 1,
+                f: 1,
+                clo: 0,
+                args: vec![],
+            },
+            Inst::Ret { s: 1 },
+        ],
+    );
+    let config = MachineConfig {
+        max_depth: 100,
+        ..Default::default()
+    };
+    let got = kind_and_message(vec![main, recurse_forever(1)], config);
+    let text = "stack overflow: a call would nest deeper than 100 frames";
+    assert_eq!(got, (VmErrorKind::StackOverflow, text.to_string()));
+}
+
+#[test]
+fn non_procedure_messages_are_pinned() {
+    let r = classic_registry();
+    let five = r.reg.encode_immediate(r.fx, 5);
+    let call = |tail: bool| {
+        if tail {
+            Inst::TailCall { f: 1, args: vec![] }
+        } else {
+            Inst::Call {
+                d: 2,
+                f: 1,
+                args: vec![],
+            }
+        }
+    };
+    for tail in [false, true] {
+        let main = fun(
+            "main",
+            0,
+            3,
+            vec![
+                Inst::Const { d: 1, imm: five },
+                call(tail),
+                Inst::Ret { s: 2 },
+            ],
+        );
+        let got = kind_and_message(vec![main], MachineConfig::default());
+        let text = "call of non-procedure 5".to_string();
+        assert_eq!(got, (VmErrorKind::NotAProcedure, text));
+    }
+    // A closure-typed object whose code word names no function.
+    let code = r.reg.encode_immediate(r.fx, 99);
+    for tail in [false, true] {
+        let main = fun(
+            "main",
+            0,
+            3,
+            vec![
+                Inst::Const { d: 2, imm: code },
+                Inst::AllocFill {
+                    d: 1,
+                    len: RegImm::Imm(1),
+                    fill: 2,
+                    rep: r.clo,
+                },
+                call(tail),
+                Inst::Ret { s: 2 },
+            ],
+        );
+        let got = kind_and_message(vec![main], MachineConfig::default());
+        let text = "closure code word 99 is not a function id".to_string();
+        assert_eq!(got, (VmErrorKind::NotAProcedure, text));
+    }
 }

@@ -372,14 +372,17 @@ fn deepest_quoted_datum_loads_and_runs_on_an_8_mib_stack() {
     let compiled = Compiler::new(PipelineConfig::abstract_optimized())
         .compile(&src)
         .expect("compiles");
-    // The program moves to the thread, so it is also dropped there.
-    std::thread::Builder::new()
-        .stack_size(8 << 20)
-        .spawn(move || {
-            let out = compiled.run().expect("loads and runs");
-            assert!(out.value.starts_with("(((("), "{}", out.value);
-        })
-        .expect("spawn the 8 MiB thread")
-        .join()
-        .expect("loading the pool fits in 8 MiB");
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn_scoped(scope, || {
+                let out = compiled.run().expect("loads and runs");
+                assert!(out.value.starts_with("(((("), "{}", out.value);
+            })
+            .expect("spawn the 8 MiB thread")
+            .join()
+            .expect("loading the pool fits in 8 MiB");
+    });
+    // The program, and the datum in its pool, drop on the test thread.
+    drop(compiled);
 }
