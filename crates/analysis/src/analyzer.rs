@@ -443,35 +443,37 @@ impl Analyzer<'_> {
     }
 
     /// Walks an expression; the result is the join of all `Ret` values
-    /// (`None` when every path tail-calls).
-    fn eval_expr(&mut self, e: &Expr, env: &mut Env) -> Option<AbsVal> {
-        match e {
-            Expr::Let(v, b, body) => {
-                let val = self.eval_bound(*v, b, env);
-                env.vals.insert(*v, val);
-                self.eval_expr(body, env)
-            }
-            Expr::If(t, then, els) => {
-                let (tenv, eenv) = self.refine(env, t);
-                let a = tenv.and_then(|mut e2| self.eval_expr(then, &mut e2));
-                let b = eenv.and_then(|mut e2| self.eval_expr(els, &mut e2));
-                match (a, b) {
-                    (Some(x), Some(y)) => Some(x.join(&y)),
-                    (one, other) => one.or(other),
+    /// (`None` when every path tail-calls). Loops along the spine.
+    fn eval_expr(&mut self, mut e: &Expr, env: &mut Env) -> Option<AbsVal> {
+        loop {
+            match e {
+                Expr::Let(v, b, body) => {
+                    let val = self.eval_bound(*v, b, env);
+                    env.vals.insert(*v, val);
+                    e = body;
                 }
-            }
-            Expr::Ret(a) => Some(self.val_of(a, env)),
-            Expr::TailCall(..) | Expr::TailCallKnown(..) => None,
-            Expr::LetRec(binds, body) => {
-                let closure = self.registry.role(roles::CLOSURE).map(AbsVal::of_rep);
-                for (v, _) in binds {
-                    env.vals.insert(*v, closure.unwrap_or(AbsVal::Top));
+                Expr::LetRec(binds, body) => {
+                    let closure = self.registry.role(roles::CLOSURE).map(AbsVal::of_rep);
+                    for (v, _) in binds {
+                        env.vals.insert(*v, closure.unwrap_or(AbsVal::Top));
+                    }
+                    for (_, l) in binds {
+                        let mut inner = env.clone();
+                        self.eval_expr(&l.body, &mut inner);
+                    }
+                    e = body;
                 }
-                for (_, l) in binds {
-                    let mut inner = env.clone();
-                    self.eval_expr(&l.body, &mut inner);
+                Expr::If(t, then, els) => {
+                    let (tenv, eenv) = self.refine(env, t);
+                    let a = tenv.and_then(|mut e2| self.eval_expr(then, &mut e2));
+                    let b = eenv.and_then(|mut e2| self.eval_expr(els, &mut e2));
+                    return match (a, b) {
+                        (Some(x), Some(y)) => Some(x.join(&y)),
+                        (one, other) => one.or(other),
+                    };
                 }
-                self.eval_expr(body, env)
+                Expr::Ret(a) => return Some(self.val_of(a, env)),
+                Expr::TailCall(..) | Expr::TailCallKnown(..) => return None,
             }
         }
     }

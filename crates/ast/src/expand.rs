@@ -2,6 +2,7 @@
 
 use crate::assignconv::collect_assigned;
 use crate::core::{Expr, GlobalId, Lambda, Program, TopItem, VarId};
+use crate::scoped::ScopedMap;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use sxr_sexp::Datum;
@@ -68,35 +69,6 @@ const KEYWORDS: &[&str] = &[
     "guard",
 ];
 
-/// Lexical environment: a chain of scopes.
-struct Env<'a> {
-    vars: HashMap<String, VarId>,
-    parent: Option<&'a Env<'a>>,
-}
-
-impl<'a> Env<'a> {
-    fn root() -> Env<'static> {
-        Env {
-            vars: HashMap::new(),
-            parent: None,
-        }
-    }
-
-    fn child(&'a self) -> Env<'a> {
-        Env {
-            vars: HashMap::new(),
-            parent: Some(self),
-        }
-    }
-
-    fn lookup(&self, name: &str) -> Option<VarId> {
-        match self.vars.get(name) {
-            Some(&v) => Some(v),
-            None => self.parent.and_then(|p| p.lookup(name)),
-        }
-    }
-}
-
 /// The macro expander.
 ///
 /// One expander instance owns the global-name table and the alpha-renaming
@@ -107,6 +79,10 @@ pub struct Expander {
     global_names: Vec<String>,
     global_index: HashMap<String, GlobalId>,
     var_names: Vec<String>,
+    /// The lexical environment: each name in scope and its variable. A
+    /// form that opens a scope unwinds it on the way out (see
+    /// [`Expander::scoped`]), so it is empty between top-level forms.
+    scope: ScopedMap<String, VarId>,
 }
 
 impl Expander {
@@ -138,9 +114,38 @@ impl Expander {
         v
     }
 
-    /// Number of globals declared so far.
-    pub fn global_count(&self) -> usize {
-        self.global_names.len()
+    /// Runs `f` in a new lexical scope: whatever it binds is unbound again
+    /// when it returns, whether it succeeds or fails.
+    fn scoped<T>(
+        &mut self,
+        f: impl FnOnce(&mut Expander) -> Result<T, ExpandError>,
+    ) -> Result<T, ExpandError> {
+        let mark = self.scope.mark();
+        let out = f(self);
+        self.scope.unwind(mark);
+        out
+    }
+
+    /// Binds each of `names` to a fresh variable in the current scope. A
+    /// name that repeats is an error (a duplicate `what`).
+    fn bind_distinct(
+        &mut self,
+        names: &[String],
+        what: &str,
+        at: &Datum,
+    ) -> Result<Vec<VarId>, ExpandError> {
+        let mut seen = HashSet::new();
+        names
+            .iter()
+            .map(|n| {
+                let v = self.fresh_var(n);
+                if !seen.insert(n) {
+                    return Err(ExpandError::new(format!("duplicate {what} `{n}`"), at));
+                }
+                self.scope.insert(n.clone(), v);
+                Ok(v)
+            })
+            .collect()
     }
 
     /// Expands a sequence of top-level forms into a [`Unit`].
@@ -168,18 +173,17 @@ impl Expander {
                 self.declare_global(&name);
             }
         }
-        let env = Env::root();
         let mut items = Vec::new();
         for d in &flat {
             if let Some((name, init)) = parse_define(d)? {
                 let g = self.declare_global(&name);
                 let init_expr = match init {
-                    Some(form) => self.expand_named(&form, &env, Some(&name))?,
+                    Some(form) => self.expand_named(&form, Some(&name))?,
                     None => Expr::Unspecified,
                 };
                 items.push(TopItem::Def(g, init_expr));
             } else {
-                items.push(TopItem::Expr(self.expand(d, &env)?));
+                items.push(TopItem::Expr(self.expand(d)?));
             }
         }
         Ok(Unit { items })
@@ -198,59 +202,44 @@ impl Expander {
         }
     }
 
-    /// Expands one expression in the empty lexical environment (for tests
-    /// and tools).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExpandError`] on syntax errors or unbound variables.
-    pub fn expand_expr(&mut self, d: &Datum) -> Result<Expr, ExpandError> {
-        self.expand(d, &Env::root())
-    }
-
-    fn expand(&mut self, d: &Datum, env: &Env<'_>) -> Result<Expr, ExpandError> {
-        self.expand_named(d, env, None)
+    fn expand(&mut self, d: &Datum) -> Result<Expr, ExpandError> {
+        self.expand_named(d, None)
     }
 
     /// `name_hint` propagates a `define`d name onto a lambda for diagnostics.
-    fn expand_named(
-        &mut self,
-        d: &Datum,
-        env: &Env<'_>,
-        name_hint: Option<&str>,
-    ) -> Result<Expr, ExpandError> {
+    fn expand_named(&mut self, d: &Datum, name_hint: Option<&str>) -> Result<Expr, ExpandError> {
         match d {
             Datum::Fixnum(_)
             | Datum::Bool(_)
             | Datum::Char(_)
             | Datum::String(_)
             | Datum::Vector(_) => Ok(Expr::Const(d.clone())),
-            Datum::Symbol(s) => self.expand_var(s, d, env),
+            Datum::Symbol(s) => self.expand_var(s, d),
             Datum::Improper(..) => Err(ExpandError::new("dotted list in expression position", d)),
             Datum::List(items) => {
                 if items.is_empty() {
                     return Err(ExpandError::new("empty application", d));
                 }
                 if let Some(head) = items[0].as_symbol() {
-                    if env.lookup(head).is_none() {
+                    if self.scope.get(head).is_none() {
                         if KEYWORDS.contains(&head) {
-                            return self.expand_special(head, d, items, env, name_hint);
+                            return self.expand_special(head, d, items, name_hint);
                         }
                         if let Some(prim) = head.strip_prefix('%') {
-                            let args = self.expand_all(&items[1..], env)?;
+                            let args = self.expand_all(&items[1..])?;
                             return Ok(Expr::Prim(prim.to_string(), args));
                         }
                     }
                 }
-                let f = self.expand(&items[0], env)?;
-                let args = self.expand_all(&items[1..], env)?;
+                let f = self.expand(&items[0])?;
+                let args = self.expand_all(&items[1..])?;
                 Ok(Expr::Call(Box::new(f), args))
             }
         }
     }
 
-    fn expand_var(&mut self, s: &str, d: &Datum, env: &Env<'_>) -> Result<Expr, ExpandError> {
-        if let Some(v) = env.lookup(s) {
+    fn expand_var(&mut self, s: &str, d: &Datum) -> Result<Expr, ExpandError> {
+        if let Some(&v) = self.scope.get(s) {
             return Ok(Expr::Var(v));
         }
         if let Some(g) = self.global(s) {
@@ -268,8 +257,8 @@ impl Expander {
         Err(ExpandError::new(format!("unbound variable `{s}`"), d))
     }
 
-    fn expand_all(&mut self, ds: &[Datum], env: &Env<'_>) -> Result<Vec<Expr>, ExpandError> {
-        ds.iter().map(|d| self.expand(d, env)).collect()
+    fn expand_all(&mut self, ds: &[Datum]) -> Result<Vec<Expr>, ExpandError> {
+        ds.iter().map(|d| self.expand(d)).collect()
     }
 
     fn global_ref(&mut self, name: &str, at: &Datum) -> Result<Expr, ExpandError> {
@@ -287,7 +276,6 @@ impl Expander {
         head: &str,
         d: &Datum,
         items: &[Datum],
-        env: &Env<'_>,
         name_hint: Option<&str>,
     ) -> Result<Expr, ExpandError> {
         let args = &items[1..];
@@ -298,14 +286,14 @@ impl Expander {
             },
             "if" => match args {
                 [c, t] => Ok(Expr::If(
-                    Box::new(self.expand(c, env)?),
-                    Box::new(self.expand(t, env)?),
+                    Box::new(self.expand(c)?),
+                    Box::new(self.expand(t)?),
                     Box::new(Expr::Unspecified),
                 )),
                 [c, t, e] => Ok(Expr::If(
-                    Box::new(self.expand(c, env)?),
-                    Box::new(self.expand(t, env)?),
-                    Box::new(self.expand(e, env)?),
+                    Box::new(self.expand(c)?),
+                    Box::new(self.expand(t)?),
+                    Box::new(self.expand(e)?),
                 )),
                 _ => Err(ExpandError::new("if takes 2 or 3 arguments", d)),
             },
@@ -316,21 +304,21 @@ impl Expander {
                         d,
                     ));
                 }
-                let lam = self.expand_lambda(&args[0], &args[1..], env, name_hint)?;
+                let lam = self.expand_lambda(&args[0], &args[1..], name_hint)?;
                 Ok(Expr::Lambda(Box::new(lam)))
             }
             "begin" => {
                 if args.is_empty() {
                     Ok(Expr::Unspecified)
                 } else {
-                    let es = self.expand_all(args, env)?;
+                    let es = self.expand_all(args)?;
                     Ok(seq(es))
                 }
             }
             "set!" => match args {
                 [Datum::Symbol(name), value] => {
-                    let v = self.expand(value, env)?;
-                    if let Some(var) = env.lookup(name) {
+                    let v = self.expand(value)?;
+                    if let Some(&var) = self.scope.get(name) {
                         Ok(Expr::SetVar(var, Box::new(v)))
                     } else if let Some(g) = self.global(name) {
                         Ok(Expr::SetGlobal(g, Box::new(v)))
@@ -347,26 +335,26 @@ impl Expander {
                 "define is only allowed at top level or at the head of a body",
                 d,
             )),
-            "let" => self.expand_let(d, args, env),
-            "let*" => self.expand_let_star(d, args, env),
+            "let" => self.expand_let(d, args),
+            "let*" => self.expand_let_star(d, args),
             "letrec" | "letrec*" => {
                 let binds = parse_bindings(d, args.first())?;
                 let named: Vec<(String, Datum)> = binds
                     .iter()
                     .map(|(n, init)| (n.clone(), init.clone()))
                     .collect();
-                self.expand_letrec(d, &named, &args[1..], env)
+                self.expand_letrec(d, &named, &args[1..])
             }
-            "cond" => self.expand_cond(d, args, env),
-            "case" => self.expand_case(d, args, env),
+            "cond" => self.expand_cond(d, args),
+            "case" => self.expand_case(d, args),
             "when" => match args {
                 [] => Err(ExpandError::new("when needs a test", d)),
                 [test, body @ ..] => {
-                    let t = self.expand(test, env)?;
+                    let t = self.expand(test)?;
                     let b = if body.is_empty() {
                         Expr::Unspecified
                     } else {
-                        seq(self.expand_all(body, env)?)
+                        seq(self.expand_all(body)?)
                     };
                     Ok(Expr::If(
                         Box::new(t),
@@ -378,11 +366,11 @@ impl Expander {
             "unless" => match args {
                 [] => Err(ExpandError::new("unless needs a test", d)),
                 [test, body @ ..] => {
-                    let t = self.expand(test, env)?;
+                    let t = self.expand(test)?;
                     let b = if body.is_empty() {
                         Expr::Unspecified
                     } else {
-                        seq(self.expand_all(body, env)?)
+                        seq(self.expand_all(body)?)
                     };
                     Ok(Expr::If(
                         Box::new(t),
@@ -391,11 +379,11 @@ impl Expander {
                     ))
                 }
             },
-            "and" => self.expand_and(args, env),
-            "or" => self.expand_or(args, env),
-            "do" => self.expand_do(d, args, env),
+            "and" => self.expand_and(args),
+            "or" => self.expand_or(args),
+            "do" => self.expand_do(d, args),
             "quasiquote" => match args {
-                [q] => self.expand_quasi(q, 1, env, d),
+                [q] => self.expand_quasi(q, 1, d),
                 _ => Err(ExpandError::new("quasiquote takes one argument", d)),
             },
             "unquote" | "unquote-splicing" => {
@@ -405,7 +393,7 @@ impl Expander {
                 "define-record-type is only allowed at top level",
                 d,
             )),
-            "guard" => self.expand_guard(d, args, env),
+            "guard" => self.expand_guard(d, args),
             "else" | "=>" => Err(ExpandError::new("misplaced keyword", d)),
             _ => unreachable!("keyword list covers all cases"),
         }
@@ -421,12 +409,7 @@ impl Expander {
     ///
     /// The `else` arm is added only when the clauses lack one, so an
     /// unmatched condition re-raises to the next enclosing handler.
-    fn expand_guard(
-        &mut self,
-        d: &Datum,
-        args: &[Datum],
-        env: &Env<'_>,
-    ) -> Result<Expr, ExpandError> {
+    fn expand_guard(&mut self, d: &Datum, args: &[Datum]) -> Result<Expr, ExpandError> {
         let [spec, body @ ..] = args else {
             return Err(ExpandError::new(
                 "guard needs a (var clause ...) spec and a body",
@@ -456,14 +439,13 @@ impl Expander {
         thunk_parts.extend(body.iter().cloned());
         let thunk = Datum::form("lambda", thunk_parts);
         let desugared = Datum::form("%trap-call", vec![handler, thunk]);
-        self.expand(&desugared, env)
+        self.expand(&desugared)
     }
 
     fn expand_lambda(
         &mut self,
         params: &Datum,
         body: &[Datum],
-        env: &Env<'_>,
         name_hint: Option<&str>,
     ) -> Result<Lambda, ExpandError> {
         let sym_of = |p: &Datum| -> Result<String, ExpandError> {
@@ -480,47 +462,22 @@ impl Expander {
             ),
             _ => return Err(ExpandError::new("bad parameter list", params)),
         };
-        let mut scope = env.child();
-        let mut ids = Vec::with_capacity(names.len());
-        for n in &names {
-            let v = self.fresh_var(n);
-            if scope.vars.insert(n.to_string(), v).is_some() {
-                return Err(ExpandError::new(
-                    format!("duplicate parameter `{n}`"),
-                    params,
-                ));
-            }
-            ids.push(v);
-        }
-        let rest = match &rest_name {
-            Some(n) => {
-                let v = self.fresh_var(n);
-                if scope.vars.insert(n.clone(), v).is_some() {
-                    return Err(ExpandError::new(
-                        format!("duplicate parameter `{n}`"),
-                        params,
-                    ));
-                }
-                Some(v)
-            }
-            None => None,
-        };
-        let body = self.expand_body(body, &scope, params)?;
-        Ok(Lambda {
-            params: ids,
-            rest,
-            body,
-            name: name_hint.map(str::to_string),
+        let has_rest = rest_name.is_some();
+        let all: Vec<String> = names.into_iter().chain(rest_name).collect();
+        self.scoped(|ex| {
+            let mut ids = ex.bind_distinct(&all, "parameter", params)?;
+            let rest = if has_rest { ids.pop() } else { None };
+            Ok(Lambda {
+                params: ids,
+                rest,
+                body: ex.expand_body(body, params)?,
+                name: name_hint.map(str::to_string),
+            })
         })
     }
 
     /// Expands a `<body>`: leading internal defines become a letrec*.
-    fn expand_body(
-        &mut self,
-        forms: &[Datum],
-        env: &Env<'_>,
-        at: &Datum,
-    ) -> Result<Expr, ExpandError> {
+    fn expand_body(&mut self, forms: &[Datum], at: &Datum) -> Result<Expr, ExpandError> {
         if forms.is_empty() {
             return Err(ExpandError::new("empty body", at));
         }
@@ -539,18 +496,13 @@ impl Expander {
             return Err(ExpandError::new("body has only definitions", at));
         }
         if defines.is_empty() {
-            let es = self.expand_all(rest, env)?;
+            let es = self.expand_all(rest)?;
             return Ok(seq(es));
         }
-        self.expand_letrec(at, &defines, rest, env)
+        self.expand_letrec(at, &defines, rest)
     }
 
-    fn expand_let(
-        &mut self,
-        d: &Datum,
-        args: &[Datum],
-        env: &Env<'_>,
-    ) -> Result<Expr, ExpandError> {
+    fn expand_let(&mut self, d: &Datum, args: &[Datum]) -> Result<Expr, ExpandError> {
         // Named let?
         if let Some(Datum::Symbol(loop_name)) = args.first() {
             let binds = parse_bindings(d, args.get(1))?;
@@ -568,31 +520,35 @@ impl Expander {
                 v.extend_from_slice(body);
                 v
             });
-            let mut scope = env.child();
-            let loop_var = self.fresh_var(loop_name);
-            scope.vars.insert(loop_name.clone(), loop_var);
             let call = Datum::List({
                 let mut v = vec![Datum::Symbol(loop_name.clone())];
                 v.extend(binds.iter().map(|(_, init)| init.clone()));
                 v
             });
-            return self.expand_letrec_prebound(d, vec![(loop_var, lambda)], &[call], &scope);
+            return self.scoped(|ex| {
+                let loop_var = ex.fresh_var(loop_name);
+                ex.scope.insert(loop_name.clone(), loop_var);
+                ex.expand_letrec_prebound(d, vec![(loop_var, lambda)], &[call])
+            });
         }
         let binds = parse_bindings(d, args.first())?;
         let body = &args[1..];
         // Expand initializers in the outer environment.
         let inits = binds
             .iter()
-            .map(|(n, init)| self.expand_named(init, env, Some(n)))
+            .map(|(n, init)| self.expand_named(init, Some(n)))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut scope = env.child();
-        let mut ids = Vec::new();
-        for (n, _) in &binds {
-            let v = self.fresh_var(n);
-            scope.vars.insert(n.clone(), v);
-            ids.push(v);
-        }
-        let body = self.expand_body(body, &scope, d)?;
+        let (ids, body) = self.scoped(|ex| {
+            let ids: Vec<VarId> = binds
+                .iter()
+                .map(|(n, _)| {
+                    let v = ex.fresh_var(n);
+                    ex.scope.insert(n.clone(), v);
+                    v
+                })
+                .collect();
+            Ok((ids, ex.expand_body(body, d)?))
+        })?;
         Ok(Expr::Call(
             Box::new(Expr::Lambda(Box::new(Lambda {
                 params: ids,
@@ -604,35 +560,27 @@ impl Expander {
         ))
     }
 
-    fn expand_let_star(
-        &mut self,
-        d: &Datum,
-        args: &[Datum],
-        env: &Env<'_>,
-    ) -> Result<Expr, ExpandError> {
+    /// `(let* ((x init) ...) body ...)`: each binding's scope is the
+    /// bindings after it and the body.
+    fn expand_let_star(&mut self, d: &Datum, args: &[Datum]) -> Result<Expr, ExpandError> {
         let binds = parse_bindings(d, args.first())?;
         let body = &args[1..];
-        self.expand_let_star_rec(d, &binds, body, env)
-    }
-
-    fn expand_let_star_rec(
-        &mut self,
-        d: &Datum,
-        binds: &[(String, Datum)],
-        body: &[Datum],
-        env: &Env<'_>,
-    ) -> Result<Expr, ExpandError> {
-        match binds.split_first() {
-            None => self.expand_body(body, env, d),
-            Some(((name, init), rest)) => {
-                let init_e = self.expand_named(init, env, Some(name))?;
-                let mut scope = env.child();
-                let v = self.fresh_var(name);
-                scope.vars.insert(name.clone(), v);
-                let inner = self.expand_let_star_rec(d, rest, body, &scope)?;
-                Ok(Expr::let1(v, Some(name.clone()), init_e, inner))
+        let (lets, body) = self.scoped(|ex| {
+            let mut lets = Vec::with_capacity(binds.len());
+            for (name, init) in &binds {
+                let init_e = ex.expand_named(init, Some(name))?;
+                let v = ex.fresh_var(name);
+                ex.scope.insert(name.clone(), v);
+                lets.push((v, name, init_e));
             }
-        }
+            Ok((lets, ex.expand_body(body, d)?))
+        })?;
+        Ok(lets
+            .into_iter()
+            .rev()
+            .fold(body, |inner, (v, name, init_e)| {
+                Expr::let1(v, Some(name.clone()), init_e, inner)
+            }))
     }
 
     /// Expands letrec bindings given as `(name, init-datum)` pairs, with
@@ -642,21 +590,16 @@ impl Expander {
         d: &Datum,
         binds: &[(String, Datum)],
         body: &[Datum],
-        env: &Env<'_>,
     ) -> Result<Expr, ExpandError> {
-        let mut scope = env.child();
-        let mut prebound = Vec::new();
-        for (n, init) in binds {
-            let v = self.fresh_var(n);
-            if scope.vars.insert(n.clone(), v).is_some() {
-                return Err(ExpandError::new(
-                    format!("duplicate letrec binding `{n}`"),
-                    d,
-                ));
-            }
-            prebound.push((v, init.clone()));
-        }
-        self.expand_letrec_prebound(d, prebound, body, &scope)
+        let names: Vec<String> = binds.iter().map(|(n, _)| n.clone()).collect();
+        self.scoped(|ex| {
+            let ids = ex.bind_distinct(&names, "letrec binding", d)?;
+            let prebound = ids
+                .into_iter()
+                .zip(binds.iter().map(|(_, init)| init.clone()))
+                .collect();
+            ex.expand_letrec_prebound(d, prebound, body)
+        })
     }
 
     /// The core of letrec expansion ("fixing letrec"): bindings whose
@@ -669,14 +612,13 @@ impl Expander {
         d: &Datum,
         binds: Vec<(VarId, Datum)>,
         body: &[Datum],
-        scope: &Env<'_>,
     ) -> Result<Expr, ExpandError> {
         let mut inits = Vec::new();
         for (v, init) in &binds {
             let name = self.var_names[*v as usize].clone();
-            inits.push(self.expand_named(init, scope, Some(&name))?);
+            inits.push(self.expand_named(init, Some(&name))?);
         }
-        let body = self.expand_body(body, scope, d)?;
+        let body = self.expand_body(body, d)?;
         let ids: Vec<VarId> = binds.iter().map(|(v, _)| *v).collect();
         let mut assigned = HashSet::new();
         for e in inits.iter().chain(std::iter::once(&body)) {
@@ -714,12 +656,7 @@ impl Expander {
         ))
     }
 
-    fn expand_cond(
-        &mut self,
-        d: &Datum,
-        clauses: &[Datum],
-        env: &Env<'_>,
-    ) -> Result<Expr, ExpandError> {
+    fn expand_cond(&mut self, d: &Datum, clauses: &[Datum]) -> Result<Expr, ExpandError> {
         let Some((clause, rest)) = clauses.split_first() else {
             return Ok(Expr::Unspecified);
         };
@@ -735,13 +672,13 @@ impl Expander {
                 if body.is_empty() {
                     return Err(ExpandError::new("empty else clause", clause));
                 }
-                Ok(seq(self.expand_all(body, env)?))
+                Ok(seq(self.expand_all(body)?))
             }
             [test] => {
                 // (cond (t) rest...) => (let ((x t)) (if x x rest))
-                let t = self.expand(test, env)?;
+                let t = self.expand(test)?;
                 let v = self.fresh_var("cond-t");
-                let k = self.expand_cond(d, rest, env)?;
+                let k = self.expand_cond(d, rest)?;
                 Ok(Expr::let1(
                     v,
                     None,
@@ -750,10 +687,10 @@ impl Expander {
                 ))
             }
             [test, Datum::Symbol(arrow), recv] if arrow == "=>" => {
-                let t = self.expand(test, env)?;
-                let f = self.expand(recv, env)?;
+                let t = self.expand(test)?;
+                let f = self.expand(recv)?;
                 let v = self.fresh_var("cond-t");
-                let k = self.expand_cond(d, rest, env)?;
+                let k = self.expand_cond(d, rest)?;
                 Ok(Expr::let1(
                     v,
                     None,
@@ -766,27 +703,22 @@ impl Expander {
                 ))
             }
             [test, body @ ..] => {
-                let t = self.expand(test, env)?;
-                let b = seq(self.expand_all(body, env)?);
-                let k = self.expand_cond(d, rest, env)?;
+                let t = self.expand(test)?;
+                let b = seq(self.expand_all(body)?);
+                let k = self.expand_cond(d, rest)?;
                 Ok(Expr::If(Box::new(t), Box::new(b), Box::new(k)))
             }
         }
     }
 
-    fn expand_case(
-        &mut self,
-        d: &Datum,
-        args: &[Datum],
-        env: &Env<'_>,
-    ) -> Result<Expr, ExpandError> {
+    fn expand_case(&mut self, d: &Datum, args: &[Datum]) -> Result<Expr, ExpandError> {
         let Some((key, clauses)) = args.split_first() else {
             return Err(ExpandError::new("case needs a key", d));
         };
-        let key_e = self.expand(key, env)?;
+        let key_e = self.expand(key)?;
         let v = self.fresh_var("case-k");
         let eqv = self.global_ref("eqv?", d)?;
-        let body = self.expand_case_clauses(d, clauses, v, &eqv, env)?;
+        let body = self.expand_case_clauses(d, clauses, v, &eqv)?;
         Ok(Expr::let1(v, None, key_e, body))
     }
 
@@ -796,7 +728,6 @@ impl Expander {
         clauses: &[Datum],
         key: VarId,
         eqv: &Expr,
-        env: &Env<'_>,
     ) -> Result<Expr, ExpandError> {
         let Some((clause, rest)) = clauses.split_first() else {
             return Ok(Expr::Unspecified);
@@ -809,7 +740,7 @@ impl Expander {
                 if !rest.is_empty() {
                     return Err(ExpandError::new("else clause must be last", d));
                 }
-                Ok(seq(self.expand_all(body, env)?))
+                Ok(seq(self.expand_all(body)?))
             }
             [Datum::List(data), body @ ..] => {
                 // (or (eqv? k 'd1) (eqv? k 'd2) ...)
@@ -829,21 +760,21 @@ impl Expander {
                     });
                 }
                 let test = test.unwrap_or(Expr::Const(Datum::Bool(false)));
-                let b = seq(self.expand_all(body, env)?);
-                let k = self.expand_case_clauses(d, rest, key, eqv, env)?;
+                let b = seq(self.expand_all(body)?);
+                let k = self.expand_case_clauses(d, rest, key, eqv)?;
                 Ok(Expr::If(Box::new(test), Box::new(b), Box::new(k)))
             }
             _ => Err(ExpandError::new("bad case clause", clause)),
         }
     }
 
-    fn expand_and(&mut self, args: &[Datum], env: &Env<'_>) -> Result<Expr, ExpandError> {
+    fn expand_and(&mut self, args: &[Datum]) -> Result<Expr, ExpandError> {
         match args {
             [] => Ok(Expr::Const(Datum::Bool(true))),
-            [e] => self.expand(e, env),
+            [e] => self.expand(e),
             [e, rest @ ..] => {
-                let head = self.expand(e, env)?;
-                let tail = self.expand_and(rest, env)?;
+                let head = self.expand(e)?;
+                let tail = self.expand_and(rest)?;
                 Ok(Expr::If(
                     Box::new(head),
                     Box::new(tail),
@@ -853,14 +784,14 @@ impl Expander {
         }
     }
 
-    fn expand_or(&mut self, args: &[Datum], env: &Env<'_>) -> Result<Expr, ExpandError> {
+    fn expand_or(&mut self, args: &[Datum]) -> Result<Expr, ExpandError> {
         match args {
             [] => Ok(Expr::Const(Datum::Bool(false))),
-            [e] => self.expand(e, env),
+            [e] => self.expand(e),
             [e, rest @ ..] => {
-                let head = self.expand(e, env)?;
+                let head = self.expand(e)?;
                 let v = self.fresh_var("or-t");
-                let tail = self.expand_or(rest, env)?;
+                let tail = self.expand_or(rest)?;
                 Ok(Expr::let1(
                     v,
                     None,
@@ -875,7 +806,7 @@ impl Expander {
         }
     }
 
-    fn expand_do(&mut self, d: &Datum, args: &[Datum], env: &Env<'_>) -> Result<Expr, ExpandError> {
+    fn expand_do(&mut self, d: &Datum, args: &[Datum]) -> Result<Expr, ExpandError> {
         let [specs, exit, commands @ ..] = args else {
             return Err(ExpandError::new("do needs bindings and an exit clause", d));
         };
@@ -941,37 +872,29 @@ impl Expander {
             v.push(if_form);
             v
         });
-        self.expand(&named_let, env)
+        self.expand(&named_let)
     }
 
-    fn expand_quasi(
-        &mut self,
-        d: &Datum,
-        depth: u32,
-        env: &Env<'_>,
-        at: &Datum,
-    ) -> Result<Expr, ExpandError> {
+    fn expand_quasi(&mut self, d: &Datum, depth: u32, at: &Datum) -> Result<Expr, ExpandError> {
         // (unquote x)
         if let Datum::List(items) = d {
             if items.len() == 2 && items[0].as_symbol() == Some("unquote") {
                 if depth == 1 {
-                    return self.expand(&items[1], env);
+                    return self.expand(&items[1]);
                 }
-                let inner = self.expand_quasi(&items[1], depth - 1, env, at)?;
+                let inner = self.expand_quasi(&items[1], depth - 1, at)?;
                 return self.qq_list2(Expr::Const(Datum::Symbol("unquote".into())), inner, at);
             }
             if items.len() == 2 && items[0].as_symbol() == Some("quasiquote") {
-                let inner = self.expand_quasi(&items[1], depth + 1, env, at)?;
+                let inner = self.expand_quasi(&items[1], depth + 1, at)?;
                 return self.qq_list2(Expr::Const(Datum::Symbol("quasiquote".into())), inner, at);
             }
         }
         match d {
-            Datum::List(items) => self.expand_quasi_list(items, None, depth, env, at),
-            Datum::Improper(items, tail) => {
-                self.expand_quasi_list(items, Some(tail), depth, env, at)
-            }
+            Datum::List(items) => self.expand_quasi_list(items, None, depth, at),
+            Datum::Improper(items, tail) => self.expand_quasi_list(items, Some(tail), depth, at),
             Datum::Vector(items) => {
-                let as_list = self.expand_quasi_list(items, None, depth, env, at)?;
+                let as_list = self.expand_quasi_list(items, None, depth, at)?;
                 let l2v = self.global_ref("list->vector", at)?;
                 Ok(Expr::Call(Box::new(l2v), vec![as_list]))
             }
@@ -984,20 +907,19 @@ impl Expander {
         items: &[Datum],
         tail: Option<&Datum>,
         depth: u32,
-        env: &Env<'_>,
         at: &Datum,
     ) -> Result<Expr, ExpandError> {
         // Recognize the dotted-unquote case `(a . ,b)`, which the parser
         // normalizes to a proper list ending in [unquote, b].
         let mut items = items;
         let mut tail_expr = match tail {
-            Some(t) => self.expand_quasi(t, depth, env, at)?,
+            Some(t) => self.expand_quasi(t, depth, at)?,
             None => {
                 if items.len() >= 3
                     && items[items.len() - 2].as_symbol() == Some("unquote")
                     && depth == 1
                 {
-                    let t = self.expand(&items[items.len() - 1], env)?;
+                    let t = self.expand(&items[items.len() - 1])?;
                     items = &items[..items.len() - 2];
                     t
                 } else {
@@ -1013,13 +935,13 @@ impl Expander {
                     && parts[0].as_symbol() == Some("unquote-splicing")
                     && depth == 1
                 {
-                    let spliced = self.expand(&parts[1], env)?;
+                    let spliced = self.expand(&parts[1])?;
                     let append = self.global_ref("append", at)?;
                     tail_expr = Expr::Call(Box::new(append), vec![spliced, tail_expr]);
                     continue;
                 }
             }
-            let head = self.expand_quasi(item, depth, env, at)?;
+            let head = self.expand_quasi(item, depth, at)?;
             tail_expr = Expr::Call(Box::new(cons.clone()), vec![head, tail_expr]);
         }
         Ok(tail_expr)

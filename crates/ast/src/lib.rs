@@ -38,7 +38,9 @@
 mod assignconv;
 mod core;
 mod expand;
+mod scoped;
 
 pub use crate::core::{Expr, GlobalId, Lambda, Program, TopItem, VarId};
 pub use assignconv::convert_assignments;
 pub use expand::{ExpandError, Expander, Unit};
+pub use scoped::ScopedMap;

@@ -11,7 +11,9 @@
 //! The code generator also computes each function's **pointer map** for the
 //! precise collector: a register is marked "raw" when the value it holds is
 //! statically known never to be a heap pointer (results of word arithmetic,
-//! projections, type tests). Raw registers are skipped by the GC.
+//! projections, type tests). Raw registers are skipped by the GC. Every
+//! register's kind, and every closure slot's, is decided once, by
+//! `gc_kinds`, before any instruction is selected.
 
 use std::collections::HashMap;
 use sxr_ir::anf::{Atom, Bound, Expr, FnId, Fun, Literal, Module, Test, VarId};
@@ -43,17 +45,31 @@ enum Kind {
     Tagged,
 }
 
-/// "Tagged wins": once a value may be tagged it must be treated as a root.
-fn join(a: Kind, b: Kind) -> Kind {
-    if a == Kind::Tagged || b == Kind::Tagged {
-        Kind::Tagged
-    } else {
-        Kind::Raw
+impl Kind {
+    /// "Tagged wins": once a value may be tagged it must be treated as a
+    /// root. Mixing is only safe because non-pointer words under every
+    /// registered immediate representation remain valid tagged words; a raw
+    /// word that could alias a pointer pattern must never flow into a tagged
+    /// join — the library upholds this by construction and the differential
+    /// tests exercise it.
+    fn join(self, other: Kind) -> Kind {
+        if self == Kind::Tagged || other == Kind::Tagged {
+            Kind::Tagged
+        } else {
+            Kind::Raw
+        }
+    }
+
+    /// A literal is raw exactly when it is a raw word.
+    fn of_literal(l: &Literal) -> Kind {
+        match l {
+            Literal::Raw(_) => Kind::Raw,
+            _ => Kind::Tagged,
+        }
     }
 }
 
-/// The kind a primitive's result register gets (must agree with
-/// [`FnGen::emit_prim`]).
+/// The kind of a primitive's result.
 fn prim_kind(op: &PrimOp) -> Kind {
     use PrimOp::*;
     match op {
@@ -65,152 +81,164 @@ fn prim_kind(op: &PrimOp) -> Kind {
     }
 }
 
-/// Computes, for every function, the kind of each closure free-variable
-/// slot: `Raw` slots hold untagged machine words (projections, word
-/// arithmetic the optimizer hoisted across a lambda) and must be *skipped*
-/// by the collector — a raw word whose low bits alias a pointer tag would
-/// otherwise be "forwarded" into garbage.  Slots start `Raw` and join
-/// toward `Tagged` over every `MakeClosure`/`ClosurePatch` site, so the
-/// fixpoint terminates; `ClosureRef` reads feed a function's own slot
-/// kinds back into values it captures for others, which is why this is a
-/// whole-module fixpoint rather than a single pass.
-fn free_slot_kinds(module: &Module) -> Vec<Vec<Kind>> {
-    let mut slots: Vec<Vec<Kind>> = module
-        .funs
-        .iter()
-        .map(|f| vec![Kind::Raw; f.free_count])
-        .collect();
+/// The GC kind of everything codegen puts in a register or a closure slot,
+/// decided here and nowhere else.
+struct Kinds {
+    /// Per function, the kind of each closure free-variable slot.
+    slots: Vec<Vec<Kind>>,
+    /// Per function, the kind of each variable it binds (its self,
+    /// parameters and `let`s).
+    vars: Vec<IdMap<VarId, Kind>>,
+}
+
+/// Computes [`Kinds`] for a module. `Raw` slots hold untagged machine words
+/// (projections, word arithmetic the optimizer hoisted across a lambda) and
+/// must be *skipped* by the collector — a raw word whose low bits alias a
+/// pointer tag would otherwise be "forwarded" into garbage. Slots start
+/// `Raw` and join toward `Tagged` over every `MakeClosure`/`ClosurePatch`
+/// site, so the fixpoint terminates; `ClosureRef` reads feed a function's
+/// own slot kinds back into values it captures for others, which is why
+/// this is a whole-module fixpoint rather than a single pass. The variable
+/// kinds are those of the last round, which read only converged slots.
+fn gc_kinds(module: &Module) -> Kinds {
+    let mut w = KindWalk {
+        slots: module
+            .funs
+            .iter()
+            .map(|f| vec![Kind::Raw; f.free_count])
+            .collect(),
+        changed: false,
+        fid: 0,
+        env: IdMap::default(),
+        closure_of: IdMap::default(),
+    };
     loop {
-        let mut changed = false;
+        w.changed = false;
+        let mut vars = Vec::with_capacity(module.funs.len());
         for (fid, f) in module.funs.iter().enumerate() {
-            let mut env: IdMap<VarId, Kind> = IdMap::default();
-            env.insert(f.self_var, Kind::Tagged);
+            w.fid = fid as FnId;
+            w.closure_of.clear();
+            w.env = IdMap::default();
+            w.env.insert(f.self_var, Kind::Tagged);
             for p in f.params.iter().chain(f.rest.iter()) {
-                env.insert(*p, Kind::Tagged);
+                w.env.insert(*p, Kind::Tagged);
             }
-            // Vars bound to `MakeClosure`, so `ClosurePatch` can attribute
-            // its store to the right function's slot.
-            let mut closure_of: IdMap<VarId, FnId> = IdMap::default();
-            slot_walk_expr(
-                &f.body,
-                fid as FnId,
-                &mut env,
-                &mut closure_of,
-                &mut slots,
-                &mut changed,
-            );
+            w.expr(&f.body);
+            vars.push(std::mem::take(&mut w.env));
         }
-        if !changed {
-            break;
-        }
-    }
-    slots
-}
-
-fn slot_atom_kind(a: &Atom, env: &IdMap<VarId, Kind>) -> Kind {
-    match a {
-        Atom::Var(v) => env.get(v).copied().unwrap_or(Kind::Tagged),
-        Atom::Lit(Literal::Raw(_)) => Kind::Raw,
-        Atom::Lit(_) => Kind::Tagged,
-    }
-}
-
-fn slot_join_into(slots: &mut [Vec<Kind>], fid: FnId, idx: usize, k: Kind, changed: &mut bool) {
-    if let Some(slot) = slots.get_mut(fid as usize).and_then(|s| s.get_mut(idx)) {
-        let j = join(*slot, k);
-        if j != *slot {
-            *slot = j;
-            *changed = true;
+        if !w.changed {
+            return Kinds {
+                slots: w.slots,
+                vars,
+            };
         }
     }
 }
 
-/// Walks an expression, binding kinds into `env`, and returns the kind of
-/// the value the expression yields.
-fn slot_walk_expr(
-    e: &Expr,
+/// One round of [`gc_kinds`] over one function at a time.
+struct KindWalk {
+    slots: Vec<Vec<Kind>>,
+    /// Whether a slot's kind changed this round.
+    changed: bool,
+    /// The function being walked.
     fid: FnId,
-    env: &mut IdMap<VarId, Kind>,
-    closure_of: &mut IdMap<VarId, FnId>,
-    slots: &mut Vec<Vec<Kind>>,
-    changed: &mut bool,
-) -> Kind {
-    match e {
-        Expr::Let(v, b, body) => {
-            let k = slot_walk_bound(*v, b, fid, env, closure_of, slots, changed);
-            env.insert(*v, k);
-            slot_walk_expr(body, fid, env, closure_of, slots, changed)
-        }
-        Expr::If(_, t, els) => {
-            let a = slot_walk_expr(t, fid, env, closure_of, slots, changed);
-            let b = slot_walk_expr(els, fid, env, closure_of, slots, changed);
-            join(a, b)
-        }
-        Expr::Ret(a) => slot_atom_kind(a, env),
-        Expr::TailCall(..) | Expr::TailCallKnown(..) => Kind::Tagged,
-        // Pre-closure-conversion only; nothing to do here.
-        Expr::LetRec(_, body) => slot_walk_expr(body, fid, env, closure_of, slots, changed),
-    }
+    /// Its variables' kinds so far.
+    env: IdMap<VarId, Kind>,
+    /// Its vars bound to `MakeClosure`, so `ClosurePatch` can attribute its
+    /// store to the right function's slot.
+    closure_of: IdMap<VarId, FnId>,
 }
 
-fn slot_walk_bound(
-    v: VarId,
-    b: &Bound,
-    fid: FnId,
-    env: &mut IdMap<VarId, Kind>,
-    closure_of: &mut IdMap<VarId, FnId>,
-    slots: &mut Vec<Vec<Kind>>,
-    changed: &mut bool,
-) -> Kind {
-    match b {
-        Bound::Atom(a) => {
-            if let Atom::Var(src) = a {
-                if let Some(t) = closure_of.get(src).copied() {
-                    closure_of.insert(v, t);
+impl KindWalk {
+    fn atom(&self, a: &Atom) -> Kind {
+        match a {
+            Atom::Var(v) => self.env.get(v).copied().unwrap_or(Kind::Tagged),
+            Atom::Lit(l) => Kind::of_literal(l),
+        }
+    }
+
+    fn join_slot(&mut self, fid: FnId, idx: usize, k: Kind) {
+        if let Some(slot) = self
+            .slots
+            .get_mut(fid as usize)
+            .and_then(|s| s.get_mut(idx))
+        {
+            let j = slot.join(k);
+            if j != *slot {
+                *slot = j;
+                self.changed = true;
+            }
+        }
+    }
+
+    /// Binds the kinds of the variables `e` defines, and returns the kind
+    /// of the value it yields. Loops along the spine.
+    fn expr(&mut self, mut e: &Expr) -> Kind {
+        loop {
+            match e {
+                Expr::Let(v, b, body) => {
+                    let k = self.bound(*v, b);
+                    self.env.insert(*v, k);
+                    e = body;
                 }
+                // Pre-closure-conversion only; nothing to do here.
+                Expr::LetRec(_, body) => e = body,
+                Expr::If(_, t, els) => return self.expr(t).join(self.expr(els)),
+                Expr::Ret(a) => return self.atom(a),
+                Expr::TailCall(..) | Expr::TailCallKnown(..) => return Kind::Tagged,
             }
-            slot_atom_kind(a, env)
         }
-        Bound::Prim(op, _) => prim_kind(op),
-        Bound::MakeClosure(target, frees) => {
-            for (i, a) in frees.iter().enumerate() {
-                let k = slot_atom_kind(a, env);
-                slot_join_into(slots, *target, i, k, changed);
+    }
+
+    fn bound(&mut self, v: VarId, b: &Bound) -> Kind {
+        match b {
+            Bound::Atom(a) => {
+                if let Some(t) = a
+                    .as_var()
+                    .and_then(|src| self.closure_of.get(&src).copied())
+                {
+                    self.closure_of.insert(v, t);
+                }
+                self.atom(a)
             }
-            closure_of.insert(v, *target);
-            Kind::Tagged
-        }
-        Bound::ClosureRef(i) => slots
-            .get(fid as usize)
-            .and_then(|s| s.get(*i))
-            .copied()
-            .unwrap_or(Kind::Tagged),
-        Bound::ClosurePatch(c, i, x) => {
-            let k = slot_atom_kind(x, env);
-            match c.as_var().and_then(|cv| closure_of.get(&cv).copied()) {
-                Some(target) => slot_join_into(slots, target, *i, k, changed),
-                // Unknown patch target: assume it could be any function.
-                None => {
-                    for t in 0..slots.len() {
-                        slot_join_into(slots, t as FnId, *i, k, changed);
+            Bound::Prim(op, _) => prim_kind(op),
+            Bound::MakeClosure(target, frees) => {
+                for (i, a) in frees.iter().enumerate() {
+                    let k = self.atom(a);
+                    self.join_slot(*target, i, k);
+                }
+                self.closure_of.insert(v, *target);
+                Kind::Tagged
+            }
+            Bound::ClosureRef(i) => self
+                .slots
+                .get(self.fid as usize)
+                .and_then(|s| s.get(*i))
+                .copied()
+                .unwrap_or(Kind::Tagged),
+            Bound::ClosurePatch(c, i, x) => {
+                let k = self.atom(x);
+                match c.as_var().and_then(|cv| self.closure_of.get(&cv).copied()) {
+                    Some(target) => self.join_slot(target, *i, k),
+                    // Unknown patch target: assume it could be any function.
+                    None => {
+                        for t in 0..self.slots.len() {
+                            self.join_slot(t as FnId, *i, k);
+                        }
                     }
                 }
+                Kind::Tagged // binds the unspecified value
             }
-            Kind::Tagged // binds the unspecified value
+            Bound::If(_, t, els) => self.expr(t).join(self.expr(els)),
+            Bound::Body(e) => self.expr(e),
+            // Calls, globals, lambdas (pre-cc), and effect binders yield tagged
+            // values (effect binders bind the unspecified value).
+            Bound::Call(..)
+            | Bound::CallKnown(..)
+            | Bound::GlobalGet(_)
+            | Bound::GlobalSet(..)
+            | Bound::Lambda(_) => Kind::Tagged,
         }
-        Bound::If(_, t, els) => {
-            let a = slot_walk_expr(t, fid, env, closure_of, slots, changed);
-            let b = slot_walk_expr(els, fid, env, closure_of, slots, changed);
-            join(a, b)
-        }
-        Bound::Body(e) => slot_walk_expr(e, fid, env, closure_of, slots, changed),
-        // Calls, globals, lambdas (pre-cc), and effect binders yield tagged
-        // values (effect binders bind the unspecified value).
-        Bound::Call(..)
-        | Bound::CallKnown(..)
-        | Bound::GlobalGet(_)
-        | Bound::GlobalSet(..)
-        | Bound::Lambda(_) => Kind::Tagged,
     }
 }
 
@@ -233,10 +261,15 @@ pub fn generate(module: &Module, registry: &RepRegistry) -> Result<CodeProgram, 
             .ok_or_else(|| missing_role(roles::CLOSURE))?
             .tag as i64,
     };
-    let slot_kinds = free_slot_kinds(module);
+    let kinds = gc_kinds(module);
     let mut funs = Vec::with_capacity(module.funs.len());
     for (fid, f) in module.funs.iter().enumerate() {
-        funs.push(FnGen::emit(f, &slot_kinds[fid], &mut shared)?);
+        funs.push(FnGen::emit(
+            f,
+            &kinds.slots[fid],
+            &kinds.vars[fid],
+            &mut shared,
+        )?);
     }
     Ok(CodeProgram {
         funs,
@@ -324,8 +357,8 @@ impl Shared<'_> {
     fn literal(&mut self, lit: &Literal) -> Result<Enc, CodegenError> {
         use sxr_sexp::Datum;
         Ok(match lit {
-            Literal::Raw(w) => Enc::Imm(*w, Kind::Raw),
-            Literal::Unspecified => Enc::Imm(self.unspec_word, Kind::Tagged),
+            Literal::Raw(w) => Enc::Imm(*w),
+            Literal::Unspecified => Enc::Imm(self.unspec_word),
             Literal::Rep(r) => Enc::Pool(self.pool_slot(PoolKey::Rep(*r))),
             Literal::Datum(d) => {
                 let (role, payload) = match d {
@@ -335,7 +368,7 @@ impl Shared<'_> {
                     Datum::List(items) if items.is_empty() => (roles::NULL, 0),
                     other => return Ok(Enc::Pool(self.pool_slot(PoolKey::Datum(other.clone())))),
                 };
-                Enc::Imm(role_word(self.registry, role, payload)?, Kind::Tagged)
+                Enc::Imm(role_word(self.registry, role, payload)?)
             }
         })
     }
@@ -343,15 +376,15 @@ impl Shared<'_> {
 
 #[derive(Debug, Clone, Copy)]
 enum Enc {
-    Imm(i64, Kind),
+    Imm(i64),
     Pool(u32),
 }
 
 struct FnGen<'a, 'b> {
     shared: &'a mut Shared<'b>,
     regs: IdMap<VarId, Reg>,
-    kinds: Vec<Kind>,       // per register
-    free_kinds: &'a [Kind], // per closure free slot (from `free_slot_kinds`)
+    kinds: Vec<Kind>, // per register
+    var_kinds: &'a IdMap<VarId, Kind>,
     insts: Vec<Inst>,
     patches: Vec<(usize, u32)>, // (inst index, label)
     labels: Vec<Option<u32>>,
@@ -359,6 +392,7 @@ struct FnGen<'a, 'b> {
 }
 
 /// Where a sub-expression delivers its value.
+#[derive(Clone, Copy)]
 enum Ctx {
     /// Function tail: `Ret` / tail calls allowed.
     Tail,
@@ -371,20 +405,21 @@ impl<'a, 'b> FnGen<'a, 'b> {
     fn emit(
         f: &Fun,
         free_kinds: &'a [Kind],
+        var_kinds: &'a IdMap<VarId, Kind>,
         shared: &'a mut Shared<'b>,
     ) -> Result<CodeFun, CodegenError> {
         let mut g = FnGen {
             shared,
             regs: IdMap::default(),
             kinds: Vec::new(),
-            free_kinds,
+            var_kinds,
             insts: Vec::new(),
             patches: Vec::new(),
             labels: Vec::new(),
             uses: IdMap::default(),
         };
         f.body.use_counts(&mut g.uses);
-        let r0 = g.fresh_reg(Kind::Tagged)?;
+        let r0 = g.define(f.self_var)?;
         if r0 != 0 {
             // The machine stores the callee closure in register 0; any
             // other assignment would silently shift every frame access.
@@ -392,12 +427,10 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 "closure register allocated as r{r0}, not r0"
             )));
         }
-        g.regs.insert(f.self_var, 0);
         for p in f.params.iter().chain(f.rest.iter()) {
-            let r = g.fresh_reg(Kind::Tagged)?;
-            g.regs.insert(*p, r);
+            g.define(*p)?;
         }
-        g.emit_expr(&f.body, &mut Ctx::Tail)?;
+        g.emit_expr(&f.body, Ctx::Tail)?;
         // Patch labels.
         for (at, label) in std::mem::take(&mut g.patches) {
             let target = g.labels[label as usize]
@@ -458,34 +491,18 @@ impl<'a, 'b> FnGen<'a, 'b> {
             .ok_or_else(|| CodegenError(format!("use of unallocated variable v{v}")))
     }
 
-    fn kind_of_atom(&mut self, a: &Atom) -> Result<Kind, CodegenError> {
-        Ok(match a {
-            Atom::Var(v) => self.kinds[self.var_reg(*v)? as usize],
-            Atom::Lit(l) => match self.shared.literal(l)? {
-                Enc::Imm(_, k) => k,
-                Enc::Pool(_) => Kind::Tagged,
-            },
-        })
-    }
-
     /// Materializes an atom into a register.
     fn atom_reg(&mut self, a: &Atom) -> Result<Reg, CodegenError> {
         match a {
             Atom::Var(v) => self.var_reg(*v),
             Atom::Lit(l) => {
                 let enc = self.shared.literal(l)?;
-                match enc {
-                    Enc::Imm(w, k) => {
-                        let r = self.fresh_reg(k)?;
-                        self.insts.push(Inst::Const { d: r, imm: w });
-                        Ok(r)
-                    }
-                    Enc::Pool(idx) => {
-                        let r = self.fresh_reg(Kind::Tagged)?;
-                        self.insts.push(Inst::Pool { d: r, idx });
-                        Ok(r)
-                    }
-                }
+                let r = self.fresh_reg(Kind::of_literal(l))?;
+                self.insts.push(match enc {
+                    Enc::Imm(imm) => Inst::Const { d: r, imm },
+                    Enc::Pool(idx) => Inst::Pool { d: r, idx },
+                });
+                Ok(r)
             }
         }
     }
@@ -493,7 +510,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
     /// Returns an immediate encoding of the atom if it fits i32.
     fn atom_imm(&mut self, a: &Atom) -> Result<Option<i32>, CodegenError> {
         if let Atom::Lit(l) = a {
-            if let Enc::Imm(w, _) = self.shared.literal(l)? {
+            if let Enc::Imm(w) = self.shared.literal(l)? {
                 return Ok(i32::try_from(w).ok());
             }
         }
@@ -508,118 +525,115 @@ impl<'a, 'b> FnGen<'a, 'b> {
         self.uses.get(&v).copied().unwrap_or(0) == 1
     }
 
-    fn emit_expr(&mut self, e: &Expr, ctx: &mut Ctx) -> Result<(), CodegenError> {
-        match e {
-            Expr::Let(v, b, body) => {
-                // Compare-and-branch fusion: a single-use comparison feeding
-                // the immediately following raw test.
-                if let Bound::Prim(op @ (PrimOp::WordEq | PrimOp::WordLt | PrimOp::PtrEq), args) = b
-                {
-                    if self.used_once(*v) {
-                        match &**body {
-                            Expr::If(Test::NonZero(Atom::Var(w)), t, els) if w == v => {
-                                return self.emit_fused_if(*op, args, t, els, None, ctx);
-                            }
-                            Expr::Let(v2, Bound::If(Test::NonZero(Atom::Var(w)), t, els), rest)
-                                if w == v =>
-                            {
-                                return self.emit_fused_if(
-                                    *op,
-                                    args,
-                                    t,
-                                    els,
-                                    Some((*v2, rest)),
-                                    ctx,
-                                );
-                            }
-                            _ => {}
+    /// Emits `e`, one spine node per pass of the loop; recurses only into
+    /// the arms of conditionals and into value bodies.
+    fn emit_expr(&mut self, mut e: &Expr, ctx: Ctx) -> Result<(), CodegenError> {
+        loop {
+            match e {
+                Expr::Let(v, b, body) => {
+                    // Compare-and-branch fusion: a single-use comparison
+                    // feeding the immediately following raw test.
+                    match (self.fusable(*v, b), &**body) {
+                        (Some((op, args)), Expr::If(Test::NonZero(Atom::Var(w)), t, els))
+                            if w == v =>
+                        {
+                            let (cmp, a, b) = self.compare_operands(op, args)?;
+                            let else_l = self.new_label();
+                            self.jump_cmp(cmp, a, b, else_l);
+                            self.emit_expr(t, ctx)?;
+                            self.bind_label(else_l);
+                            e = els;
+                        }
+                        (
+                            Some((op, args)),
+                            Expr::Let(v2, Bound::If(Test::NonZero(Atom::Var(w)), t, els), rest),
+                        ) if w == v => {
+                            let (cmp, a, b) = self.compare_operands(op, args)?;
+                            let dst = self.define(*v2)?;
+                            let else_l = self.new_label();
+                            self.jump_cmp(cmp, a, b, else_l);
+                            self.yield_arms(dst, t, els, else_l)?;
+                            e = rest;
+                        }
+                        _ => {
+                            self.emit_bound(*v, b)?;
+                            e = body;
                         }
                     }
                 }
-                self.emit_bound(*v, b)?;
-                self.emit_expr(body, ctx)
-            }
-            Expr::If(test, t, els) => {
-                let else_l = self.new_label();
-                self.branch_unless(test, else_l)?;
-                self.emit_expr(t, ctx)?;
-                self.bind_label(else_l);
-                self.emit_expr(els, ctx)
-            }
-            Expr::Ret(a) => match ctx {
-                Ctx::Tail => {
-                    let r = self.atom_reg(a)?;
-                    self.insts.push(Inst::Ret { s: r });
-                    Ok(())
+                Expr::If(test, t, els) => {
+                    let else_l = self.new_label();
+                    self.branch_unless(test, else_l)?;
+                    self.emit_expr(t, ctx)?;
+                    self.bind_label(else_l);
+                    e = els;
                 }
-                Ctx::Yield { dst, join } => {
-                    let (dst, join) = (*dst, *join);
-                    // Move/encode directly into the destination register.
-                    match a {
-                        Atom::Var(v) => {
-                            let s = self.var_reg(*v)?;
-                            let k = self.kinds[s as usize];
-                            self.join_kind(dst, k);
-                            if s != dst {
-                                self.insts.push(Inst::Move { d: dst, s });
-                            }
+                Expr::Ret(a) => {
+                    match ctx {
+                        Ctx::Tail => {
+                            let r = self.atom_reg(a)?;
+                            self.insts.push(Inst::Ret { s: r });
                         }
-                        Atom::Lit(l) => {
-                            let enc = self.shared.literal(l)?;
-                            match enc {
-                                Enc::Imm(w, k) => {
-                                    self.join_kind(dst, k);
-                                    self.insts.push(Inst::Const { d: dst, imm: w });
+                        Ctx::Yield { dst, join } => {
+                            // Move/encode directly into the destination register.
+                            match a {
+                                Atom::Var(v) => {
+                                    let s = self.var_reg(*v)?;
+                                    if s != dst {
+                                        self.insts.push(Inst::Move { d: dst, s });
+                                    }
                                 }
-                                Enc::Pool(idx) => {
-                                    self.join_kind(dst, Kind::Tagged);
-                                    self.insts.push(Inst::Pool { d: dst, idx });
-                                }
+                                Atom::Lit(l) => self.insts.push(match self.shared.literal(l)? {
+                                    Enc::Imm(imm) => Inst::Const { d: dst, imm },
+                                    Enc::Pool(idx) => Inst::Pool { d: dst, idx },
+                                }),
                             }
+                            self.jump(join);
                         }
                     }
-                    self.jump(join);
-                    Ok(())
+                    return Ok(());
                 }
-            },
-            Expr::TailCall(f, args) => {
-                if !matches!(ctx, Ctx::Tail) {
-                    return Err(CodegenError("tail call in value branch".to_string()));
+                Expr::TailCall(f, args) => {
+                    if !matches!(ctx, Ctx::Tail) {
+                        return Err(CodegenError("tail call in value branch".to_string()));
+                    }
+                    let fr = self.atom_reg(f)?;
+                    let argr = self.atom_regs(args)?;
+                    self.insts.push(Inst::TailCall { f: fr, args: argr });
+                    return Ok(());
                 }
-                let fr = self.atom_reg(f)?;
-                let argr = self.atom_regs(args)?;
-                self.insts.push(Inst::TailCall { f: fr, args: argr });
-                Ok(())
+                Expr::TailCallKnown(fid, clo, args) => {
+                    if !matches!(ctx, Ctx::Tail) {
+                        return Err(CodegenError("tail call in value branch".to_string()));
+                    }
+                    let cr = self.atom_reg(clo)?;
+                    let argr = self.atom_regs(args)?;
+                    self.insts.push(Inst::TailCallKnown {
+                        f: *fid,
+                        clo: cr,
+                        args: argr,
+                    });
+                    return Ok(());
+                }
+                Expr::LetRec(..) => {
+                    return Err(CodegenError(
+                        "letrec reached the code generator".to_string(),
+                    ))
+                }
             }
-            Expr::TailCallKnown(fid, clo, args) => {
-                if !matches!(ctx, Ctx::Tail) {
-                    return Err(CodegenError("tail call in value branch".to_string()));
-                }
-                let cr = self.atom_reg(clo)?;
-                let argr = self.atom_regs(args)?;
-                self.insts.push(Inst::TailCallKnown {
-                    f: *fid,
-                    clo: cr,
-                    args: argr,
-                });
-                Ok(())
-            }
-            Expr::LetRec(..) => Err(CodegenError(
-                "letrec reached the code generator".to_string(),
-            )),
         }
     }
 
-    /// Joins a yield kind into the destination register's kind: pointer-ness
-    /// wins (a register is scanned if *any* path may store a pointer there).
-    /// Mixing is only safe because non-pointer words under every registered
-    /// immediate representation remain valid tagged words; a raw word that
-    /// could alias a pointer pattern must never flow into a tagged join —
-    /// the library upholds this by construction and the differential tests
-    /// exercise it.
-    fn join_kind(&mut self, dst: Reg, k: Kind) {
-        if k == Kind::Tagged {
-            self.kinds[dst as usize] = Kind::Tagged;
+    /// The comparison `let v = b` binds, when it can fuse into the branch
+    /// that tests `v`: `v` is used once, by that test.
+    fn fusable<'e>(&self, v: VarId, b: &'e Bound) -> Option<(PrimOp, &'e [Atom])> {
+        match b {
+            Bound::Prim(op @ (PrimOp::WordEq | PrimOp::WordLt | PrimOp::PtrEq), args)
+                if self.used_once(v) =>
+            {
+                Some((*op, args))
+            }
+            _ => None,
         }
     }
 
@@ -646,51 +660,46 @@ impl<'a, 'b> FnGen<'a, 'b> {
         }
     }
 
-    /// Emits `if (a cmp b) then else` with the comparison fused into the
-    /// branch. `bound` is `Some((v, rest))` for a value-producing if.
-    fn emit_fused_if(
+    /// The operands of a fused compare-and-branch, and the comparison that
+    /// sends it to the else arm (the one that holds when `op` is false).
+    fn compare_operands(
         &mut self,
         op: PrimOp,
         args: &[Atom],
-        t: &Expr,
-        els: &Expr,
-        bound: Option<(VarId, &Expr)>,
-        ctx: &mut Ctx,
-    ) -> Result<(), CodegenError> {
+    ) -> Result<(CmpOp, Reg, RegImm), CodegenError> {
         let a = self.atom_reg(&args[0])?;
         let b = match self.atom_imm(&args[1])? {
             Some(imm) => RegImm::Imm(imm),
             None => RegImm::Reg(self.atom_reg(&args[1])?),
         };
-        // Branch to else when the comparison is false.
         let cmp = match op {
             PrimOp::WordEq | PrimOp::PtrEq => CmpOp::Ne,
             PrimOp::WordLt => CmpOp::Ge,
             _ => unreachable!("fusion only on comparisons"),
         };
-        let else_l = self.new_label();
-        match bound {
-            None => {
-                self.jump_cmp(cmp, a, b, else_l);
-                self.emit_expr(t, ctx)?;
-                self.bind_label(else_l);
-                self.emit_expr(els, ctx)
-            }
-            Some((v, rest)) => {
-                let dst = self.fresh_reg(Kind::Raw)?; // corrected by join_kind
-                self.regs.insert(v, dst);
-                let join = self.new_label();
-                self.jump_cmp(cmp, a, b, else_l);
-                self.emit_expr(t, &mut Ctx::Yield { dst, join })?;
-                self.bind_label(else_l);
-                self.emit_expr(els, &mut Ctx::Yield { dst, join })?;
-                self.bind_label(join);
-                self.emit_expr(rest, ctx)
-            }
-        }
+        Ok((cmp, a, b))
     }
 
-    fn define(&mut self, v: VarId, kind: Kind) -> Result<Reg, CodegenError> {
+    /// Emits the arms of a value-producing conditional whose branch to
+    /// `else_l` is already emitted: each arm yields into `dst`.
+    fn yield_arms(
+        &mut self,
+        dst: Reg,
+        t: &Expr,
+        els: &Expr,
+        else_l: u32,
+    ) -> Result<(), CodegenError> {
+        let join = self.new_label();
+        self.emit_expr(t, Ctx::Yield { dst, join })?;
+        self.bind_label(else_l);
+        self.emit_expr(els, Ctx::Yield { dst, join })?;
+        self.bind_label(join);
+        Ok(())
+    }
+
+    /// Gives `v` a fresh register of the kind [`gc_kinds`] decided for it.
+    fn define(&mut self, v: VarId) -> Result<Reg, CodegenError> {
+        let kind = self.var_kinds.get(&v).copied().unwrap_or(Kind::Tagged);
         let r = self.fresh_reg(kind)?;
         self.regs.insert(v, r);
         Ok(r)
@@ -699,29 +708,33 @@ impl<'a, 'b> FnGen<'a, 'b> {
     fn emit_bound(&mut self, v: VarId, b: &Bound) -> Result<(), CodegenError> {
         match b {
             Bound::Atom(a) => {
-                let k = self.kind_of_atom(a)?;
-                match a {
+                let inst = match a {
                     Atom::Var(src) => {
                         let s = self.var_reg(*src)?;
-                        let d = self.define(v, k)?;
-                        self.insts.push(Inst::Move { d, s });
-                    }
-                    Atom::Lit(l) => {
-                        let enc = self.shared.literal(l)?;
-                        let d = self.define(v, k)?;
-                        match enc {
-                            Enc::Imm(w, _) => self.insts.push(Inst::Const { d, imm: w }),
-                            Enc::Pool(idx) => self.insts.push(Inst::Pool { d, idx }),
+                        Inst::Move {
+                            d: self.define(v)?,
+                            s,
                         }
                     }
-                }
+                    Atom::Lit(l) => match self.shared.literal(l)? {
+                        Enc::Imm(imm) => Inst::Const {
+                            d: self.define(v)?,
+                            imm,
+                        },
+                        Enc::Pool(idx) => Inst::Pool {
+                            d: self.define(v)?,
+                            idx,
+                        },
+                    },
+                };
+                self.insts.push(inst);
                 Ok(())
             }
             Bound::Prim(op, args) => self.emit_prim(v, *op, args),
             Bound::Call(f, args) => {
                 let fr = self.atom_reg(f)?;
                 let argr = self.atom_regs(args)?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v)?;
                 self.insts.push(Inst::Call {
                     d,
                     f: fr,
@@ -732,7 +745,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
             Bound::CallKnown(fid, clo, args) => {
                 let cr = self.atom_reg(clo)?;
                 let argr = self.atom_regs(args)?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v)?;
                 self.insts.push(Inst::CallKnown {
                     d,
                     f: *fid,
@@ -742,7 +755,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 Ok(())
             }
             Bound::GlobalGet(g) => {
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v)?;
                 self.insts.push(Inst::GlobalGet { d, g: *g });
                 Ok(())
             }
@@ -756,7 +769,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
             )),
             Bound::MakeClosure(fid, frees) => {
                 let freer = self.atom_regs(frees)?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v)?;
                 self.insts.push(Inst::MakeClosure {
                     d,
                     f: *fid,
@@ -765,10 +778,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 Ok(())
             }
             Bound::ClosureRef(i) => {
-                // The slot's kind flows into the destination register: a raw
-                // capture must stay invisible to the collector.
-                let k = self.free_kinds.get(*i).copied().unwrap_or(Kind::Tagged);
-                let d = self.define(v, k)?;
+                let d = self.define(v)?;
                 let disp = (8 * (*i as i64 + 2) - self.shared.closure_tag) as i32;
                 self.insts.push(Inst::LoadD { d, p: 0, disp });
                 Ok(())
@@ -784,23 +794,15 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 self.bind_unspec_if_used(v)
             }
             Bound::If(test, t, els) => {
-                // Value-producing if.
-                let dst = self.fresh_reg(Kind::Raw)?; // join_kind corrects
-                self.regs.insert(v, dst);
+                let dst = self.define(v)?;
                 let else_l = self.new_label();
-                let join = self.new_label();
                 self.branch_unless(test, else_l)?;
-                self.emit_expr(t, &mut Ctx::Yield { dst, join })?;
-                self.bind_label(else_l);
-                self.emit_expr(els, &mut Ctx::Yield { dst, join })?;
-                self.bind_label(join);
-                Ok(())
+                self.yield_arms(dst, t, els, else_l)
             }
             Bound::Body(e) => {
-                let dst = self.fresh_reg(Kind::Raw)?; // join_kind corrects
-                self.regs.insert(v, dst);
+                let dst = self.define(v)?;
                 let join = self.new_label();
-                self.emit_expr(e, &mut Ctx::Yield { dst, join })?;
+                self.emit_expr(e, Ctx::Yield { dst, join })?;
                 self.bind_label(join);
                 Ok(())
             }
@@ -812,11 +814,12 @@ impl<'a, 'b> FnGen<'a, 'b> {
     fn bind_unspec_if_used(&mut self, v: VarId) -> Result<(), CodegenError> {
         if self.uses.get(&v).copied().unwrap_or(0) > 0 {
             let w = self.shared.unspec_word;
-            let d = self.define(v, Kind::Tagged)?;
+            let d = self.define(v)?;
             self.insts.push(Inst::Const { d, imm: w });
         } else {
-            let d = self.define(v, Kind::Tagged)?;
-            let _ = d; // register reserved but never written; init value is safe
+            // The register is reserved but never written; its initial value
+            // is safe.
+            self.define(v)?;
         }
         Ok(())
     }
@@ -844,7 +847,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 };
                 let a = self.atom_reg(&args[0])?;
                 let imm = self.atom_imm(&args[1])?;
-                let d = self.define(v, Kind::Raw)?;
+                let d = self.define(v)?;
                 match imm {
                     Some(i) => self.insts.push(Inst::BinI {
                         op: o,
@@ -862,7 +865,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
             SpecHeader(rid) => {
                 let tag = self.spec_tag(rid)?;
                 let p = self.atom_reg(&args[0])?;
-                let d = self.define(v, Kind::Raw)?;
+                let d = self.define(v)?;
                 self.insts.push(Inst::LoadD { d, p, disp: -tag });
                 Ok(())
             }
@@ -872,7 +875,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                     None => RegImm::Reg(self.atom_reg(&args[0])?),
                 };
                 let fill = self.atom_reg(&args[1])?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v)?;
                 self.insts.push(Inst::AllocFill {
                     d,
                     len,
@@ -885,7 +888,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 let tag = self.spec_tag(rid)?;
                 let p = self.atom_reg(&args[0])?;
                 let off = self.atom_imm(&args[1])?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v)?;
                 match off {
                     Some(byteoff) => self.insts.push(Inst::LoadD {
                         d,
@@ -943,11 +946,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                     _ => unreachable!(),
                 };
                 let argr = self.atom_regs(args)?;
-                let kind = match op {
-                    RepProject | RepTest | RepLen => Kind::Raw,
-                    _ => Kind::Tagged,
-                };
-                let d = self.define(v, kind)?;
+                let d = self.define(v)?;
                 self.insts.push(Inst::Rep {
                     op: o,
                     d,
@@ -957,7 +956,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
             }
             Intern => {
                 let s = self.atom_reg(&args[0])?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v)?;
                 self.insts.push(Inst::Intern { d, s });
                 Ok(())
             }
@@ -979,7 +978,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 // handler's result land in `d`.
                 let hr = self.atom_reg(&args[0])?;
                 let tr = self.atom_reg(&args[1])?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v)?;
                 let after = self.new_label();
                 self.patches.push((self.insts.len(), after));
                 self.insts.push(Inst::PushHandler { h: hr, d, t: 0 });

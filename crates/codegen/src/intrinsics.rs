@@ -12,7 +12,7 @@
 //! (fixnum tag 0, shift 3) special-cased exactly as a tuned 1990s compiler
 //! would.
 
-use sxr_ir::anf::{Atom, Bound, Expr, Literal, Module, NameSupply, VarId};
+use sxr_ir::anf::{Atom, Bound, Expr, Link, Literal, Module, NameSupply, VarId};
 use sxr_ir::prim::{Intrinsic, PrimOp};
 use sxr_ir::rep::{roles, ImmediateRole, PointerRole, RepRegistry};
 
@@ -39,8 +39,7 @@ pub fn lower_intrinsics(module: &mut Module, registry: &RepRegistry) -> Result<(
     let mut supply = NameSupply::from_names(std::mem::take(&mut module.var_names));
     let ctx = Ctx::new(registry)?;
     for f in module.funs.iter_mut() {
-        let body = std::mem::replace(&mut f.body, Expr::Ret(Atom::Lit(Literal::Unspecified)));
-        f.body = rewrite(body, &ctx, &mut supply);
+        f.body = rewrite(f.body.take(), &ctx, &mut supply);
     }
     module.var_names = supply.names;
     Ok(())
@@ -368,46 +367,38 @@ fn expand(i: Intrinsic, args: &[Atom], ctx: &Ctx, s: &mut Seq<'_>) -> Atom {
     }
 }
 
+/// Rewrites the spine at the head of `e`, and everything nested in it, in
+/// one pass over its bindings: nested code first, in spine order, then the
+/// intrinsic bindings, expanded from last to first. Fresh variables are
+/// drawn in that order.
 fn rewrite(e: Expr, ctx: &Ctx, supply: &mut NameSupply) -> Expr {
-    match e {
-        Expr::Let(v, Bound::Prim(PrimOp::Intrinsic(i), args), body) => {
-            let body = rewrite(*body, ctx, supply);
+    let mut nested = |e: &mut Expr| *e = rewrite(e.take(), ctx, supply);
+    let (mut links, mut tail) = e.into_spine();
+    for link in &mut links {
+        match link {
+            Link::Let(_, Bound::If(_, then, els)) => {
+                nested(then);
+                nested(els);
+            }
+            Link::Let(_, Bound::Lambda(l)) => nested(&mut l.body),
+            Link::Let(_, Bound::Body(inner)) => nested(inner),
+            Link::LetRec(binds) => binds.iter_mut().for_each(|(_, l)| nested(&mut l.body)),
+            Link::Let(..) => {}
+        }
+    }
+    if let Expr::If(_, then, els) = &mut tail {
+        nested(then);
+        nested(els);
+    }
+    links.into_iter().rev().fold(tail, |body, link| match link {
+        Link::Let(v, Bound::Prim(PrimOp::Intrinsic(i), args)) => {
             let mut s = Seq::new(supply);
             let result = expand(i, &args, ctx, &mut s);
             s.finish(v, result, body)
         }
-        Expr::Let(v, b, body) => {
-            let b = match b {
-                Bound::If(t, then, els) => Bound::If(
-                    t,
-                    Box::new(rewrite(*then, ctx, supply)),
-                    Box::new(rewrite(*els, ctx, supply)),
-                ),
-                Bound::Lambda(mut l) => {
-                    l.body = Box::new(rewrite(*l.body, ctx, supply));
-                    Bound::Lambda(l)
-                }
-                other => other,
-            };
-            Expr::Let(v, b, Box::new(rewrite(*body, ctx, supply)))
-        }
-        Expr::If(t, then, els) => Expr::If(
-            t,
-            Box::new(rewrite(*then, ctx, supply)),
-            Box::new(rewrite(*els, ctx, supply)),
-        ),
-        Expr::LetRec(binds, body) => Expr::LetRec(
-            binds
-                .into_iter()
-                .map(|(v, mut l)| {
-                    l.body = Box::new(rewrite(*l.body, ctx, supply));
-                    (v, l)
-                })
-                .collect(),
-            Box::new(rewrite(*body, ctx, supply)),
-        ),
-        other => other,
-    }
+        Link::Let(v, b) => Expr::Let(v, b, Box::new(body)),
+        Link::LetRec(binds) => Expr::LetRec(binds, Box::new(body)),
+    })
 }
 
 #[cfg(test)]

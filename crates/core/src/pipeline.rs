@@ -84,9 +84,9 @@ impl Compiler {
     /// the same as expanding everything afresh. A prelude that fails to
     /// read or expand is not memoized; every call returns its error again.
     ///
-    /// The pipeline's tree walks recurse per top-level binding, so the work
-    /// runs on a dedicated thread with a generous stack (the standard
-    /// arrangement for recursive compilers).
+    /// The front end's walks recurse once per level of source nesting, so
+    /// the work runs on a dedicated thread with a generous stack (the
+    /// standard arrangement for recursive compilers).
     ///
     /// # Errors
     ///
@@ -172,8 +172,9 @@ impl Compiler {
     }
 }
 
-/// Runs `work` on a thread with a generous stack: the pipeline's tree
-/// walks recurse per top-level binding.
+/// Runs `work` on a thread with a generous stack: the front end's walks
+/// (read, expand, assignment conversion, lowering) recurse once per level
+/// of source nesting.
 fn on_compile_thread<T: Send>(work: impl FnOnce() -> T + Send) -> T {
     std::thread::scope(|s| {
         std::thread::Builder::new()

@@ -55,6 +55,11 @@ impl Atom {
         Atom::Lit(Literal::Raw(w))
     }
 
+    /// Moves `self` out, leaving the unspecified constant in its place.
+    pub fn take(&mut self) -> Atom {
+        std::mem::replace(self, Atom::Lit(Literal::Unspecified))
+    }
+
     /// The variable id, if this is a variable.
     pub fn as_var(&self) -> Option<VarId> {
         match self {
@@ -155,6 +160,21 @@ pub enum Expr {
     LetRec(Vec<(VarId, FunDef)>, Box<Expr>),
 }
 
+/// Dropping keeps its own stack, as [`Expr::visit`] does: a spine of any
+/// length, or a nest of `if`s and lambdas of any depth, costs no stack.
+/// So an `Expr` is never destructured by value; move its parts out with
+/// [`Expr::take`], [`Bound::take`] or [`Expr::into_spine`].
+impl Drop for Expr {
+    fn drop(&mut self) {
+        let mut stack = Vec::new();
+        self.move_children(&mut stack);
+        while let Some(mut e) = stack.pop() {
+            // `e` drops with only tails below it at the end of the pass.
+            e.move_children(&mut stack);
+        }
+    }
+}
+
 /// A first-order function after closure conversion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fun {
@@ -230,10 +250,11 @@ impl NameSupply {
 // This section is the one place that knows the shape of ANF. Two facts make
 // that shape: `Let` and `LetRec` continue in their body (a chain of them is
 // a *spine*, ended by a *tail*), and `Bound::Lambda`, `Bound::If`,
-// `Bound::Body`, `Expr::If` and `Expr::LetRec` own nested expressions.
-// [`Expr::visit`] keeps its own work stack, and the spine helpers loop, so
-// no walk here recurses once per binding: a straight-line program of any
-// length costs no stack.
+// `Bound::Body`, `Expr::If` and `Expr::LetRec` own nested expressions
+// (`Expr::children` lists them). [`Expr::visit`], its mutable twin and the
+// `Drop` of `Expr` keep their own work stacks, and the spine helpers loop,
+// so no walk here recurses once per binding: a straight-line program of
+// any length costs no stack.
 //
 // A pass that rewrites in place holds a cursor `&mut Expr` on the spine and
 // moves it with [`Expr::next_mut`]. It edits the node under the cursor
@@ -326,26 +347,7 @@ impl Expr {
                 Walk::SkipLambdas => false,
                 Walk::Stop(b) => return Some(b),
             };
-            // Pushed last-first, so they are visited in source order.
-            match e {
-                Expr::Let(_, b, body) => {
-                    stack.push(body);
-                    match b {
-                        Bound::Lambda(l) if lambdas => stack.push(&l.body),
-                        Bound::If(_, t, e) => stack.extend([&**e, &**t]),
-                        Bound::Body(inner) => stack.push(inner),
-                        _ => {}
-                    }
-                }
-                Expr::If(_, t, e) => stack.extend([&**e, &**t]),
-                Expr::LetRec(binds, body) => {
-                    stack.push(body);
-                    if lambdas {
-                        stack.extend(binds.iter().rev().map(|(_, l)| &*l.body));
-                    }
-                }
-                Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => {}
-            }
+            e.children(lambdas, |c| stack.push(c));
         }
         None
     }
@@ -361,27 +363,70 @@ impl Expr {
                 Walk::SkipLambdas => false,
                 Walk::Stop(b) => return Some(b),
             };
-            match e {
-                Expr::Let(_, b, body) => {
-                    stack.push(body);
-                    match b {
-                        Bound::Lambda(l) if lambdas => stack.push(&mut l.body),
-                        Bound::If(_, t, e) => stack.extend([&mut **e, &mut **t]),
-                        Bound::Body(inner) => stack.push(inner),
-                        _ => {}
-                    }
-                }
-                Expr::If(_, t, e) => stack.extend([&mut **e, &mut **t]),
-                Expr::LetRec(binds, body) => {
-                    stack.push(body);
-                    if lambdas {
-                        stack.extend(binds.iter_mut().rev().map(|(_, l)| &mut *l.body));
-                    }
-                }
-                Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => {}
-            }
+            e.children_mut(lambdas, |c| stack.push(c));
         }
         None
+    }
+
+    /// Shows `f` each expression this node owns (lambda bodies only when
+    /// `lambdas`) in the order a work stack needs for a pre-order walk:
+    /// last first, so the rest of the spine comes before the expressions
+    /// of the binding, and an `if`'s else arm before its then arm.
+    fn children<'a>(&'a self, lambdas: bool, mut f: impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Let(_, b, body) => {
+                f(body);
+                match b {
+                    Bound::Lambda(l) if lambdas => f(&l.body),
+                    Bound::If(_, t, e) => {
+                        f(e);
+                        f(t);
+                    }
+                    Bound::Body(inner) => f(inner),
+                    _ => {}
+                }
+            }
+            Expr::If(_, t, e) => {
+                f(e);
+                f(t);
+            }
+            Expr::LetRec(binds, body) => {
+                f(body);
+                if lambdas {
+                    binds.iter().rev().for_each(|(_, l)| f(&l.body));
+                }
+            }
+            Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => {}
+        }
+    }
+
+    /// Mutable twin of [`Expr::children`].
+    fn children_mut<'a>(&'a mut self, lambdas: bool, mut f: impl FnMut(&'a mut Expr)) {
+        match self {
+            Expr::Let(_, b, body) => {
+                f(body);
+                match b {
+                    Bound::Lambda(l) if lambdas => f(&mut l.body),
+                    Bound::If(_, t, e) => {
+                        f(e);
+                        f(t);
+                    }
+                    Bound::Body(inner) => f(inner),
+                    _ => {}
+                }
+            }
+            Expr::If(_, t, e) => {
+                f(e);
+                f(t);
+            }
+            Expr::LetRec(binds, body) => {
+                f(body);
+                if lambdas {
+                    binds.iter_mut().rev().for_each(|(_, l)| f(&mut l.body));
+                }
+            }
+            Expr::Ret(_) | Expr::TailCall(..) | Expr::TailCallKnown(..) => {}
+        }
     }
 
     /// Visits the atoms this node holds itself: a `let`'s operands, an
@@ -420,6 +465,18 @@ impl Expr {
         std::mem::replace(self, Expr::Ret(Atom::Lit(Literal::Unspecified)))
     }
 
+    /// Moves every expression `self` owns that is not a tail onto `stack`,
+    /// leaving `self` with only tails below it. Tails own no expressions,
+    /// so they stay, and `Vec::new` never allocates for a node that has
+    /// nothing deeper to give up.
+    fn move_children(&mut self, stack: &mut Vec<Expr>) {
+        self.children_mut(true, |c| {
+            if matches!(c, Expr::Let(..) | Expr::If(..) | Expr::LetRec(..)) {
+                stack.push(c.take());
+            }
+        });
+    }
+
     /// The rest of the spine after the `let` or `letrec` node `self`, or
     /// `None` when `self` is a tail.
     pub fn next_mut(&mut self) -> Option<&mut Expr> {
@@ -448,20 +505,19 @@ impl Expr {
 
     /// Takes the spine at the head of `self` apart: its bindings in order,
     /// and the tail that ends it (neither `Let` nor `LetRec`).
-    pub fn into_spine(self) -> (Vec<Link>, Expr) {
+    pub fn into_spine(mut self) -> (Vec<Link>, Expr) {
         let mut links = Vec::new();
-        let mut e = self;
         loop {
-            match e {
+            match &mut self {
                 Expr::Let(v, b, body) => {
-                    links.push(Link::Let(v, b));
-                    e = *body;
+                    links.push(Link::Let(*v, b.take()));
+                    self = body.take();
                 }
                 Expr::LetRec(binds, body) => {
-                    links.push(Link::LetRec(binds));
-                    e = *body;
+                    links.push(Link::LetRec(std::mem::take(binds)));
+                    self = body.take();
                 }
-                tail => return (links, tail),
+                _ => return (links, self),
             }
         }
     }
@@ -668,7 +724,7 @@ mod tests {
         let mut map = IdMap::default();
         map.insert(1u32, Atom::raw(7));
         substitute(&mut e, &map);
-        match e {
+        match &e {
             Expr::Let(_, Bound::Prim(_, atoms), _) => {
                 assert_eq!(atoms[0], Atom::raw(7));
                 assert_eq!(atoms[1], Atom::Var(2));
@@ -682,11 +738,11 @@ mod tests {
         let mut supply = NameSupply::from_names(vec!["x".into(); 11]);
         let e = sample();
         let e2 = refresh(&e, &mut IdMap::default(), &mut supply);
-        match e2 {
-            Expr::Let(v, Bound::Prim(_, atoms), body) => {
+        match &e2 {
+            &Expr::Let(v, Bound::Prim(_, ref atoms), ref body) => {
                 assert_ne!(v, 10, "bound var renamed");
                 assert_eq!(atoms[0], Atom::Var(1), "free var untouched");
-                assert_eq!(*body, Expr::Ret(Atom::Var(v)), "uses follow the rename");
+                assert_eq!(**body, Expr::Ret(Atom::Var(v)), "uses follow the rename");
             }
             _ => panic!(),
         }
@@ -709,7 +765,7 @@ mod tests {
         let e = Expr::LetRec(vec![(20, f), (21, g)], Box::new(Expr::Ret(Atom::Var(20))));
         let mut supply = NameSupply::from_names(vec!["v".into(); 22]);
         let e2 = refresh(&e, &mut IdMap::default(), &mut supply);
-        let Expr::LetRec(binds, body) = e2 else {
+        let Expr::LetRec(binds, body) = &e2 else {
             panic!()
         };
         let (f2, g2) = (binds[0].0, binds[1].0);
@@ -723,7 +779,7 @@ mod tests {
             panic!()
         };
         assert_eq!(*callee2, f2);
-        assert_eq!(*body, Expr::Ret(Atom::Var(f2)));
+        assert_eq!(**body, Expr::Ret(Atom::Var(f2)));
     }
 
     #[test]

@@ -210,17 +210,20 @@ impl Cc {
         let (links, mut tail) = e.into_spine();
         let out: Vec<Out> = links.into_iter().map(|l| self.convert_link(l)).collect();
         tail.for_each_atom_shallow_mut(&mut |a| self.rename_atom(a));
-        let mut e = match tail {
-            Expr::If(t, then, els) => {
-                let then = Box::new(self.convert(*then));
-                Expr::If(t, then, Box::new(self.convert(*els)))
+        match &mut tail {
+            Expr::If(_, then, els) => {
+                **then = self.convert(then.take());
+                **els = self.convert(els.take());
             }
-            Expr::TailCall(callee, args) => match self.known_fn(&callee) {
-                Some(fnid) => Expr::TailCallKnown(fnid, callee, args),
-                None => Expr::TailCall(callee, args),
-            },
-            tail => tail,
-        };
+            Expr::TailCall(callee, args) => {
+                if let Some(fnid) = self.known_fn(callee) {
+                    let (callee, args) = (callee.take(), std::mem::take(args));
+                    tail = Expr::TailCallKnown(fnid, callee, args);
+                }
+            }
+            _ => {}
+        }
+        let mut e = tail;
         // Rebuild innermost first; the patches of a `letrec` draw their
         // fresh variables here, after everything in their scope.
         for o in out.into_iter().rev() {

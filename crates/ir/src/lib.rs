@@ -50,4 +50,5 @@ pub use idmap::{IdMap, IdSet};
 pub use lower::{lower_expr, lower_program, LowerError, Lowered};
 pub use prim::{Intrinsic, PrimOp};
 pub use rep::{RepError, RepId, RepInfo, RepKind, RepRegistry};
+pub use sxr_ast::ScopedMap;
 pub use validate::{validate_module, verify_expr, verify_module, ValidateError, ValidateErrorKind};

@@ -1,6 +1,6 @@
 //! IR well-formedness: the one checker for the ANF invariants.
 //!
-//! A single recursive walk checks the IR on either side of closure
+//! A single walk checks the IR on either side of closure
 //! conversion and, given a [`RepRegistry`], representation consistency too.
 //! Three entry points share it:
 //!
@@ -505,43 +505,47 @@ impl<'a> Checker<'a> {
     }
 
     /// `tail` is true when tail calls are permitted in this position.
-    fn expr(&mut self, e: &Expr, tail: bool) -> Result<(), ValidateError> {
-        match e {
-            Expr::Let(v, b, body) => {
-                self.bound(b).map_err(|err| err.in_binding(*v, b))?;
-                self.define(*v)?;
-                self.expr(body, tail)
-            }
-            Expr::If(t, then, els) => {
-                self.atom(t.atom())?;
-                self.expr(then, tail)?;
-                self.expr(els, tail)
-            }
-            Expr::Ret(a) => self.atom(a),
-            Expr::TailCall(callee, args) => {
-                if !tail {
-                    return fail(ValidateErrorKind::TailCallInNonTail);
-                }
-                self.atoms(once(callee).chain(args))
-            }
-            Expr::TailCallKnown(fnid, clo, args) => {
-                if !tail {
-                    return fail(ValidateErrorKind::TailCallInNonTail);
-                }
-                self.known_call("TailCallKnown", *fnid, args.len())?;
-                self.atoms(once(clo).chain(args))
-            }
-            Expr::LetRec(binds, body) => {
-                if let Phase::Closed { .. } = self.phase {
-                    return fail(ValidateErrorKind::LetRecSurvives);
-                }
-                for (v, _) in binds {
+    /// Loops along the spine; recurses only into `if` arms, lambda bodies
+    /// and the expressions a binding owns.
+    fn expr(&mut self, mut e: &Expr, tail: bool) -> Result<(), ValidateError> {
+        loop {
+            match e {
+                Expr::Let(v, b, body) => {
+                    self.bound(b).map_err(|err| err.in_binding(*v, b))?;
                     self.define(*v)?;
+                    e = body;
                 }
-                for (_, l) in binds {
-                    self.fundef(l)?;
+                Expr::LetRec(binds, body) => {
+                    if let Phase::Closed { .. } = self.phase {
+                        return fail(ValidateErrorKind::LetRecSurvives);
+                    }
+                    for (v, _) in binds {
+                        self.define(*v)?;
+                    }
+                    for (_, l) in binds {
+                        self.fundef(l)?;
+                    }
+                    e = body;
                 }
-                self.expr(body, tail)
+                Expr::If(t, then, els) => {
+                    self.atom(t.atom())?;
+                    self.expr(then, tail)?;
+                    e = els;
+                }
+                Expr::Ret(a) => return self.atom(a),
+                Expr::TailCall(callee, args) => {
+                    if !tail {
+                        return fail(ValidateErrorKind::TailCallInNonTail);
+                    }
+                    return self.atoms(once(callee).chain(args));
+                }
+                Expr::TailCallKnown(fnid, clo, args) => {
+                    if !tail {
+                        return fail(ValidateErrorKind::TailCallInNonTail);
+                    }
+                    self.known_call("TailCallKnown", *fnid, args.len())?;
+                    return self.atoms(once(clo).chain(args));
+                }
             }
         }
     }

@@ -1,13 +1,20 @@
-//! The shared ANF walkers loop along `let` spines: straight-line code of
-//! any length costs them no stack. Each walk here runs over a chain of
-//! 200,000 bindings inside a lambda, on a thread with a 256 KiB stack,
-//! where one frame per binding would overflow many times over.
+//! The ANF walkers loop along `let` spines: straight-line code of any
+//! length costs them no stack. Each walk here runs over a chain of 200,000
+//! bindings inside a lambda, on a thread with a 256 KiB stack, where one
+//! frame per binding would overflow many times over. That covers the shared
+//! walks, closure conversion, the IR checks, the printer, and dropping the
+//! chains.
 //!
-//! The derived `Drop` and `Clone` of `Expr` still recurse per binding, so
-//! the test never clones a chain and takes each one apart with a loop.
+//! The derived `Clone` of `Expr` still recurses per binding, so the test
+//! never clones a chain.
 
+use std::collections::HashMap;
 use sxr_ir::anf::{refresh, substitute, Atom, Bound, Expr, FunDef, Literal, NameSupply, VarId};
-use sxr_ir::{closure_convert, IdMap, Lowered, PrimOp};
+use sxr_ir::pretty::expr_to_string;
+use sxr_ir::{
+    closure_convert, validate_module, verify_expr, verify_module, IdMap, Lowered, PrimOp,
+    RepRegistry,
+};
 
 /// Bindings in the chain.
 const N: u32 = 200_000;
@@ -58,17 +65,6 @@ fn chain_of(e: &Expr) -> &Expr {
     }
 }
 
-/// Drops `e` one binding at a time.
-fn drop_spine(e: Expr) {
-    let (links, tail) = e.into_spine();
-    for link in links {
-        if let sxr_ir::anf::Link::Let(_, Bound::Lambda(f)) = link {
-            drop_spine(*f.body);
-        }
-    }
-    drop(tail);
-}
-
 fn on_small_stack(work: impl FnOnce() + Send) {
     std::thread::scope(|s| {
         std::thread::Builder::new()
@@ -107,7 +103,16 @@ fn walks_over_a_long_spine_run_in_a_small_stack() {
             .lets()
             .all(|(v, b)| v >= FIRST + N
                 && matches!(b, Bound::Prim(_, args) if args[1] == Atom::raw(7))));
-        drop_spine(copy);
+        drop(copy);
+
+        let registry = RepRegistry::new();
+        verify_expr(&e, &registry).expect("the program is well formed");
+        // Two `let` lines, one per binding of the chain, one per `ret`, and
+        // one that closes the lambda.
+        assert_eq!(
+            expr_to_string(&e).lines().count(),
+            2 + N as usize + 1 + 1 + 1
+        );
 
         let mut e = e;
         let mut map = IdMap::default();
@@ -116,7 +121,7 @@ fn walks_over_a_long_spine_run_in_a_small_stack() {
         let mut uses = IdMap::default();
         e.use_counts(&mut uses);
         assert_eq!(uses.get(&X), None);
-        drop_spine(e);
+        drop(e);
 
         let module = closure_convert(Lowered {
             main_body: program(),
@@ -128,8 +133,7 @@ fn walks_over_a_long_spine_run_in_a_small_stack() {
         assert_eq!(chain.free_count, 1, "the lambda captures x");
         // One closure-ref load, then the chain.
         assert_eq!(chain.body.lets().count(), N as usize + 1);
-        for f in module.funs {
-            drop_spine(f.body);
-        }
+        validate_module(&module).expect("the module is well formed");
+        verify_module(&module, &registry, &HashMap::new()).expect("the module verifies");
     });
 }

@@ -26,13 +26,12 @@
 //! argument was a symbol everywhere.)
 
 use crate::repspec::Assumptions;
-use crate::util::ScopedMap;
 use std::hash::BuildHasherDefault;
 use sxr_ir::anf::{Atom, Bound, Expr, Literal, Test, VarId};
 use sxr_ir::idmap::IdHasher;
 use sxr_ir::prim::PrimOp;
 use sxr_ir::rep::{roles, RepKind, RepRegistry};
-use sxr_ir::IdMap;
+use sxr_ir::{IdMap, ScopedMap};
 
 /// Runs the pass over `e` in place. Returns the change count.
 pub fn bits(e: &mut Expr, registry: &RepRegistry, assumptions: &Assumptions) -> usize {

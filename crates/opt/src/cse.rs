@@ -168,8 +168,10 @@ mod tests {
         let mut out = e;
         let n = cse(&mut out);
         assert_eq!(n, 1);
-        let Expr::Let(1, _, rest) = out else { panic!() };
-        assert!(matches!(*rest, Expr::Let(2, Bound::Atom(Atom::Var(1)), _)));
+        let Expr::Let(1, _, rest) = &out else {
+            panic!()
+        };
+        assert!(matches!(**rest, Expr::Let(2, Bound::Atom(Atom::Var(1)), _)));
     }
 
     #[test]
@@ -211,12 +213,14 @@ mod tests {
         let mut out = e;
         let n = cse(&mut out);
         assert_eq!(n, 1, "{}", sxr_ir::pretty::expr_to_string(&out));
-        let Expr::Let(1, _, rest) = out else { panic!() };
-        assert!(matches!(*rest, Expr::Let(3, Bound::Prim(WordShr, _), _)));
-        let Expr::Let(3, _, rest) = *rest else {
+        let Expr::Let(1, _, rest) = &out else {
             panic!()
         };
-        assert!(matches!(*rest, Expr::Let(4, Bound::Atom(Atom::Var(3)), _)));
+        assert!(matches!(**rest, Expr::Let(3, Bound::Prim(WordShr, _), _)));
+        let Expr::Let(3, _, rest) = &**rest else {
+            panic!()
+        };
+        assert!(matches!(**rest, Expr::Let(4, Bound::Atom(Atom::Var(3)), _)));
     }
 
     #[test]

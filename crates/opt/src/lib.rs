@@ -269,12 +269,9 @@ mod tests {
     /// A deliberately broken "pass": duplicates the outermost binding,
     /// violating single assignment.
     fn broken_rewrite(e: Expr) -> Expr {
-        match e {
-            Expr::Let(v, b, body) => {
-                let inner = Expr::Let(v, b.clone(), body);
-                Expr::Let(v, b, Box::new(inner))
-            }
-            other => other,
+        match &e {
+            Expr::Let(v, b, _) => Expr::Let(*v, b.clone(), Box::new(e)),
+            _ => e,
         }
     }
 

@@ -377,7 +377,7 @@ mod tests {
             PrimOp::RepRef,
             vec![Atom::Lit(Literal::Rep(pair)), Atom::Var(5), raw(1)],
         );
-        match e {
+        match &e {
             Expr::Let(10, Bound::Prim(PrimOp::SpecRef(_), args), _) => {
                 assert_eq!(args[1], raw(8), "byte offset");
             }
@@ -392,10 +392,10 @@ mod tests {
             PrimOp::RepRef,
             vec![Atom::Lit(Literal::Rep(pair)), Atom::Var(5), Atom::Var(6)],
         );
-        let Expr::Let(t, Bound::Prim(PrimOp::WordShl, _), rest) = e else {
+        let &Expr::Let(t, Bound::Prim(PrimOp::WordShl, _), ref rest) = &e else {
             panic!("expected shl first")
         };
-        match *rest {
+        match &**rest {
             Expr::Let(10, Bound::Prim(PrimOp::SpecRef(_), args), _) => {
                 assert_eq!(args[1], Atom::Var(t));
             }
@@ -410,11 +410,11 @@ mod tests {
             PrimOp::RepTest,
             vec![Atom::Lit(Literal::Rep(pair)), Atom::Var(5)],
         );
-        let Expr::Let(_, Bound::Prim(PrimOp::WordAnd, _), rest) = e else {
+        let Expr::Let(_, Bound::Prim(PrimOp::WordAnd, _), rest) = &e else {
             panic!()
         };
         assert!(matches!(
-            *rest,
+            **rest,
             Expr::Let(10, Bound::Prim(PrimOp::WordEq, _), _)
         ));
     }

@@ -1,9 +1,6 @@
 //! Shared helpers for the optimizer passes.
 
-use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash};
-use sxr_ir::anf::{Atom, Bound, Expr, Literal, NameSupply, VarId};
+use sxr_ir::anf::{Atom, Bound, Expr, Literal, NameSupply};
 use sxr_ir::rep::{roles, RepRegistry};
 use sxr_sexp::Datum;
 
@@ -44,12 +41,9 @@ pub fn convert_tails(e: &mut Expr, supply: &mut NameSupply) {
             convert_tails(b, supply);
             return;
         }
-        Expr::TailCall(..) | Expr::TailCallKnown(..) => {
-            match std::mem::replace(tail, Expr::Ret(Atom::Lit(Literal::Unspecified))) {
-                Expr::TailCall(f, args) => Bound::Call(f, args),
-                Expr::TailCallKnown(fid, clo, args) => Bound::CallKnown(fid, clo, args),
-                _ => unreachable!("matched a tail call"),
-            }
+        Expr::TailCall(f, args) => Bound::Call(f.take(), std::mem::take(args)),
+        Expr::TailCallKnown(fid, clo, args) => {
+            Bound::CallKnown(*fid, clo.take(), std::mem::take(args))
         }
         _ => return,
     };
@@ -57,14 +51,14 @@ pub fn convert_tails(e: &mut Expr, supply: &mut NameSupply) {
     *tail = Expr::Let(t, call, Box::new(Expr::Ret(Atom::Var(t))));
 }
 
-/// Moves the atom out of the `Ret` node `tail` and puts `let v = atom in k`
-/// in its place; returns the position of `k`.
-fn bind_at_ret(tail: &mut Expr, v: VarId, k: Box<Expr>) -> &mut Expr {
-    let Expr::Ret(a) = tail else {
-        unreachable!("checked to be a `Ret`")
+/// Puts `node`, a `let v = … in k`, in place of the `Ret a` node `tail`,
+/// with `a` as its value; returns the position of `k`.
+fn bind_at_ret(tail: &mut Expr, mut node: Expr) -> &mut Expr {
+    let (Expr::Ret(a), Expr::Let(_, b, _)) = (&mut *tail, &mut node) else {
+        unreachable!("checked to be a `Ret` and a `let`")
     };
-    let a = std::mem::replace(a, Atom::Lit(Literal::Unspecified));
-    *tail = Expr::Let(v, Bound::Atom(a), k);
+    *b = Bound::Atom(a.take());
+    *tail = node;
     tail.next_mut().expect("a `let` was just put here")
 }
 
@@ -82,10 +76,11 @@ pub fn try_splice(slot: &mut Expr, mut e: Expr) -> Result<(), Expr> {
     if !matches!(e.tail(), Expr::Ret(_)) {
         return Err(e);
     }
-    let Expr::Let(v, _, k) = slot.take() else {
-        panic!("splicing into a node that is not a `let`")
-    };
-    bind_at_ret(e.tail_mut(), v, k);
+    assert!(
+        matches!(slot, Expr::Let(..)),
+        "splicing into a node that is not a `let`"
+    );
+    bind_at_ret(e.tail_mut(), slot.take());
     *slot = e;
     Ok(())
 }
@@ -167,16 +162,17 @@ pub fn sinkable(slot: &Expr) -> bool {
 ///
 /// When `slot` is not [`sinkable`].
 pub fn sink_value(slot: &mut Expr) -> &mut Expr {
-    let Expr::Let(v, b, k) = slot.take() else {
+    let mut node = slot.take();
+    let Expr::Let(_, b, _) = &mut node else {
         panic!("sinking into a node that is not a `let`")
     };
-    *slot = match b {
+    *slot = match b.take() {
         Bound::Body(inner) => *inner,
         Bound::If(t, a, b) => Expr::If(t, a, b),
         _ => panic!("sinking a value that is neither a body nor a conditional"),
     };
     let tail = live_ret(slot).expect("a sinkable value has a live `Ret`");
-    bind_at_ret(tail, v, k)
+    bind_at_ret(tail, node)
 }
 
 /// True when dropping an unused binding of `b` cannot change behaviour.
@@ -203,57 +199,6 @@ fn expr_deletable(e: &Expr) -> bool {
             Expr::If(_, t, e2) => expr_deletable(t) && expr_deletable(e2),
             _ => false,
         }
-}
-
-/// A dominance-scoped table: one map for a whole walk, whose entries at
-/// any program point are exactly those made by the bindings that
-/// dominate it.
-///
-/// Every insertion is logged with the value it replaced. A walk takes a
-/// [`mark`](ScopedMap::mark) on entering a scope (a lambda body, a branch
-/// arm) and [`unwind`](ScopedMap::unwind)s to it on leaving, which undoes
-/// the scope's insertions newest first: a key the scope added is removed,
-/// and a value it replaced is put back (not removed). This replaces
-/// copying the table at every scope.
-pub(crate) struct ScopedMap<K, V, S = RandomState> {
-    table: HashMap<K, V, S>,
-    log: Vec<(K, Option<V>)>,
-}
-
-impl<K, V, S: Default> Default for ScopedMap<K, V, S> {
-    fn default() -> Self {
-        ScopedMap {
-            table: HashMap::default(),
-            log: Vec::new(),
-        }
-    }
-}
-
-impl<K: Hash + Eq + Clone, V, S: BuildHasher> ScopedMap<K, V, S> {
-    pub(crate) fn get(&self, k: &K) -> Option<&V> {
-        self.table.get(k)
-    }
-
-    /// Binds `k` to `v` until the enclosing scope is unwound.
-    pub(crate) fn insert(&mut self, k: K, v: V) {
-        let old = self.table.insert(k.clone(), v);
-        self.log.push((k, old));
-    }
-
-    /// Where the current scope starts.
-    pub(crate) fn mark(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Undoes every insertion made since `mark`.
-    pub(crate) fn unwind(&mut self, mark: usize) {
-        for (k, old) in self.log.drain(mark..).rev() {
-            match old {
-                Some(v) => self.table.insert(k, v),
-                None => self.table.remove(&k),
-            };
-        }
-    }
 }
 
 #[cfg(test)]
@@ -310,8 +255,8 @@ mod tests {
         );
         let mut spliced = call_site();
         try_splice(&mut spliced, e).unwrap();
-        match spliced {
-            Expr::Let(1, _, rest) => match *rest {
+        match &spliced {
+            Expr::Let(1, _, rest) => match &**rest {
                 Expr::Let(7, Bound::Atom(Atom::Var(1)), _) => {}
                 other => panic!("unexpected {other:?}"),
             },
@@ -338,25 +283,5 @@ mod tests {
         let mut out = e;
         convert_tails(&mut out, &mut supply);
         assert!(matches!(out, Expr::Let(_, Bound::Call(..), _)));
-    }
-
-    #[test]
-    fn scoped_map_unwinds_to_each_mark() {
-        let mut m: ScopedMap<u32, &str> = ScopedMap::default();
-        m.insert(1, "outer");
-        let branch = m.mark();
-        m.insert(1, "strengthened");
-        m.insert(2, "added");
-        let inner = m.mark();
-        m.insert(2, "again");
-        m.unwind(inner);
-        assert_eq!(
-            (m.get(&1), m.get(&2)),
-            (Some(&"strengthened"), Some(&"added"))
-        );
-        m.unwind(branch);
-        assert_eq!((m.get(&1), m.get(&2)), (Some(&"outer"), None));
-        m.unwind(0);
-        assert_eq!(m.get(&1), None);
     }
 }

@@ -57,7 +57,6 @@ pub struct Token {
 #[derive(Debug)]
 pub struct Lexer<'a> {
     src: &'a str,
-    bytes: &'a [u8],
     pos: usize,
     line: u32,
     col: u32,
@@ -79,7 +78,6 @@ impl<'a> Lexer<'a> {
     pub fn new(src: &'a str) -> Lexer<'a> {
         Lexer {
             src,
-            bytes: src.as_bytes(),
             pos: 0,
             line: 1,
             col: 1,
@@ -345,11 +343,6 @@ impl<'a> Lexer<'a> {
             }
         }
         self.src[start..self.pos].to_string()
-    }
-
-    /// Byte length of the underlying source (used by tools to report progress).
-    pub fn source_len(&self) -> usize {
-        self.bytes.len()
     }
 }
 

@@ -355,11 +355,6 @@ impl Machine {
         &self.output
     }
 
-    /// Clears the output port.
-    pub fn clear_output(&mut self) {
-        self.output.clear();
-    }
-
     /// Formats a tagged word using the library's registered representations.
     pub fn describe(&self, w: Word) -> String {
         encode::describe(self, w, 64)
@@ -367,11 +362,6 @@ impl Machine {
 
     pub(crate) fn heap_ref(&self) -> &Heap {
         &self.heap
-    }
-
-    /// Words of heap currently in use.
-    pub fn heap_used(&self) -> usize {
-        self.heap.used()
     }
 
     /// Current heap capacity in words (observing the growth policy).
@@ -534,11 +524,6 @@ impl Machine {
     /// to derive schedules from a fault-free run.
     pub fn allocations(&self) -> u64 {
         self.alloc_seq
-    }
-
-    /// The fault plan this machine runs under.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault
     }
 
     /// Reads register `reg` of the top frame.
