@@ -44,7 +44,9 @@
 //! its state once, and steps that one state in place down the
 //! straight-line run, joining in place at each edge into a leader.  Lowest
 //! first means a leader is walked after every forward edge into it has
-//! joined, so code without loops is walked once.  Memory is O(insts + leaders ×
+//! joined, so code without loops is walked once, and in a function without
+//! back edges a popped leader's state is moved out instead of cloned:
+//! nothing joins into it again.  Memory is O(insts + leaders ×
 //! nregs) per function, and so is one pass over it, where a state at
 //! every pc costs O(insts × nregs): the per-pc register files, not the
 //! register count alone, made large straight-line functions expensive.
@@ -67,7 +69,8 @@
 //! so a wrong proof surfaces as a structured error, never as memory
 //! unsafety.
 
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::lattice::TagSet;
@@ -452,20 +455,25 @@ impl<'a> FnVerifier<'a> {
     // ----- dataflow pass (reachable instructions only) -----
 
     /// The worklist fixpoint.  States live only at leaders; a popped
-    /// leader's state is cloned once and stepped in place down its
-    /// straight-line run, joining into every leader it reaches.  The
-    /// worklist pops the lowest pending leader, so every forward edge
-    /// into a leader is joined before that leader is walked: code without
-    /// back edges is walked once, and only a loop sends the walk back to
-    /// a leader it has passed.  Adds its work to `report`'s `steps` and
-    /// `state_words`.
+    /// leader's state is cloned once (moved out when the function has no
+    /// back edge) and stepped in place down its straight-line run, joining
+    /// into every leader it reaches.  The worklist pops the lowest pending
+    /// leader, so every forward edge into a leader is joined before that
+    /// leader is walked: code without back edges is walked once, and only
+    /// a loop sends the walk back to a leader it has passed.  Adds its work
+    /// to `report`'s `steps` and `state_words`.
     fn dataflow(&self, report: &mut VerifyReport) -> Result<(), Rejection> {
         let fun = self.fun;
         let len = fun.insts.len();
         let mut leader = vec![false; len];
         leader[0] = true;
-        for t in fun.insts.iter().filter_map(Inst::target) {
-            leader[t as usize] = true;
+        // Without a back edge no leader is joined into after it is walked.
+        let mut back_edges = false;
+        for (pc, inst) in fun.insts.iter().enumerate() {
+            if let Some(t) = inst.target() {
+                leader[t as usize] = true;
+                back_edges |= t as usize <= pc;
+            }
         }
         let mut entry = AbsState {
             regs: vec![Rv::Uninit; fun.nregs],
@@ -474,13 +482,16 @@ impl<'a> FnVerifier<'a> {
         for r in entry.regs.iter_mut().take(self.fun.entry_regs()) {
             *r = Rv::Tagged;
         }
-        let mut states: Vec<Option<AbsState>> = vec![None; len];
-        states[0] = Some(entry);
+        let mut states = BTreeMap::from([(0usize, entry)]);
         let mut work = BTreeSet::from([0usize]);
         let words = &mut report.state_words;
 
         while let Some(start) = work.pop_first() {
-            let mut st = states[start].clone().expect("queued leader has a state");
+            let mut st = if back_edges {
+                states[&start].clone()
+            } else {
+                states.remove(&start).expect("queued leader has a state")
+            };
             *words += fun.nregs;
             let mut pc = start;
             loop {
@@ -531,19 +542,20 @@ impl<'a> FnVerifier<'a> {
     /// it touched into `words`.
     fn join_into(
         &self,
-        states: &mut [Option<AbsState>],
+        states: &mut BTreeMap<usize, AbsState>,
         work: &mut BTreeSet<usize>,
         words: &mut usize,
         pc: usize,
         st: &AbsState,
     ) -> Result<(), Rejection> {
         *words += st.regs.len();
-        let changed = match &mut states[pc] {
-            slot @ None => {
-                *slot = Some(st.clone());
+        let changed = match states.entry(pc) {
+            Entry::Vacant(slot) => {
+                slot.insert(st.clone());
                 true
             }
-            Some(old) => {
+            Entry::Occupied(mut slot) => {
+                let old = slot.get_mut();
                 if old.depth != st.depth {
                     return Err(self.reject(
                         pc,

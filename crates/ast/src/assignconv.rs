@@ -78,32 +78,10 @@ fn item_expr_mut(item: &mut crate::core::TopItem) -> &mut Expr {
 
 /// Adds to `out` every lexical variable `e` assigns with `set!`.
 pub(crate) fn collect_assigned(e: &Expr, out: &mut HashSet<VarId>) {
-    match e {
-        Expr::SetVar(v, inner) => {
-            out.insert(*v);
-            collect_assigned(inner, out);
-        }
-        Expr::Const(_) | Expr::Unspecified | Expr::Var(_) | Expr::Global(_) => {}
-        Expr::If(a, b, c) => {
-            collect_assigned(a, out);
-            collect_assigned(b, out);
-            collect_assigned(c, out);
-        }
-        Expr::Lambda(l) => collect_assigned(&l.body, out),
-        Expr::Call(f, args) => {
-            collect_assigned(f, out);
-            args.iter().for_each(|a| collect_assigned(a, out));
-        }
-        Expr::Prim(_, args) => args.iter().for_each(|a| collect_assigned(a, out)),
-        Expr::Seq(es) => es.iter().for_each(|a| collect_assigned(a, out)),
-        Expr::SetGlobal(_, inner) => collect_assigned(inner, out),
-        Expr::LetRec(binds, body) => {
-            binds
-                .iter()
-                .for_each(|(_, l)| collect_assigned(&l.body, out));
-            collect_assigned(body, out);
-        }
+    if let Expr::SetVar(v, _) = e {
+        out.insert(*v);
     }
+    e.for_each_child(|c| collect_assigned(c, out));
 }
 
 fn rewrite(e: Expr, assigned: &HashSet<VarId>, ctx: &Ctx, var_names: &mut Vec<String>) -> Expr {

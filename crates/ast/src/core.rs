@@ -60,6 +60,29 @@ impl Expr {
         )
     }
 
+    /// Calls `f` on each direct subexpression, lambda bodies included.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Const(_) | Expr::Unspecified | Expr::Var(_) | Expr::Global(_) => {}
+            Expr::If(c, t, e) => {
+                f(c);
+                f(t);
+                f(e);
+            }
+            Expr::Lambda(l) => f(&l.body),
+            Expr::Call(callee, args) => {
+                f(callee);
+                args.iter().for_each(f);
+            }
+            Expr::Prim(_, args) | Expr::Seq(args) => args.iter().for_each(f),
+            Expr::SetVar(_, e) | Expr::SetGlobal(_, e) => f(e),
+            Expr::LetRec(binds, body) => {
+                binds.iter().for_each(|(_, l)| f(&l.body));
+                f(body);
+            }
+        }
+    }
+
     /// Approximate node count, used by inlining heuristics and tests.
     pub fn size(&self) -> usize {
         match self {
@@ -113,6 +136,10 @@ pub struct Program {
     pub var_names: Vec<String>,
     /// `GlobalId ->` source name.
     pub global_names: Vec<String>,
+    /// Index in `items` of the user's unit, the last one given to
+    /// [`Expander::into_program`](crate::Expander::into_program). The
+    /// items before it are library code.
+    pub user_start: usize,
 }
 
 impl Program {

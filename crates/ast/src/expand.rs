@@ -190,15 +190,19 @@ impl Expander {
     }
 
     /// Consumes the expander, assembling units (in order) into a [`Program`].
+    /// The last unit is the user's; the ones before it are library code.
     pub fn into_program(self, units: Vec<Unit>) -> Program {
         let mut items = Vec::new();
+        let mut user_start = 0;
         for u in units {
+            user_start = items.len();
             items.extend(u.items);
         }
         Program {
             items,
             var_names: self.var_names,
             global_names: self.global_names,
+            user_start,
         }
     }
 
@@ -1551,5 +1555,6 @@ mod tests {
         let p = ex.into_program(vec![u1, u2]);
         assert_eq!(p.global_names, vec!["lib".to_string()]);
         assert_eq!(p.global_by_name("lib"), Some(0));
+        assert_eq!(p.user_start, 1, "the last unit is the user's");
     }
 }

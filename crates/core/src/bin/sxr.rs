@@ -11,7 +11,8 @@
 //!   --mode <abstract|traditional|noopt>   pipeline (default: abstract)
 //!   --ablate <pass>                       disable one optimizer pass
 //!   --counters                            print dynamic instruction counters
-//!   --dis <name>                          disassemble a procedure and exit
+//!   --dis <name>                          disassemble a procedure the program
+//!                                         defines or reaches, and exit
 //!   --heap <words>                        initial heap size in words
 //!   --fuel <n>                            stop with a timeout after n instructions
 //!   --max-depth <n>                       stop with a stack overflow past n frames
@@ -183,7 +184,7 @@ fn main() {
         match compiled.disassemble(&name) {
             Some(text) => print!("{text}"),
             None => {
-                eprintln!("sxr: no procedure named `{name}`");
+                eprintln!("sxr: no procedure named `{name}` is defined or reached by the program");
                 std::process::exit(1);
             }
         }

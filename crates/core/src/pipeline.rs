@@ -65,7 +65,7 @@ impl Compiler {
     }
 
     /// The configured prelude sources, in expansion order.
-    fn prelude(&self) -> [&'static str; 3] {
+    pub(crate) fn prelude(&self) -> [&'static str; 3] {
         let prims = match self.config.mode {
             PrimitiveMode::Abstract => PRIMS_ABSTRACT_SCM,
             PrimitiveMode::Traditional => PRIMS_TRADITIONAL_SCM,
@@ -396,7 +396,9 @@ impl Compiled {
             .collect()
     }
 
-    /// Finds the compiled code of a (top-level, named) procedure.
+    /// Finds the compiled code of a (top-level, named) procedure. A library
+    /// procedure the program does not reach is not compiled, so it is not
+    /// found.
     pub fn fun_by_name(&self, name: &str) -> Option<&CodeFun> {
         self.code.funs.iter().find(|f| f.name == name)
     }

@@ -35,14 +35,44 @@ pub const TABLE1_PRIMS: &[&str] = &[
     "procedure?",
 ];
 
-/// Compiles an (essentially empty) program under `config` so the prelude's
-/// primitive bodies can be inspected.
+/// Compiles a program that names every [`TABLE1_PRIMS`] entry and does
+/// nothing else, under `config`, so those primitives' bodies can be
+/// inspected (a compile keeps only the library procedures a program
+/// reaches).
 ///
 /// # Errors
 ///
 /// Propagates any [`crate::CompileError`] (the prelude must compile).
 pub fn compile_prelude_probe(config: PipelineConfig) -> Result<Compiled, crate::CompileError> {
-    Compiler::new(config).compile("0")
+    Compiler::new(config).compile(&format!("(begin {} 0)", TABLE1_PRIMS.join(" ")))
+}
+
+/// A program that reads the global of every procedure the prelude of
+/// `config` defines, and evaluates to 0. A compile keeps only the library
+/// procedures its program reaches; prefixed to a program, this keeps them
+/// all, so checks of the shipped library see every procedure.
+///
+/// # Panics
+///
+/// Panics if the prelude does not read or expand.
+pub fn naming_every_library_procedure(config: &PipelineConfig) -> String {
+    let mut expander = sxr_ast::Expander::new();
+    let mut procedures = Vec::new();
+    for src in Compiler::new(config.clone()).prelude() {
+        let forms = sxr_sexp::parse_all(src).expect("the prelude reads");
+        let unit = expander.expand_unit(&forms).expect("the prelude expands");
+        for item in &unit.items {
+            if let sxr_ast::TopItem::Def(g, sxr_ast::Expr::Lambda(_)) = item {
+                procedures.push(*g);
+            }
+        }
+    }
+    let names = expander.into_program(Vec::new()).global_names;
+    let names: Vec<&str> = procedures
+        .into_iter()
+        .map(|g| names[g as usize].as_str())
+        .collect();
+    format!("(begin {} 0)", names.join(" "))
 }
 
 /// Runs `compiled` once on a fresh machine, reporting how long the *run*

@@ -35,11 +35,15 @@ pub struct Lowered {
 /// The program value is the value of its last top-level expression (or
 /// unspecified). Assignment conversion must already have run.
 ///
+/// Library procedures that the program does not reach are dropped first,
+/// so no later stage sees them.
+///
 /// # Errors
 ///
 /// Returns [`LowerError`] on unknown sub-primitives, sub-primitive arity
 /// mismatches, or leftover `set!` of lexical variables.
-pub fn lower_program(prog: ast::Program) -> Result<Lowered, LowerError> {
+pub fn lower_program(mut prog: ast::Program) -> Result<Lowered, LowerError> {
+    drop_unreached_library_procedures(&mut prog);
     let mut lw = Lowerer {
         supply: NameSupply::from_names(prog.var_names),
     };
@@ -74,6 +78,47 @@ pub fn lower_program(prog: ast::Program) -> Result<Lowered, LowerError> {
         supply: lw.supply,
         global_names: prog.global_names,
     })
+}
+
+/// Drops each library item `(define g (lambda ...))` whose global `g` no
+/// kept code reads, the way a linker drops unreferenced library members.
+///
+/// Every other item is a root: top-level expressions, definitions whose
+/// init may have effects (rep-type construction, `%provide-rep!`), and the
+/// user's unit, from [`ast::Program::user_start`] on. Only an
+/// [`ast::Expr::Global`] reads; a `set!` of a global writes. Evaluating a
+/// lambda has no effect, so behaviour and global numbering are unchanged.
+fn drop_unreached_library_procedures(prog: &mut ast::Program) {
+    let mut defs: Vec<Vec<usize>> = vec![Vec::new(); prog.global_names.len()];
+    let mut kept = vec![false; prog.items.len()];
+    let mut work = Vec::new();
+    for (i, item) in prog.items.iter().enumerate() {
+        match item {
+            ast::TopItem::Def(g, ast::Expr::Lambda(_)) if i < prog.user_start => {
+                defs[*g as usize].push(i);
+            }
+            _ => {
+                kept[i] = true;
+                work.push(i);
+            }
+        }
+    }
+    let mut exprs = Vec::new();
+    while let Some(i) = work.pop() {
+        let (ast::TopItem::Def(_, e) | ast::TopItem::Expr(e)) = &prog.items[i];
+        exprs.push(e);
+        while let Some(e) = exprs.pop() {
+            if let ast::Expr::Global(g) = e {
+                for d in defs[*g as usize].drain(..) {
+                    kept[d] = true;
+                    work.push(d);
+                }
+            }
+            e.for_each_child(|c| exprs.push(c));
+        }
+    }
+    let mut kept = kept.into_iter();
+    prog.items.retain(|_| kept.next() == Some(true));
 }
 
 /// Lowers a single expression for tests and tools: returns a function body
@@ -304,6 +349,31 @@ mod tests {
         let mut prog = ex.into_program(vec![unit]);
         convert_assignments(&mut prog).unwrap();
         lower_program(prog).unwrap()
+    }
+
+    #[test]
+    fn library_procedures_no_kept_code_reads_are_dropped() {
+        let mut ex = Expander::new();
+        let mut unit = |src| ex.expand_unit(&parse_all(src).unwrap()).unwrap();
+        let lib = unit(
+            "(define (f) 1) (define (g) (f)) (define (unused) (g))
+             (define (h) 2) (define x (h))",
+        );
+        let user = unit("(set! unused 0) (g)");
+        let prog = ex.into_program(vec![lib, user]);
+        let unused = prog.global_by_name("unused").unwrap();
+        let mut sets = Vec::new();
+        let mut e = &lower_program(prog).unwrap().main_body;
+        while let Expr::Let(_, b, rest) = e {
+            if let Bound::GlobalSet(g, _) = b {
+                sets.push(*g);
+            }
+            e = rest;
+        }
+        // `f` is reached through `g`, `h` through the non-lambda `x`; the
+        // user's `set!` of `unused` is its only remaining store.
+        assert_eq!(sets.len(), 5, "{sets:?}");
+        assert_eq!(sets.iter().filter(|&&g| g == unused).count(), 1);
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //!   cargo run --example compiler_explorer                 # defaults to car
 //!   cargo run --example compiler_explorer -- fx+          # a primitive
 //!   cargo run --example compiler_explorer -- my-fn '(define (my-fn x) (car (cdr x)))'
+//!
+//! Without a source, the program is `(begin NAME 0)`: a compile keeps only
+//! the library procedures the program names or reaches.
 
 use sxr::{Compiler, PipelineConfig};
 
@@ -15,7 +18,10 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("car")
         .to_string();
-    let source = args.get(1).cloned().unwrap_or_else(|| "0".to_string());
+    let source = args
+        .get(1)
+        .cloned()
+        .unwrap_or_else(|| format!("(begin {name} 0)"));
 
     for (label, cfg) in [
         (

@@ -107,3 +107,30 @@ fn a_forged_rep_id_is_a_bad_rep_operation_not_a_panic() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(stderr.contains("unknown representation id"), "{stderr}");
 }
+
+#[test]
+fn dis_names_only_procedures_the_program_reaches() {
+    // A library procedure the program never names is not compiled.
+    let out = sxr(&["--dis", "vector-ref", "-e", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("no procedure named `vector-ref` is defined or reached"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+
+    let out = sxr(&[
+        "--dis",
+        "vector-ref",
+        "-e",
+        "(vector-ref (make-vector 1 7) 0)",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.starts_with(";; vector-ref (arity 2"), "{stdout}");
+}

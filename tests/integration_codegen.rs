@@ -27,7 +27,7 @@ fn fx_less_fuses_into_one_branch() {
 
 #[test]
 fn car_is_single_displacement_load() {
-    let c = compile_opt("0");
+    let c = compile_opt("(begin car 0)");
     let d = dis(&c, "car");
     // LoadD with displacement 8 - pair_tag(1) = 7, then return.
     assert!(d.contains("LoadD"), "{d}");
@@ -37,7 +37,7 @@ fn car_is_single_displacement_load() {
 
 #[test]
 fn vector_ref_uses_indexed_addressing() {
-    let c = compile_opt("0");
+    let c = compile_opt("(begin vector-ref 0)");
     let d = dis(&c, "vector-ref");
     assert!(
         d.contains("LoadX"),
@@ -48,7 +48,7 @@ fn vector_ref_uses_indexed_addressing() {
 
 #[test]
 fn fxadd_is_single_add_on_tagged_words() {
-    let c = compile_opt("0");
+    let c = compile_opt("(begin fx+ 0)");
     let d = dis(&c, "fx+");
     assert!(d.contains("op: Add"), "{d}");
     assert!(!d.contains("Shr"), "no projection survives:\n{d}");
@@ -99,7 +99,7 @@ fn branch_targets_in_range() {
 fn pointer_maps_mark_projections_raw() {
     // fxquotient's body projects both operands; those registers must be
     // skipped by the collector.
-    let c = compile_opt("0");
+    let c = compile_opt("(begin fxquotient 0)");
     let f = c.fun_by_name("fxquotient").unwrap();
     assert!(
         f.ptr_map.iter().any(|tagged| !tagged),

@@ -8,6 +8,7 @@
 //! side requires the entire prelude and benchmark suite to lint clean.
 
 use sxr::lint::lint_source;
+use sxr::report::naming_every_library_procedure;
 use sxr::{Compiler, PipelineConfig, Severity};
 use sxr_bench::BENCHMARKS;
 
@@ -95,10 +96,12 @@ fn guarded_access_lints_clean() {
 
 #[test]
 fn full_prelude_lints_clean() {
-    // Linting any program compiles the whole prelude (representation
-    // declarations, abstract primitives, library) through the analyzer; a
-    // single provable misuse in it would show up here.
-    let report = lint_source("(display 42)").unwrap();
+    // A program that names every prelude procedure compiles the whole
+    // prelude (representation declarations, abstract primitives, library)
+    // through the analyzer; a single provable misuse in it would show up
+    // here.
+    let every = naming_every_library_procedure(&sxr::lint::lint_config());
+    let report = lint_source(&format!("{every}\n(display 42)")).unwrap();
     assert!(
         report.diagnostics.is_empty(),
         "prelude not clean:\n{}",
@@ -123,45 +126,48 @@ fn benchmark_suite_lints_clean() {
 #[test]
 fn benchmark_suite_verifies_under_all_configs() {
     // With `verify_passes` forced on, every optimizer pass re-checks the
-    // IR; the whole benchmark suite must compile with zero violations under
-    // every pipeline configuration, and the compiled modules must carry
-    // zero error-severity analyzer findings.  Checking only observes: the
-    // same compile with the re-check off yields identical code and an
-    // identical optimizer report.
+    // IR; the whole benchmark suite, and a program naming every prelude
+    // procedure (so the whole library is compiled), must compile with zero
+    // violations under every pipeline configuration, and the compiled
+    // modules must carry zero error-severity analyzer findings.  Checking
+    // only observes: the same compile with the re-check off yields
+    // identical code and an identical optimizer report.
     for (label, cfg) in [
         ("Traditional", PipelineConfig::traditional()),
         ("AbstractOpt", PipelineConfig::abstract_optimized()),
         ("AbstractNoOpt", PipelineConfig::abstract_unoptimized()),
         ("Ablate(repspec)", PipelineConfig::ablated("repspec")),
     ] {
+        let every = naming_every_library_procedure(&cfg);
         let compiler = Compiler::new(cfg.clone().with_verify_passes(true));
         let unchecked = Compiler::new(cfg.with_verify_passes(false));
-        for b in BENCHMARKS {
+        let programs = BENCHMARKS
+            .iter()
+            .map(|b| (b.name, b.source))
+            .chain([("whole library", every.as_str())]);
+        for (name, source) in programs {
             let compiled = compiler
-                .compile(b.source)
-                .unwrap_or_else(|e| panic!("[{label}] {} failed verification: {e}", b.name));
+                .compile(source)
+                .unwrap_or_else(|e| panic!("[{label}] {name} failed verification: {e}"));
             let plain = unchecked
-                .compile(b.source)
-                .unwrap_or_else(|e| panic!("[{label}] {} failed to compile: {e}", b.name));
+                .compile(source)
+                .unwrap_or_else(|e| panic!("[{label}] {name} failed to compile: {e}"));
             let (c, p) = (&compiled.code, &plain.code);
             assert!(
                 c.funs == p.funs
                     && c.pool == p.pool
                     && c.nglobals == p.nglobals
                     && c.main == p.main,
-                "[{label}] {}: verify_passes changed the generated code",
-                b.name
+                "[{label}] {name}: verify_passes changed the generated code"
             );
             assert_eq!(
                 compiled.opt_report, plain.opt_report,
-                "[{label}] {}: verify_passes changed the optimizer report",
-                b.name
+                "[{label}] {name}: verify_passes changed the optimizer report"
             );
             let errors = compiled.analyze_errors();
             assert!(
                 errors.is_empty(),
-                "[{label}] {} has analyzer errors:\n{}",
-                b.name,
+                "[{label}] {name} has analyzer errors:\n{}",
                 errors.join("\n")
             );
         }

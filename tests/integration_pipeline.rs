@@ -232,7 +232,10 @@ fn record_types_are_distinguished() {
 
 /// Closure conversion's one-pass free sets agree with the definition,
 /// computed directly for each lambda (the walk closure conversion used
-/// before), for every lambda of the corpus under every configuration.
+/// before), for every lambda of the corpus under every configuration. Each
+/// program is checked alone and again after a form that names every
+/// library procedure, since a compile keeps only the library procedures a
+/// program reaches.
 #[test]
 fn captures_match_the_reference_free_variables() {
     use std::collections::BTreeSet;
@@ -290,16 +293,21 @@ fn captures_match_the_reference_free_variables() {
         }
     }
 
-    /// The program as closure conversion receives it, staged through the
-    /// layer crates in the order `Compiler::compile` runs them.
-    fn before_closure_conversion(config: &PipelineConfig, source: &str) -> Expr {
+    fn prelude(config: &PipelineConfig) -> [&'static str; 3] {
         let prims = match config.mode {
             PrimitiveMode::Abstract => sxr::PRIMS_ABSTRACT_SCM,
             PrimitiveMode::Traditional => sxr::PRIMS_TRADITIONAL_SCM,
         };
+        [sxr::REPS_SCM, prims, sxr::LIBRARY_SCM]
+    }
+
+    /// The program as closure conversion receives it, staged through the
+    /// layer crates in the order `Compiler::compile` runs them.
+    fn before_closure_conversion(config: &PipelineConfig, source: &str) -> Expr {
         let mut expander = sxr_ast::Expander::new();
-        let units = [sxr::REPS_SCM, prims, sxr::LIBRARY_SCM, source]
+        let units = prelude(config)
             .iter()
+            .chain([&source])
             .map(|src| expander.expand_unit(&sxr_sexp::parse_all(src).unwrap()))
             .collect::<Result<Vec<_>, _>>()
             .unwrap();
@@ -333,8 +341,17 @@ fn captures_match_the_reference_free_variables() {
     let check = || {
         let mut lambdas = 0;
         for (label, config) in sxr_bench::measured_configs() {
-            for bench in sxr_bench::BENCHMARKS {
-                let e = before_closure_conversion(&config, bench.source);
+            let every = sxr::report::naming_every_library_procedure(&config);
+            for (bench, whole_library) in sxr_bench::BENCHMARKS
+                .iter()
+                .flat_map(|b| [(b, false), (b, true)])
+            {
+                let name = bench.name;
+                let source = match whole_library {
+                    false => bench.source.to_string(),
+                    true => format!("{every}\n{}", bench.source),
+                };
+                let e = before_closure_conversion(&config, &source);
                 let captures = sxr_ir::clconv::captures(&e);
                 let mut check_fun = |v: VarId, l: &FunDef| {
                     let params: Vec<VarId> = l.params.iter().chain(&l.rest).copied().collect();
@@ -344,8 +361,7 @@ fn captures_match_the_reference_free_variables() {
                     assert_eq!(
                         captures.get(&v),
                         Some(&want),
-                        "{} {label}: v{v}",
-                        bench.name
+                        "{name} {label} (whole library: {whole_library}): v{v}"
                     );
                     lambdas += 1;
                 };
